@@ -995,7 +995,7 @@ def build_parser() -> argparse.ArgumentParser:
     _fleet_spec_args(fleet_run)
     fleet_run.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes for the scalar shard "
+        help="worker processes for craft that leave batch lockstep "
              "(reports identical at any value)",
     )
     fleet_run.add_argument(
@@ -1013,7 +1013,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_run.add_argument(
         "--supervised", action="store_true",
-        help="run the scalar shard under the fault-tolerant ground "
+        help="run pool craft under the fault-tolerant ground "
              "executor (worker replacement, retries, quarantine)",
     )
     fleet_run.add_argument(

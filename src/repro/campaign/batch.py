@@ -3,10 +3,11 @@
 :func:`execute_batched` is the campaign-layer entry point for the
 structure-of-arrays backend (:mod:`repro.sim.batch`). Where
 :func:`repro.campaign.engine.execute` hands each trial to a worker
-process, ``execute_batched`` hands *groups* of trials to one
+process, ``execute_batched`` hands the pending trials to one
 ``batch_fn(items, rngs)`` call that advances all of them in lockstep —
 one :class:`~repro.sim.batch.BatchMachines` sweep instead of N scalar
-tick loops.
+tick loops. Both go through the one round executor,
+:func:`repro.campaign.engine.run_round`.
 
 The determinism contract is unchanged. Each lane receives exactly the
 generator the scalar engine would have built —
@@ -22,11 +23,13 @@ vice versa.
 Divergence is the escape hatch: trials that leave lockstep (a
 power-cycle, a reboot, any per-lane control flow the SoA engine cannot
 express) are *peeled* — the batch function returns the
-:class:`Diverged` sentinel for that lane and ``execute_batched``
-re-runs the whole trial through the scalar ``campaign.trial_fn`` with
-a fresh ``trial_rng``. Because a trial's stream depends only on
-``(seed_root, seed_index)``, the scalar re-run is the same trial the
-scalar engine would have produced, not an approximation.
+:class:`Diverged` sentinel for that lane and the executor re-runs the
+whole trial through the scalar ``campaign.trial_fn`` with a fresh
+``trial_rng``, in the same ``pmap`` call as any other scalar trial (so
+``workers`` and ``supervision`` apply to it). Because a trial's stream
+depends only on ``(seed_root, seed_index)``, the scalar re-run is the
+same trial the scalar engine would have produced, not an
+approximation.
 
 Tracing is deliberately unsupported here: a batched sweep has no
 per-trial tracer to thread through lockstep lanes. Campaigns that need
@@ -35,10 +38,11 @@ traces use the scalar :func:`~repro.campaign.engine.execute`.
 
 from __future__ import annotations
 
-from ..errors import ConfigurationError
-from .engine import CampaignResult, RoundExecution, _canonical_result
-from .spec import Campaign, trial_rng
-from .store import STORE_SCHEMA, TrialStore
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .engine import CampaignResult
+    from .spec import Campaign
 
 __all__ = ["Diverged", "execute_batched"]
 
@@ -47,10 +51,10 @@ class Diverged:
     """Per-lane sentinel: this trial left lockstep, peel it to scalar.
 
     A batch function returns ``Diverged(reason)`` in a lane's result
-    slot instead of a value; :func:`execute_batched` then re-runs that
-    trial through the scalar ``campaign.trial_fn`` with its own
+    slot instead of a value; the executor then re-runs that trial
+    through the scalar ``campaign.trial_fn`` with its own
     ``trial_rng``. ``reason`` is free-form ("power-cycle", "reboot",
-    ...) and lands only in metrics-side accounting, never in results.
+    ...) and never lands in results.
     """
 
     __slots__ = ("reason",)
@@ -62,151 +66,24 @@ class Diverged:
         return f"Diverged({self.reason!r})"
 
 
-def _groups(indices: "list[int]", group_size: "int | None"):
-    """Shard pending trial indices into batch groups, grid order."""
-    if group_size is None:
-        if indices:
-            yield indices
-        return
-    for start in range(0, len(indices), group_size):
-        yield indices[start : start + group_size]
-
-
-def run_round_batched(
-    campaign: Campaign,
-    batch_fn,
-    *,
-    store: "TrialStore | None" = None,
-    metrics=None,
-    group_size: "int | None" = None,
-) -> RoundExecution:
-    """Execute one round in lockstep groups through ``batch_fn``.
-
-    The batched sibling of :func:`repro.campaign.engine.run_round`;
-    callers outside the stream machinery want :func:`execute_batched`
-    / :func:`~repro.campaign.stream.execute_stream`.
-    """
-    if not callable(batch_fn):
-        raise ConfigurationError("execute_batched needs a callable batch_fn")
-    if group_size is not None and group_size < 1:
-        raise ConfigurationError("group_size must be >= 1")
-    store = TrialStore.coerce(store)
-    specs = campaign.specs()
-
-    hits: "dict[int, dict]" = {}
-    if store is not None:
-        for index, spec in enumerate(specs):
-            entry = store.get(spec.fingerprint)
-            if entry is not None:
-                hits[index] = entry
-
-    pending = [i for i in range(len(specs)) if i not in hits]
-
-    canonical: "dict[int, object]" = {}
-
-    def _absorb(i: int, value) -> None:
-        """Canonicalise + persist one trial the moment its group lands."""
-        canonical[i] = _canonical_result(campaign, value)
-        if store is not None:
-            spec = specs[i]
-            store.put(
-                spec.fingerprint,
-                {
-                    "schema": STORE_SCHEMA,
-                    "fingerprint": spec.fingerprint,
-                    "campaign": campaign.name,
-                    "params": spec.params,
-                    "seed_root": spec.seed_root,
-                    "seed_index": spec.seed_index,
-                    "result": canonical[i],
-                    "records": None,
-                },
-            )
-
-    n_groups = 0
-    n_diverged = 0
-    for group in _groups(pending, group_size):
-        n_groups += 1
-        items = [campaign.trials[i].item for i in group]
-        rngs = [trial_rng(specs[i].seed_root, specs[i].seed_index) for i in group]
-        outcomes = list(batch_fn(items, rngs))
-        if len(outcomes) != len(group):
-            raise ConfigurationError(
-                f"batch_fn returned {len(outcomes)} results for a "
-                f"{len(group)}-lane group"
-            )
-        for lane, (i, value) in enumerate(zip(group, outcomes)):
-            if isinstance(value, Diverged):
-                n_diverged += 1
-                value = campaign.trial_fn(
-                    items[lane],
-                    trial_rng(specs[i].seed_root, specs[i].seed_index),
-                    None,
-                )
-            _absorb(i, value)
-
-    for i, entry in hits.items():
-        canonical[i] = entry["result"]
-
-    decode = campaign.decode if campaign.decode is not None else lambda v: v
-    values = [decode(canonical[i]) for i in range(len(specs))]
-
-    if metrics is not None:
-        metrics.counter("campaign.trials.total").inc(len(specs))
-        metrics.counter("campaign.trials.executed").inc(len(pending))
-        if store is not None:
-            metrics.counter("campaign.store.hits").inc(len(hits))
-            metrics.counter("campaign.store.misses").inc(len(pending))
-        if n_groups:
-            metrics.counter("campaign.batch.groups").inc(n_groups)
-            metrics.counter("campaign.batch.lanes").inc(len(pending))
-        if n_diverged:
-            metrics.counter("campaign.batch.diverged").inc(n_diverged)
-
-    result = CampaignResult(
-        name=campaign.name,
-        values=values,
-        specs=specs,
-        executed=len(pending),
-        store_hits=len(hits),
-        report=None,
-    )
-    return RoundExecution(
-        result=result,
-        canonical=[canonical[i] for i in range(len(specs))],
-        records=None,
-    )
-
-
 def execute_batched(
-    campaign: Campaign,
+    campaign: "Campaign",
     batch_fn,
     *,
     store=None,
     metrics=None,
-    group_size: "int | None" = None,
-) -> CampaignResult:
-    """Run ``campaign`` in lockstep groups, skipping stored trials.
+) -> "CampaignResult":
+    """Run ``campaign`` as one lockstep group, skipping stored trials.
 
     ``batch_fn(items, rngs)`` receives the pending trials' ``item``
-    payloads and their per-lane generators (grid order within the
-    group) and must return one result per lane — a trial value, or
-    :class:`Diverged` for lanes that left lockstep and need the
-    scalar fallback. ``group_size`` caps how many lanes ride in one
-    batch call (``None`` = all pending trials in a single group).
+    payloads and their per-lane generators (grid order) and must
+    return one result per lane — a trial value, or :class:`Diverged`
+    for lanes that left lockstep and need the scalar fallback.
 
-    Like :func:`~repro.campaign.engine.execute`, this routes through
-    the round-based stream core — the static grid is the trivial
-    one-round source — and stays byte-identical to the pre-stream
-    executor.
+    This is :func:`~repro.campaign.engine.execute` with ``batch_fn``
+    set; pass that directly to add ``workers`` or ``supervision`` for
+    the diverged lanes.
     """
-    from .stream import GridSource, execute_stream
+    from .engine import execute
 
-    stream = execute_stream(
-        GridSource(campaign),
-        store=store,
-        metrics=metrics,
-        batch_fn=batch_fn,
-        group_size=group_size,
-    )
-    return stream.rounds[0].result
+    return execute(campaign, store=store, metrics=metrics, batch_fn=batch_fn)

@@ -6,19 +6,23 @@ thin wrapper: the campaign becomes the trivial one-round
 :class:`~repro.campaign.stream.TrialSource`
 (:class:`~repro.campaign.stream.GridSource`) and drains through
 :func:`~repro.campaign.stream.execute_stream` — the same core that
-runs multi-round adaptive streams (:mod:`repro.adaptive`). For each
-round the engine:
+runs multi-round adaptive streams (:mod:`repro.adaptive`). Each round
+runs through :func:`run_round`, the one round executor, which:
 
 1. resolves the round's trial fingerprints (:meth:`Campaign.specs`);
 2. consults the :class:`~repro.campaign.store.TrialStore` (if given)
    and **skips** trials whose fingerprint is already stored;
-3. runs the missing trials through ``pmap`` — each in a worker with
-   its own :func:`~repro.campaign.spec.trial_rng` generator and (when
-   tracing) a fresh per-trial :class:`~repro.obs.TraceRecorder`;
-4. canonicalises every result — stored hit or fresh execution alike —
+3. with a ``batch_fn``, advances the missing trials in-process as one
+   lockstep group (:mod:`repro.campaign.batch`);
+4. runs every other missing trial (all of them without ``batch_fn``,
+   else the lanes that diverged) through one ``pmap`` call — each in a
+   worker with its own :func:`~repro.campaign.spec.trial_rng`
+   generator and (when tracing) a fresh per-trial
+   :class:`~repro.obs.TraceRecorder`;
+5. canonicalises every result — stored hit or fresh execution alike —
    through an ``encode -> JSON -> decode`` round-trip, so resumed and
    cold runs aggregate **byte-identically**;
-5. persists each fresh result (with its trace records) *as it lands*
+6. persists each fresh result (with its trace records) *as it lands*
    — not after the batch — so a run killed mid-grid keeps every
    completed trial; finally the stream merges all trace records, in
    round-major grid order, into one JSONL file.
@@ -36,7 +40,9 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ..errors import ConfigurationError
 from ..parallel import ParallelReport, pmap_report
+from .batch import Diverged
 from .spec import Campaign, TrialSpec, jsonify, trial_rng
 from .store import STORE_SCHEMA, TrialStore
 
@@ -146,16 +152,21 @@ def run_round(
     with_tracer: bool = False,
     metrics=None,
     force_pool: bool = False,
-    chunksize: "int | None" = None,
     supervision=None,
+    batch_fn=None,
 ) -> RoundExecution:
-    """Execute one round (a fully resolved grid) through ``pmap``.
+    """Execute one round (a fully resolved grid): the one round executor.
 
-    This is the body the pre-stream ``execute`` had, minus trace-file
-    writing: records are *returned* (``RoundExecution.records``) so
-    the stream can merge every round into one file. Callers outside
-    the stream machinery want :func:`execute` /
-    :func:`~repro.campaign.stream.execute_stream`.
+    Stored trials are replayed; with ``batch_fn`` the pending trials
+    first advance in-process as one lockstep group
+    (:mod:`repro.campaign.batch`). Every trial left over — all of them
+    without ``batch_fn``, else the lanes that returned
+    :class:`~repro.campaign.batch.Diverged` — runs through one
+    ``pmap_report`` call, so those lanes get ``workers``,
+    ``supervision`` and quarantine. Records are *returned*
+    (``RoundExecution.records``) so the stream can merge every round
+    into one file. Callers outside the stream machinery want
+    :func:`execute` / :func:`~repro.campaign.stream.execute_stream`.
     """
     store = TrialStore.coerce(store)
     specs = campaign.specs()
@@ -170,25 +181,12 @@ def run_round(
     defect_count = _defects(store) - defects_before
 
     pending = [i for i in range(len(specs)) if i not in hits]
-    payloads = [
-        (
-            campaign.trial_fn,
-            campaign.trials[i].item,
-            specs[i].seed_root,
-            specs[i].seed_index,
-            with_tracer,
-        )
-        for i in pending
-    ]
-
     canonical: "dict[int, object]" = {}
     record_dicts: "dict[int, list | None]" = {}
 
-    def _absorb(position: int, outcome) -> None:
+    def _absorb(i: int, value, records=None) -> None:
         """Canonicalise and persist one trial the moment it lands —
         incremental, so a run killed mid-grid keeps its progress."""
-        value, records = outcome
-        i = pending[position]
         canonical[i] = _canonical_result(campaign, value)
         record_dicts[i] = (
             None if records is None else [r.to_dict() for r in records]
@@ -209,27 +207,54 @@ def run_round(
                 },
             )
 
+    scalar = pending
+    if batch_fn is not None and pending:
+        outcomes = list(
+            batch_fn(
+                [campaign.trials[i].item for i in pending],
+                [trial_rng(specs[i].seed_root, specs[i].seed_index)
+                 for i in pending],
+            )
+        )
+        if len(outcomes) != len(pending):
+            raise ConfigurationError(
+                f"batch_fn returned {len(outcomes)} results for a "
+                f"{len(pending)}-lane group"
+            )
+        scalar = []
+        for i, value in zip(pending, outcomes):
+            if isinstance(value, Diverged):
+                scalar.append(i)
+            else:
+                _absorb(i, value)
+
     report = pmap_report(
         _execute_trial,
-        payloads,
+        [
+            (
+                campaign.trial_fn,
+                campaign.trials[i].item,
+                specs[i].seed_root,
+                specs[i].seed_index,
+                with_tracer,
+            )
+            for i in scalar
+        ],
         workers=workers,
         force_pool=force_pool,
-        chunksize=chunksize,
-        on_result=_absorb,
+        on_result=lambda position, outcome: _absorb(scalar[position], *outcome),
         supervision=supervision,
         metrics=metrics if supervision is not None else None,
     )
 
-    # Resolve pmap-level quarantines (positions in `pending`) to their
+    # Resolve pmap-level quarantines (positions in `scalar`) to their
     # campaign identities, and splice ground events into trial traces.
     quarantined: "list[QuarantinedTrial]" = []
-    quarantined_grid: "set[int]" = set()
     if report.quarantined:
         from ..ground.supervision import QuarantinedTrial
 
         for q in report.quarantined:
-            i = pending[q.index]
-            quarantined_grid.add(i)
+            i = scalar[q.index]
             canonical[i] = None
             record_dicts[i] = None
             quarantined.append(
@@ -245,7 +270,7 @@ def run_round(
         for position, events in enumerate(report.ground_events):
             if not events:
                 continue
-            i = pending[position]
+            i = scalar[position]
             record_dicts[i] = [r.to_dict() for r in events] + (
                 record_dicts[i] or []
             )
@@ -258,10 +283,9 @@ def run_round(
             trace_missing += 1
 
     decode = campaign.decode if campaign.decode is not None else lambda v: v
+    quarantined_grid = {q.index for q in quarantined}
     values = [
-        None
-        if i in quarantined_grid
-        else decode(canonical[i])
+        None if i in quarantined_grid else decode(canonical[i])
         for i in range(len(specs))
     ]
 
@@ -288,6 +312,10 @@ def run_round(
                 metrics.counter("campaign.store.corrupt").inc(defect_count)
         if trace_missing:
             metrics.counter("campaign.trace.missing").inc(trace_missing)
+        if batch_fn is not None and pending:
+            metrics.counter("campaign.batch.lanes").inc(len(pending))
+            if scalar:
+                metrics.counter("campaign.batch.diverged").inc(len(scalar))
 
     result = CampaignResult(
         name=campaign.name,
@@ -313,8 +341,8 @@ def execute(
     trace_path: "str | None" = None,
     metrics=None,
     force_pool: bool = False,
-    chunksize: "int | None" = None,
     supervision=None,
+    batch_fn=None,
 ) -> CampaignResult:
     """Run ``campaign``, skipping trials the store already holds.
 
@@ -329,7 +357,10 @@ def execute(
     crashed/hung workers are replaced, failing trials retried with
     byte-identical seeds, and poison trials quarantined — the campaign
     then *completes* with ``result.quarantined`` naming the survivors'
-    missing peers instead of the whole run dying.
+    missing peers instead of the whole run dying. ``batch_fn`` runs
+    the missing trials as one lockstep group first
+    (:func:`~repro.campaign.batch.execute_batched`); supervision then
+    covers the lanes that diverged.
     """
     from .stream import GridSource, execute_stream
 
@@ -340,8 +371,8 @@ def execute(
         trace_path=trace_path,
         metrics=metrics,
         force_pool=force_pool,
-        chunksize=chunksize,
         supervision=supervision,
+        batch_fn=batch_fn,
     )
     return stream.rounds[0].result
 

@@ -30,8 +30,10 @@ executor without giving up any of the campaign layer's guarantees:
 ``execute_stream`` is the single drain loop behind both
 :func:`repro.campaign.execute` (scalar / supervised / traced) and
 :func:`repro.campaign.execute_batched` (SoA lockstep via
-``batch_fn``), which is what makes static-grid campaigns through the
-round core byte-identical to the historical one-shot executors.
+``batch_fn``); every round goes through the one round executor,
+:func:`~repro.campaign.engine.run_round`, which is what makes
+static-grid campaigns through the round core byte-identical to the
+historical one-shot executors.
 """
 
 from __future__ import annotations
@@ -246,33 +248,31 @@ def execute_stream(
     trace_path: "str | None" = None,
     metrics=None,
     force_pool: bool = False,
-    chunksize: "int | None" = None,
     supervision=None,
     batch_fn=None,
-    group_size: "int | None" = None,
     max_rounds: "int | None" = None,
     on_round=None,
 ) -> StreamResult:
     """Drain ``source`` round by round until it declines to continue.
 
-    Each round runs through the full campaign machinery
-    (:func:`~repro.campaign.engine.run_round`, or its batched sibling
-    when ``batch_fn`` is given): store skip/persist per trial,
-    supervision/quarantine, per-round metrics. Trace records are
-    accumulated across rounds and merged into **one** file at the
-    end, in round-major grid order — for a one-round stream that is
-    byte-identical to the pre-stream trace output.
+    Each round runs through the one round executor
+    (:func:`~repro.campaign.engine.run_round`): store skip/persist per
+    trial, the ``batch_fn`` lockstep group when given, supervision/
+    quarantine for every trial that runs in ``pmap``, per-round
+    metrics. Trace records are accumulated across rounds and merged
+    into **one** file at the end, in round-major grid order — for a
+    one-round stream that is byte-identical to the pre-stream trace
+    output.
 
     ``on_round(round_result)`` fires after each round (progress
     reporting); ``max_rounds`` is a hard cap for callers that want a
-    safety net around a buggy source. ``batch_fn`` is mutually
-    exclusive with tracing and supervision, exactly as
-    ``execute_batched`` always was.
+    safety net around a buggy source. ``batch_fn`` cannot be combined
+    with ``trace_path``: lockstep lanes have no per-trial tracer.
     """
-    if batch_fn is not None and (trace_path is not None or supervision is not None):
+    if batch_fn is not None and trace_path is not None:
         raise ConfigurationError(
-            "batch_fn cannot be combined with trace_path or supervision; "
-            "use the scalar executor for traced/supervised streams"
+            "batch_fn cannot be combined with trace_path; "
+            "use the scalar executor for traced streams"
         )
     if max_rounds is not None and max_rounds < 1:
         raise ConfigurationError("max_rounds must be >= 1")
@@ -290,27 +290,16 @@ def execute_stream(
         if campaign is None:
             exhausted = True
             break
-        if batch_fn is not None:
-            from .batch import run_round_batched
-
-            execution: RoundExecution = run_round_batched(
-                campaign,
-                batch_fn,
-                store=store,
-                metrics=metrics,
-                group_size=group_size,
-            )
-        else:
-            execution = run_round(
-                campaign,
-                workers=workers,
-                store=store,
-                with_tracer=trace_path is not None,
-                metrics=metrics,
-                force_pool=force_pool,
-                chunksize=chunksize,
-                supervision=supervision,
-            )
+        execution: RoundExecution = run_round(
+            campaign,
+            workers=workers,
+            store=store,
+            with_tracer=trace_path is not None,
+            metrics=metrics,
+            force_pool=force_pool,
+            supervision=supervision,
+            batch_fn=batch_fn,
+        )
         round_result = RoundResult(
             index=len(rounds),
             result=execution.result,

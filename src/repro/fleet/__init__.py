@@ -2,7 +2,7 @@
 
 Declare a fleet (:class:`FleetSpec`: orbit bands x redundancy schemes
 x mission profiles), run it (:func:`run_fleet`: SoA batch lanes for
-lockstep craft, the process pool for SEL-bearing remainders, every
+lockstep craft, the process pool for SEL-bearing craft, every
 trial persisted through the :class:`~repro.campaign.TrialStore`), and
 aggregate it (:func:`build_report`: SEL/SDC/recovery rates per orbit
 band and scheme). See ``docs/fleet.md``.

@@ -1,4 +1,4 @@
-"""The constellation scheduler: shard, simulate, persist, aggregate.
+"""The constellation scheduler: calibrate, simulate, persist, aggregate.
 
 One :func:`run_fleet` call turns a :class:`FleetSpec` into a store of
 per-craft trials and a fleet-level report, in four moves:
@@ -6,18 +6,19 @@ per-craft trials and a fleet-level report, in four moves:
 1. **Calibrate** — real Table-7 injections per (scheme, target, bits)
    cell become the SEU outcome table (:mod:`repro.fleet.calibration`),
    itself a resumable campaign.
-2. **Shard** — the canonical craft campaign (one trial per spacecraft)
-   is split by pre-sampling each pending craft's latchup sky from its
-   pinned trial stream: craft with **no SELs** stay in lockstep and
-   ride the SoA batch engine (:func:`repro.campaign.execute_batched`
-   over :class:`repro.sim.batch.BatchMachines`); craft with SELs leave
-   lockstep (power cycles, fine-tick detection episodes, deaths) and
-   run as the heterogeneous remainder through the process pool
-   (:func:`repro.campaign.execute` -> :func:`repro.parallel.pmap`).
-   Both shards share one campaign identity — same fingerprints, same
-   :class:`TrialStore` entries — so they resume each other and the
-   aggregate report is byte-identical at any worker count, batched or
-   not, cold or resumed.
+2. **Simulate** — the canonical craft campaign (one trial per
+   spacecraft) runs through one :func:`repro.campaign.execute` call
+   that routes each pending craft: every craft starts in the SoA
+   lockstep group (``batch_fn`` over
+   :class:`repro.sim.batch.BatchMachines`), and craft whose pinned
+   trial stream samples latchups return
+   :class:`~repro.campaign.Diverged` — they leave lockstep (power
+   cycles, fine-tick detection episodes, deaths) and re-run through
+   the process pool (:func:`repro.parallel.pmap`). Both routes share
+   one campaign identity — same fingerprints, same
+   :class:`TrialStore` entries — so the aggregate report is
+   byte-identical at any worker count, batched or not, cold or
+   resumed.
 3. **Flight-check** — optionally, a small per-cell sample of
    full-fidelity :class:`~repro.missions.simulator.MissionSimulator`
    missions runs chunk-lockstep through ``MissionSimulator.run_batch``
@@ -56,7 +57,6 @@ from ..campaign import (
     execute,
     execute_batched,
     status,
-    trial_rng,
 )
 from ..errors import ConfigurationError
 from ..missions.simulator import MissionConfig, MissionSimulator
@@ -132,7 +132,7 @@ def _fine_config() -> TickConfig:
 
 # ----------------------------------------------------------------------
 # Event sampling and SEU classification (identical draw order in the
-# scalar and batched shards — this is the lockstep contract).
+# scalar and batched routes — this is the lockstep contract).
 # ----------------------------------------------------------------------
 
 def _sample_seu_cells(env, duration_s: float, rng) -> list:
@@ -203,7 +203,7 @@ def _reduce(
 
 
 # ----------------------------------------------------------------------
-# The scalar craft trial (also the batched shard's divergence fallback)
+# The scalar craft trial (also the batched route's divergence fallback)
 # ----------------------------------------------------------------------
 
 def _craft_trial(item, rng, tracer):
@@ -402,7 +402,7 @@ def _run_sel_craft(item, rng, sel_events, seu, util, ticks, dt, profile,
 
 
 # ----------------------------------------------------------------------
-# The batched shard: zero-SEL craft in SoA lockstep
+# The batched route: zero-SEL craft in SoA lockstep
 # ----------------------------------------------------------------------
 
 def _fleet_batch_fn(items, rngs):
@@ -491,9 +491,9 @@ def _env_snapshot(env) -> dict:
 
 def fleet_campaign(spec: FleetSpec, calibration: dict) -> Campaign:
     """The canonical craft campaign: one trial per spacecraft, seed
-    index pinned to the grid position so any sub-campaign (the batched
-    shard, the scalar remainder, a resume) reproduces the same
-    fingerprints and streams."""
+    index pinned to the grid position so every route (the batched
+    group, a diverged craft's scalar re-run, a resume) reproduces the
+    same fingerprints and streams."""
     trials = []
     for index, params in enumerate(spec.expand()):
         env = get_preset(params["preset"]).environment
@@ -512,17 +512,6 @@ def fleet_campaign(spec: FleetSpec, calibration: dict) -> Campaign:
         seed=spec.seed,
         context={"dt": spec.dt, "calibration_runs": spec.calibration_runs},
         salt=_FLEET_SALT,
-    )
-
-
-def _sub_campaign(campaign: Campaign, trials) -> Campaign:
-    return Campaign(
-        name=campaign.name,
-        trial_fn=campaign.trial_fn,
-        trials=list(trials),
-        seed=campaign.seed,
-        context=campaign.context,
-        salt=campaign.salt,
     )
 
 
@@ -647,60 +636,31 @@ def run_fleet(
 ) -> FleetRunResult:
     """Simulate (or resume) the whole constellation.
 
-    ``supervision`` (a :class:`repro.ground.GroundPolicy`) hardens the
-    scalar shard against host faults — crashed or hung workers are
-    replaced and poison craft quarantined instead of killing a
-    million-machine-hour run. The batched shard runs in-process and
-    needs no supervision.
+    The craft campaign runs through one executor call. With
+    ``use_batch`` every pending craft first rides the SoA lockstep
+    group (:func:`_fleet_batch_fn`); craft that sample latchups come
+    back :class:`~repro.campaign.Diverged` and re-run through
+    :func:`_craft_trial` in the process pool, beside every craft when
+    ``use_batch`` is off. ``supervision`` (a
+    :class:`repro.ground.GroundPolicy`) hardens those pool trials
+    against host faults — crashed or hung workers are replaced and
+    poison craft quarantined (under their grid index) instead of
+    killing a million-machine-hour run.
     """
     store = TrialStore.coerce(store)
     calib = calibrate_fleet(
         spec, store=store, workers=workers, metrics=metrics
     )
-    campaign = fleet_campaign(spec, calib)
-    specs = campaign.specs()
-
-    batch_trials, scalar_trials = [], []
-    for index, (trial, tspec) in enumerate(zip(campaign.trials, specs)):
-        if store is not None and store.get(tspec.fingerprint) is not None:
-            batch_trials.append(trial)  # replays from the store either way
-            continue
-        if not use_batch:
-            scalar_trials.append(trial)
-            continue
-        probe = trial_rng(spec.seed, index)
-        env = get_preset(trial.params["preset"]).environment
-        duration_s = trial.params["days"] * 86400.0
-        if env.sample_sel_events(duration_s, probe):
-            scalar_trials.append(trial)
-        else:
-            batch_trials.append(trial)
-
-    executed = 0
-    store_hits = 0
-    quarantined: "tuple[QuarantinedTrial, ...]" = ()
-    by_fingerprint = {}
-    if batch_trials:
-        sub = _sub_campaign(campaign, batch_trials)
-        result = execute_batched(
-            sub, _fleet_batch_fn, store=store, metrics=metrics
-        )
-        executed += result.executed
-        store_hits += result.store_hits
-        for tspec, value in zip(result.specs, result.values):
-            by_fingerprint[tspec.fingerprint] = value
-    if scalar_trials:
-        sub = _sub_campaign(campaign, scalar_trials)
-        result = execute(
-            sub, workers=workers, store=store, metrics=metrics,
-            supervision=supervision,
-        )
-        executed += result.executed
-        store_hits += result.store_hits
-        quarantined = result.quarantined
-        for tspec, value in zip(result.specs, result.values):
-            by_fingerprint[tspec.fingerprint] = value
-    values = [by_fingerprint[tspec.fingerprint] for tspec in specs]
+    craft = execute(
+        fleet_campaign(spec, calib),
+        batch_fn=_fleet_batch_fn if use_batch else None,
+        workers=workers,
+        store=store,
+        metrics=metrics,
+        supervision=supervision,
+    )
+    executed = craft.executed
+    store_hits = craft.store_hits
 
     flight_values = []
     if spec.flight_sample > 0:
@@ -716,16 +676,16 @@ def run_fleet(
     # report covers the survivors (the quarantine manifest names the
     # rest, so nothing goes missing silently).
     report = build_report(
-        spec, [v for v in values if v is not None], flight_values
+        spec, [v for v in craft.values if v is not None], flight_values
     )
     return FleetRunResult(
         spec=spec,
-        values=values,
+        values=craft.values,
         flight_values=flight_values,
         report=report,
         executed=executed,
         store_hits=store_hits,
-        quarantined=quarantined,
+        quarantined=craft.quarantined,
     )
 
 

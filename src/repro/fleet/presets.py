@@ -416,7 +416,7 @@ def build_utilization(
 
     Pure arithmetic — both tick backends consume the identical array,
     which is what keeps zero-event craft byte-identical between the
-    scalar and the batched shard.
+    scalar and the batched route.
     """
     if ticks <= 0 or n_cores <= 0 or dt <= 0:
         raise ConfigurationError("ticks, n_cores and dt must be positive")

@@ -265,7 +265,7 @@ def reference_spec() -> FleetSpec:
 def smoke_spec() -> FleetSpec:
     """The CI-scale constellation: 64 craft, 2-day missions (~3,000
     machine-hours in seconds). The seed is chosen so the latchup sky
-    is non-empty: both the batched and the scalar shards run."""
+    is non-empty: both the batched and the scalar routes run."""
     return FleetSpec(
         name="smoke",
         seed=8,

@@ -36,20 +36,18 @@ task's timeline (rendered by ``repro trace summarize``).
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 
-import numpy as np
-
 from ..errors import ConfigurationError
 from ..obs.trace import KIND_EVENT, TraceRecord
 from ..parallel import (
     ParallelReport,
-    TaskTiming,
+    _build_report,
     _invoke,
+    _payloads,
     _pool_usable,
     resolve_workers,
 )
@@ -512,23 +510,8 @@ def supervised_pmap_report(
     ahead of each task's own records).
     """
     policy = policy if policy is not None else GroundPolicy()
-    items = list(items)
-    n = len(items)
-    if seed is None:
-        child_seeds = [None] * n
-    else:
-        root = (
-            seed
-            if isinstance(seed, np.random.SeedSequence)
-            else np.random.SeedSequence(seed)
-        )
-        child_seeds = root.spawn(n)
-    with_tracer = trace_path is not None
-    payloads = [
-        (fn, item, child, with_tracer)
-        for item, child in zip(items, child_seeds)
-    ]
-
+    payloads = _payloads(fn, items, seed, trace_path is not None)
+    n = len(payloads)
     effective = resolve_workers(workers, n)
     run = _SupervisedRun(payloads, policy, effective, on_result, metrics)
     if metrics is not None:
@@ -544,39 +527,15 @@ def supervised_pmap_report(
         run.run_pool(multiprocessing.get_context("fork"))
     if not run.done:
         run.run_serial()
-    wall = time.perf_counter() - started
-
-    values = [
-        run.results[i][0] if i in run.results else None for i in range(n)
-    ]
-    timings = tuple(
-        TaskTiming(
-            index=i,
-            seconds=run.results[i][1] if i in run.results else 0.0,
-            pid=run.results[i][2] if i in run.results else 0,
-        )
-        for i in range(n)
-    )
-    ground_events = tuple(
-        tuple(run.ground_events.get(i, ())) for i in range(n)
-    )
-    if with_tracer:
-        from ..obs import merge_task_records
-
-        merged = []
-        for i in range(n):
-            records = list(ground_events[i])
-            if i in run.results and run.results[i][3]:
-                records.extend(run.results[i][3])
-            merged.append(records)
-        merge_task_records(merged, trace_path)
-
-    return ParallelReport(
-        values=values,
-        timings=timings,
+    return _build_report(
+        [run.results.get(i) for i in range(n)],
         workers=effective,
         mode=mode,
-        wall_seconds=wall,
+        wall_seconds=time.perf_counter() - started,
+        trace_path=trace_path,
+        ground_events=tuple(
+            tuple(run.ground_events.get(i, ())) for i in range(n)
+        ),
         quarantined=tuple(
             run.quarantined[i] for i in sorted(run.quarantined)
         ),
@@ -584,5 +543,4 @@ def supervised_pmap_report(
         timeouts=run.timeouts,
         worker_losses=run.losses,
         serial_fallback=run.serial_fallback,
-        ground_events=ground_events,
     )

@@ -152,13 +152,71 @@ def _invoke(payload):
     return value, time.perf_counter() - started, os.getpid(), records
 
 
+def _payloads(fn, items, seed, with_tracer: bool) -> list:
+    """One ``_invoke`` payload per item: task *i* carries the child seed
+    spawned at index *i* (``None`` when unseeded)."""
+    items = list(items)
+    if seed is None:
+        child_seeds = [None] * len(items)
+    else:
+        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        child_seeds = root.spawn(len(items))
+    return [
+        (fn, item, child, with_tracer)
+        for item, child in zip(items, child_seeds)
+    ]
+
+
+def _build_report(
+    outcomes,
+    *,
+    workers: int,
+    mode: str,
+    wall_seconds: float,
+    trace_path: "str | None",
+    ground_events: "tuple[list[TraceRecord], ...]" = (),
+    **supervised,
+) -> ParallelReport:
+    """Assemble a :class:`ParallelReport` from per-task ``_invoke``
+    outcomes (``None`` for a task that never completed) and, when
+    tracing, merge each task's ground events and own records into
+    ``trace_path`` in task order."""
+    values = [None if o is None else o[0] for o in outcomes]
+    timings = tuple(
+        TaskTiming(
+            index=i,
+            seconds=0.0 if o is None else o[1],
+            pid=0 if o is None else o[2],
+        )
+        for i, o in enumerate(outcomes)
+    )
+    if trace_path is not None:
+        from .obs import merge_task_records
+
+        merged = []
+        for i, outcome in enumerate(outcomes):
+            records = list(ground_events[i]) if ground_events else []
+            if outcome is not None and outcome[3]:
+                records.extend(outcome[3])
+            merged.append(records)
+        merge_task_records(merged, trace_path)
+    return ParallelReport(
+        values=values,
+        timings=timings,
+        workers=workers,
+        mode=mode,
+        wall_seconds=wall_seconds,
+        ground_events=ground_events,
+        **supervised,
+    )
+
+
 def pmap_report(
     fn,
     items,
     *,
     seed=None,
     workers: "int | None" = None,
-    chunksize: "int | None" = None,
     force_pool: bool = False,
     trace_path: "str | None" = None,
     on_result=None,
@@ -181,8 +239,6 @@ def pmap_report(
     workers:
         Desired parallelism. ``None`` = one per CPU; ``1`` = the pure
         serial path. Small hosts / missing fork degrade to serial.
-    chunksize:
-        Pool chunking (default: ~4 chunks per worker).
     force_pool:
         Start the pool even on a single-CPU host (used by the
         determinism tests so the pool path is always exercised).
@@ -220,19 +276,8 @@ def pmap_report(
             on_result=on_result,
             metrics=metrics,
         )
-    items = list(items)
-    n = len(items)
-    if seed is None:
-        child_seeds = [None] * n
-    else:
-        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        child_seeds = root.spawn(n)
-    with_tracer = trace_path is not None
-    payloads = [
-        (fn, item, child, with_tracer)
-        for item, child in zip(items, child_seeds)
-    ]
-
+    payloads = _payloads(fn, items, seed, trace_path is not None)
+    n = len(payloads)
     effective = resolve_workers(workers, n)
     use_pool = n > 0 and effective > 1 and (force_pool or _pool_usable())
 
@@ -248,13 +293,13 @@ def pmap_report(
     outcomes = None
     mode = "serial"
     if use_pool:
-        if chunksize is None:
-            chunksize = max(1, n // (effective * 4))
         try:
             context = multiprocessing.get_context("fork")
             with context.Pool(processes=effective) as pool:
                 outcomes = _stream(
-                    pool.imap(_invoke, payloads, chunksize=chunksize)
+                    pool.imap(
+                        _invoke, payloads, chunksize=max(1, n // (effective * 4))
+                    )
                 )
             mode = "fork-pool"
         except (OSError, ValueError):
@@ -263,24 +308,12 @@ def pmap_report(
         effective = 1
         outcomes = _stream(_invoke(payload) for payload in payloads)
 
-    wall = time.perf_counter() - started
-    values = [value for value, _, _, _ in outcomes]
-    timings = tuple(
-        TaskTiming(index=i, seconds=seconds, pid=pid)
-        for i, (_, seconds, pid, _) in enumerate(outcomes)
-    )
-    if with_tracer:
-        from .obs import merge_task_records
-
-        merge_task_records(
-            [records or [] for _, _, _, records in outcomes], trace_path
-        )
-    return ParallelReport(
-        values=values,
-        timings=timings,
+    return _build_report(
+        outcomes,
         workers=effective,
         mode=mode,
-        wall_seconds=wall,
+        wall_seconds=time.perf_counter() - started,
+        trace_path=trace_path,
     )
 
 
@@ -290,7 +323,6 @@ def pmap(
     *,
     seed=None,
     workers: "int | None" = None,
-    chunksize: "int | None" = None,
     force_pool: bool = False,
     trace_path: "str | None" = None,
 ) -> "list":
@@ -301,7 +333,6 @@ def pmap(
         items,
         seed=seed,
         workers=workers,
-        chunksize=chunksize,
         force_pool=force_pool,
         trace_path=trace_path,
     ).values

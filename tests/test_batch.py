@@ -206,16 +206,27 @@ class TestExecuteBatched:
             rewarm = execute_batched(camp, _tick_batch_fn, store=store)
             assert rewarm.executed == 0 and rewarm.values == cold.values
 
-    def test_group_size_shards_and_lane_count_mismatch_raises(self):
+    def test_lane_count_mismatch_raises(self):
         camp = self._campaign()
-        metrics = MetricsRegistry()
-        grouped = execute_batched(
-            camp, _tick_batch_fn, group_size=2, metrics=metrics
-        )
-        assert grouped.values == execute(camp).values
-        assert metrics.snapshot()["counters"]["campaign.batch.groups"] == 2
         with pytest.raises(ConfigurationError):
             execute_batched(camp, lambda items, rngs: [])
+
+    def test_corrupt_entry_is_counted_and_rerun(self, tmp_path):
+        camp = self._campaign()
+        cold = execute_batched(camp, _tick_batch_fn, store=tmp_path)
+        fp = camp.specs()[2].fingerprint
+        (tmp_path / fp[:2] / f"{fp}.json").write_text("{garbage")
+        metrics = MetricsRegistry()
+        with pytest.warns(RuntimeWarning, match="corrupt entry"):
+            warm = execute_batched(
+                camp, _tick_batch_fn, store=tmp_path, metrics=metrics
+            )
+        counters = metrics.snapshot()["counters"]
+        assert counters["campaign.store.corrupt"] == 1
+        assert warm.executed == 1 and warm.store_hits == 3
+        assert json.dumps(warm.values, sort_keys=True) == json.dumps(
+            cold.values, sort_keys=True
+        )
 
 
 class TestMissionSatellites:

@@ -23,6 +23,7 @@ from repro.fleet import (
     build_report,
     build_utilization,
     calibration_table,
+    fleet_campaign,
     fleet_status,
     get_preset,
     get_profile,
@@ -34,6 +35,7 @@ from repro.fleet import (
     smoke_spec,
     storm_variant,
 )
+from repro.obs import MetricsRegistry
 from repro.radiation.environment import DEEP_SPACE, LOW_EARTH_ORBIT
 
 # ----------------------------------------------------------------------
@@ -362,6 +364,39 @@ class TestFleetDeterminism:
         resumed = run_fleet(tiny_spec(), store=partial, workers=1)
         assert resumed.executed > 0
         assert report_json(resumed.report) == report_json(cold_result.report)
+
+    def test_supervised_run_matches_cold(self, cold_result):
+        from repro.ground import GroundPolicy
+
+        supervised = run_fleet(
+            tiny_spec(), supervision=GroundPolicy(timeout_seconds=120.0)
+        )
+        assert not supervised.quarantined
+        assert report_json(supervised.report) == report_json(
+            cold_result.report
+        )
+
+    def test_corrupt_craft_entry_is_counted_and_rerun(
+        self, cold_result, fleet_store, tmp_path
+    ):
+        copy = TrialStore(tmp_path / "copy")
+        for path in fleet_store.root.glob("??/*.json"):
+            target = copy.root / path.parent.name / path.name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(path.read_bytes())
+        fp = fleet_campaign(tiny_spec(), calibration={}).specs()[0].fingerprint
+        (copy.root / fp[:2] / f"{fp}.json").write_text("{garbage")
+        metrics = MetricsRegistry()
+        with pytest.warns(RuntimeWarning, match="corrupt entry"):
+            rerun = run_fleet(
+                tiny_spec(), store=copy, workers=1, metrics=metrics
+            )
+        assert metrics.snapshot()["counters"]["campaign.store.corrupt"] == 1
+        assert rerun.executed == 1
+        assert json.dumps(rerun.values, sort_keys=True) == json.dumps(
+            cold_result.values, sort_keys=True
+        )
+        assert report_json(rerun.report) == report_json(cold_result.report)
 
     def test_fleet_status_after_run(self, cold_result, fleet_store):
         statuses = fleet_status(tiny_spec(), fleet_store)

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.campaign import (
     Campaign,
+    Diverged,
     GridSource,
     StreamHistory,
     Trial,
@@ -296,6 +297,16 @@ class PoisonSource:
         )
 
 
+def _odd_lanes_diverge(items, rngs):
+    """Lockstep stand-in for ``_seeded_trial``: even lanes draw in the
+    batch, odd lanes peel back to the scalar path."""
+    return [
+        Diverged("odd") if item % 2 else
+        {"draw": float(rng.random()), "scale": item}
+        for item, rng in zip(items, rngs)
+    ]
+
+
 class TestQuarantineInterplay:
     def test_quarantined_slot_digests_as_null(self):
         from repro.ground import GroundPolicy
@@ -330,17 +341,51 @@ class TestQuarantineInterplay:
         raw = result.rounds[0].result.quarantined[0].to_dict()
         assert "round" not in raw
 
-    def test_batch_fn_excludes_supervision_and_trace(self, tmp_path):
+    def test_batched_supervised_matches_batched(self, tmp_path):
+        from repro.ground import GroundPolicy
+
+        plain = TrialStore(tmp_path / "plain")
+        supervised = TrialStore(tmp_path / "supervised")
+        a = execute(_grid(), store=plain, batch_fn=_odd_lanes_diverge)
+        b = execute(
+            _grid(), store=supervised, batch_fn=_odd_lanes_diverge,
+            supervision=GroundPolicy(),
+        )
+        assert a.values == b.values == execute(_grid()).values
+        assert _store_bytes(plain) == _store_bytes(supervised)
+        assert len(b.report.timings) == 2  # only the diverged lanes
+
+    def test_poison_diverged_lane_quarantined_under_grid_index(self):
         from repro.ground import GroundPolicy
 
         def batch_fn(items, rngs):
+            return [
+                Diverged("poison") if item == "poison" else {"ok": item}
+                for item in items
+            ]
+
+        camp = Campaign(
+            name="poison-batch",
+            trial_fn=_poison_trial,
+            trials=[
+                Trial(params={"i": i}, item=item)
+                for i, item in enumerate(["a", "b", "poison", "c"])
+            ],
+            seed=3,
+        )
+        result = execute(
+            camp, batch_fn=batch_fn,
+            supervision=GroundPolicy(max_attempts=1),
+        )
+        assert [q.index for q in result.quarantined] == [2]
+        assert result.quarantined[0].params == {"i": 2}
+        assert result.values == [{"ok": "a"}, {"ok": "b"}, None, {"ok": "c"}]
+        assert result.executed == 3
+
+    def test_batch_fn_excludes_trace(self, tmp_path):
+        def batch_fn(items, rngs):
             return [{"ok": i} for i in items]
 
-        with pytest.raises(ConfigurationError, match="batch_fn"):
-            execute_stream(
-                GridSource(_grid()), batch_fn=batch_fn,
-                supervision=GroundPolicy(),
-            )
         with pytest.raises(ConfigurationError, match="batch_fn"):
             execute_stream(
                 GridSource(_grid()), batch_fn=batch_fn,
