@@ -5,7 +5,7 @@ Usage::
     python -m repro list
     python -m repro run table2 [--out results.txt] [--trace t.jsonl] [--metrics]
     python -m repro run-all [--out-dir results/] [--trace-dir traces/] [--store dir/]
-    python -m repro campaign run table7 --store store/ [--workers 4]
+    python -m repro campaign run table7 --store store/ [--workers 4] [--supervised]
     python -m repro campaign status table7 --store store/ [--fast]
     python -m repro campaign resume table7 --store store/
     python -m repro adaptive run --surface smoke --store store/ [--uniform]
@@ -25,7 +25,16 @@ Usage::
     python -m repro store stats --store dir/
     python -m repro ground list
     python -m repro ground run [--workers 2] [--scenario NAME]
+    python -m repro hmr modes
+    python -m repro hmr sweep [--verify] [--json] [--out frontier.json]
     python -m repro faults census [--json] [--warm] [--seed 0]
+
+Every option is declared once, in ``OPTIONS``, keyed by its flag. Every
+command is one row of ``COMMANDS``: its path, handler, help, and the
+options it takes (a row may override an option's kwargs, e.g.
+``required`` or ``default``).
+``build_parser`` only walks those two tables. A ``ConfigurationError``
+raised by a handler is reported by ``main`` as ``error: …``, exit 2.
 """
 
 from __future__ import annotations
@@ -36,73 +45,268 @@ import json
 import sys
 from pathlib import Path
 
+from .adaptive import SURFACES
+from .errors import ConfigurationError
+
+
+def _worker_count(text: str) -> int:
+    """``--workers`` type: an integer >= 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return int(text)
+
+
+#: Flag (or positional name) -> its ``add_argument`` kwargs, each
+#: declared once.
+OPTIONS = {
+    # -- shared ------------------------------------------------------
+    "--store": dict(
+        metavar="DIR",
+        help="trial-store directory (created if missing); completed "
+             "trials are skipped on rerun, so an interrupted run resumes",
+    ),
+    "--workers": dict(
+        type=_worker_count,
+        help="worker processes (results are identical at any value)",
+    ),
+    "--trace": dict(
+        metavar="FILE",
+        help="write the merged JSONL trace (identical at any --workers)",
+    ),
+    "--metrics": dict(
+        action="store_true", help="print the metrics snapshot as JSON"
+    ),
+    "--out": dict(metavar="FILE", help="write the output to a file"),
+    "--seed": dict(type=int, default=0),
+    "--json": dict(action="store_true", help="emit JSON, not text"),
+    "--fast": dict(
+        action="store_true",
+        help="presence-only scan: one stat per trial, no checksums, no "
+             "quarantine",
+    ),
+    "--scenario": dict(help="run only this scenario"),
+    "--spec": dict(
+        required=True,
+        help="fleet spec: a JSON file, 'reference' (1,110 craft, 1M "
+             "machine-hours) or 'smoke' (64 craft)",
+    ),
+    "--report": dict(
+        metavar="FILE", help="write the aggregate report as canonical JSON"
+    ),
+    # -- supervision: the GroundPolicy knobs -----------------------------
+    "--supervised": dict(
+        action="store_true",
+        help="run under the fault-tolerant ground executor: crashed or "
+             "hung workers replaced, failing trials retried with "
+             "identical seeds, poison trials quarantined",
+    ),
+    "--timeout": dict(
+        type=float, metavar="SECONDS",
+        help="per-trial wall-clock budget (with --supervised)",
+    ),
+    "--max-attempts": dict(
+        type=int, default=3,
+        help="attempts per trial before quarantine (with --supervised; "
+             "default 3)",
+    ),
+    # -- adaptive source: the build_source arguments ---------------------
+    "--surface": dict(
+        default="smoke", choices=sorted(SURFACES),
+        help="; ".join(f"{k} = {v}" for k, v in sorted(SURFACES.items()))
+        + ". --wave, --max-rounds, --target-width and --epsilon default "
+          "to the surface's preset",
+    ),
+    "--uniform": dict(
+        action="store_true",
+        help="the flux-weighted baseline sampler (epsilon 1, no model), "
+             "stored under a '-uniform' name so it never collides with "
+             "the adaptive stream",
+    ),
+    "--wave": dict(type=int, metavar="N", help="trials per round"),
+    "--max-rounds": dict(type=int, metavar="N", help="hard round cap"),
+    "--target-width": dict(
+        type=float, metavar="W",
+        help="stop once the Horvitz-Thompson CI is narrower than this "
+             "full width; 0 disables the width stop",
+    ),
+    "--epsilon": dict(
+        type=float, help="exploration share of each wave, in [0, 1]"
+    ),
+    # -- single-command options ----------------------------------------
+    "experiment": {},
+    "campaign": {},
+    "file": {},
+    "--out-dir": dict(help="write one file per experiment"),
+    "--no-ablations": dict(action="store_true"),
+    "--trace-dir": dict(
+        metavar="DIR",
+        help="write one <experiment>.jsonl trace per tracing experiment",
+    ),
+    "--task": dict(type=int, help="show only this parallel task's records"),
+    "--max-tasks": dict(
+        type=int, default=20, help="cap on incident chains rendered "
+                                   "(default 20)",
+    ),
+    "--days": dict(type=float, default=1.0),
+    "--environment": dict(default="low-earth-orbit"),
+    "--no-ild": dict(action="store_true"),
+    "--no-emr": dict(action="store_true"),
+    "--csv": dict(help="write the anomaly dataset as CSV"),
+    "--no-batch": dict(
+        action="store_true",
+        help="run every craft through the scalar path (byte-identical "
+             "results; only the wall time changes)",
+    ),
+    "--machines": dict(type=int, default=1000),
+    "--ticks": dict(type=int, default=3600),
+    "--dt": dict(
+        type=float, default=1.0, help="tick length in simulated seconds"
+    ),
+    "--utilization": dict(type=float, default=0.5),
+    "--scale": dict(
+        type=int, default=1, help="injections per mode = 8 * scale"
+    ),
+    "--batched": dict(
+        action="store_true", help="run through the batched campaign engine"
+    ),
+    "--verify": dict(
+        action="store_true",
+        help="require serial == workers == batched == store-replay",
+    ),
+    "--warm": dict(
+        action="store_true",
+        help="stage data through DRAM, caches and flash first, so "
+             "volatile regions report live bits, not idle silicon",
+    ),
+}
+
+SOURCE = (
+    "--surface", "--seed", "--uniform", "--wave", "--max-rounds",
+    "--target-width", "--epsilon", "--json",
+)
+STORE_REQUIRED = ("--store", {"required": True})
+STORE_AUDITED = (
+    "--store", {"required": True, "help": "trial-store directory to audit; "
+                                          "it must exist"},
+)
+
+
+# -- shared handler code ---------------------------------------------
+
+
+def _write(path, text: str, what: str = "") -> None:
+    Path(path).write_text(text)
+    print(f"wrote {what}{path}")
+
+
+def _emit(args: argparse.Namespace, rendered: str) -> None:
+    """Write ``rendered`` to ``--out`` when given, else print it."""
+    if args.out:
+        _write(args.out, rendered + "\n")
+    else:
+        print(rendered)
+
+
+def _epilogue(args: argparse.Namespace, metrics=None) -> None:
+    """The trace path, then the metrics snapshot, when there are any."""
+    if getattr(args, "trace", None):
+        print(f"wrote trace: {args.trace}")
+    if metrics is not None:
+        print("metrics:")
+        print(json.dumps(metrics.snapshot(), indent=2))
+
+
+def _supervision(args: argparse.Namespace):
+    """The ``GroundPolicy`` ``--supervised`` asks for, else ``None``."""
+    if not args.supervised:
+        return None
+    from .ground import GroundPolicy
+
+    return GroundPolicy(
+        timeout_seconds=args.timeout,
+        max_attempts=getattr(args, "max_attempts", GroundPolicy.max_attempts),
+    )
+
+
+def _adaptive_source(args: argparse.Namespace):
+    from .adaptive import build_source
+
+    return build_source(
+        args.surface, seed=args.seed, uniform=args.uniform,
+        wave_size=args.wave, max_rounds=args.max_rounds,
+        target_width=args.target_width, epsilon=args.epsilon,
+    )
+
+
+def _scenarios(scenarios: tuple, args: argparse.Namespace) -> tuple:
+    """The scenarios ``--scenario`` selects: all of them when unset."""
+    if args.scenario is None:
+        return scenarios
+    picked = tuple(s for s in scenarios if s.name == args.scenario)
+    if not picked:
+        raise SystemExit(f"unknown scenario {args.scenario!r}")
+    return picked
+
 
 def _runner_kwargs(runner, args: argparse.Namespace) -> dict:
     """Pass --workers / --trace / --metrics / --store through to
     runners that understand them (signature-sniffed)."""
     params = inspect.signature(runner).parameters
     kwargs = {}
-    workers = getattr(args, "workers", None)
-    if workers is not None and "workers" in params:
-        kwargs["workers"] = workers
-    trace = getattr(args, "trace", None)
-    if trace is not None:
-        if "trace" not in params:
-            raise SystemExit(
-                f"{args.experiment}: this experiment does not support --trace"
-            )
-        kwargs["trace"] = trace
-    if getattr(args, "metrics", False) and "metrics" in params:
+    if args.workers is not None and "workers" in params:
+        kwargs["workers"] = args.workers
+    if args.metrics and "metrics" in params:
         from .obs import MetricsRegistry
 
         kwargs["metrics"] = MetricsRegistry()
-    store = getattr(args, "store", None)
-    if store is not None:
-        if "store" not in params:
-            raise SystemExit(
-                f"{args.experiment}: this experiment does not support --store"
-            )
-        kwargs["store"] = store
+    for name in ("trace", "store"):
+        if getattr(args, name) is not None:
+            if name not in params:
+                raise SystemExit(
+                    f"{args.experiment}: this experiment does not support "
+                    f"--{name}"
+                )
+            kwargs[name] = getattr(args, name)
     return kwargs
 
 
-def _cmd_list(args: argparse.Namespace) -> int:
+# -- handlers ----------------------------------------------------------
+
+
+def _registries() -> tuple:
+    """``(title, id prefix, runners)`` for each experiment registry."""
     from .experiments import ABLATIONS, EXPERIMENTS, EXTENSIONS
 
-    print("experiments:")
-    for name in EXPERIMENTS:
-        print(f"  {name}")
-    print("ablations:")
-    for name in ABLATIONS:
-        print(f"  ablation:{name}")
-    print("extensions:")
-    for name in EXTENSIONS:
-        print(f"  extension:{name}")
+    return (
+        ("experiments", "", EXPERIMENTS),
+        ("ablations", "ablation:", ABLATIONS),
+        ("extensions", "extension:", EXTENSIONS),
+    )
+
+
+def _cmd_list(args: argparse.Namespace) -> int:
+    for title, prefix, runners in _registries():
+        print(f"{title}:")
+        for name in runners:
+            print(f"  {prefix}{name}")
     print("missions: see `python -m repro mission --help`")
     return 0
 
 
 def _resolve(name: str):
-    from .experiments import ABLATIONS, EXPERIMENTS, EXTENSIONS
-
-    if name in EXPERIMENTS:
-        return EXPERIMENTS[name]
+    registries = _registries()
+    for _, prefix, runners in registries:
+        if name.startswith(prefix) and name[len(prefix):] in runners:
+            return runners[name[len(prefix):]]
     # Module-style aliases: `table7_fault_injection` works as well as
     # `table7` (the runner's defining module names the long form).
-    for runner in EXPERIMENTS.values():
-        module = getattr(runner, "__module__", "").rsplit(".", 1)[-1]
-        if name == module:
+    for runner in registries[0][2].values():
+        if name == getattr(runner, "__module__", "").rsplit(".", 1)[-1]:
             return runner
-    if name.startswith("ablation:") and name.split(":", 1)[1] in ABLATIONS:
-        return ABLATIONS[name.split(":", 1)[1]]
-    if name.startswith("extension:") and name.split(":", 1)[1] in EXTENSIONS:
-        return EXTENSIONS[name.split(":", 1)[1]]
     known = ", ".join(
-        [
-            *EXPERIMENTS,
-            *(f"ablation:{a}" for a in ABLATIONS),
-            *(f"extension:{e}" for e in EXTENSIONS),
-        ]
+        f"{prefix}{n}" for _, prefix, runners in registries for n in runners
     )
     raise SystemExit(f"unknown experiment {name!r}; known: {known}")
 
@@ -110,30 +314,18 @@ def _resolve(name: str):
 def _cmd_run(args: argparse.Namespace) -> int:
     runner = _resolve(args.experiment)
     kwargs = _runner_kwargs(runner, args)
-    rendered = runner(**kwargs).render()
-    if args.out:
-        Path(args.out).write_text(rendered + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print(rendered)
-    if args.trace:
-        print(f"wrote trace: {args.trace}")
-    if "metrics" in kwargs:
-        print("metrics:")
-        print(json.dumps(kwargs["metrics"].snapshot(), indent=2))
-    elif getattr(args, "metrics", False):
+    _emit(args, runner(**kwargs).render())
+    _epilogue(args, kwargs.get("metrics"))
+    if args.metrics and "metrics" not in kwargs:
         print(f"({args.experiment}: no metrics instrumentation)")
     return 0
 
 
 def _cmd_run_all(args: argparse.Namespace) -> int:
     from .experiments import run_all
+    from .obs import MetricsRegistry
 
-    metrics = None
-    if args.metrics:
-        from .obs import MetricsRegistry
-
-        metrics = MetricsRegistry()
+    metrics = MetricsRegistry() if args.metrics else None
     results = run_all(
         include_ablations=not args.no_ablations, workers=args.workers,
         trace_dir=args.trace_dir, metrics=metrics, store=args.store,
@@ -144,17 +336,13 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     for name, result in results.items():
         rendered = result.render()
         if out_dir:
-            safe = name.replace(":", "_")
-            (out_dir / f"{safe}.txt").write_text(rendered + "\n")
-            print(f"wrote {out_dir / (safe + '.txt')}")
+            _write(out_dir / f"{name.replace(':', '_')}.txt", rendered + "\n")
         else:
             print(rendered)
             print()
     if args.trace_dir:
         print(f"wrote traces under: {args.trace_dir}")
-    if metrics is not None:
-        print("metrics:")
-        print(json.dumps(metrics.snapshot(), indent=2))
+    _epilogue(args, metrics)
     return 0
 
 
@@ -169,43 +357,39 @@ def _resolve_campaign(name: str):
     return factory()
 
 
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    from .campaign import TrialStore, execute, status
+def _cmd_campaign_status(args: argparse.Namespace) -> int:
+    from .campaign import TrialStore, status
+
+    camp = _resolve_campaign(args.campaign)
+    store = TrialStore(args.store)
+    st = status(camp, store, fast=args.fast)
+    print(
+        f"{st.name}: {st.completed}/{st.total} trials complete, "
+        f"{st.pending} pending (store: {args.store})"
+    )
+    if st.corrupt:
+        print(
+            f"warning: {st.corrupt} defective store entr"
+            f"{'y' if st.corrupt == 1 else 'ies'} "
+            f"(bad checksum / truncated / stale schema) quarantined "
+            f"to {store.quarantine_dir} — counted as pending, will "
+            "re-run"
+        )
+    return 0
+
+
+def _cmd_campaign_run(args: argparse.Namespace) -> int:
+    # `run` and `resume` are the same operation — the store makes every
+    # run a resume. The two verbs exist so scripts read naturally.
+    from .campaign import TrialStore, execute
     from .obs import MetricsRegistry
 
     camp = _resolve_campaign(args.campaign)
     store = TrialStore(args.store)
-    if args.campaign_command == "status":
-        st = status(camp, store, fast=args.fast)
-        print(
-            f"{st.name}: {st.completed}/{st.total} trials complete, "
-            f"{st.pending} pending (store: {args.store})"
-        )
-        if st.corrupt:
-            print(
-                f"warning: {st.corrupt} defective store entr"
-                f"{'y' if st.corrupt == 1 else 'ies'} "
-                f"(bad checksum / truncated / stale schema) quarantined "
-                f"to {store.quarantine_dir} — counted as pending, will "
-                "re-run"
-            )
-        return 0
-
-    supervision = None
-    if getattr(args, "supervised", False):
-        from .ground import GroundPolicy
-
-        supervision = GroundPolicy(
-            timeout_seconds=args.timeout,
-            max_attempts=args.max_attempts,
-        )
-
-    # `run` and `resume` are the same operation — the store makes every
-    # run a resume. The two verbs exist so scripts read naturally.
     metrics = MetricsRegistry()
     result = execute(
         camp, workers=args.workers, store=store, trace_path=args.trace,
-        metrics=metrics, supervision=supervision,
+        metrics=metrics, supervision=_supervision(args),
     )
     counters = metrics.snapshot()["counters"]
     print(
@@ -227,19 +411,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         )
         print(json.dumps(quarantine_manifest(result), indent=2))
     if camp.aggregate is not None:
-        rendered = camp.aggregate(result.values, metrics=None).render()
-    else:
-        rendered = None
-    if args.out and rendered is not None:
-        Path(args.out).write_text(rendered + "\n")
-        print(f"wrote {args.out}")
-    elif rendered is not None:
-        print(rendered)
-    if args.trace:
-        print(f"wrote trace: {args.trace}")
-    if args.metrics:
-        print("metrics:")
-        print(json.dumps(metrics.snapshot(), indent=2))
+        _emit(args, camp.aggregate(result.values, metrics=None).render())
+    _epilogue(args, metrics if args.metrics else None)
     return 0
 
 
@@ -285,27 +458,17 @@ def _adaptive_payload(source, result, true_rate) -> dict:
 
 
 def _cmd_adaptive_run(args: argparse.Namespace) -> int:
-    from .adaptive import build_source
     from .campaign import TrialStore
+    from .campaign.spec import canonical_json
     from .campaign.stream import execute_stream
 
-    source, true_rate = build_source(
-        args.surface,
-        seed=args.seed,
-        uniform=args.uniform,
-        wave_size=args.wave,
-        max_rounds=args.max_rounds,
-        target_width=args.target_width,
-        epsilon=args.epsilon,
-    )
+    source, true_rate = _adaptive_source(args)
     store = TrialStore(args.store) if args.store else None
     result = execute_stream(
         source, workers=args.workers, store=store, trace_path=args.trace,
     )
     payload = _adaptive_payload(source, result, true_rate)
     if args.json:
-        from .campaign.spec import canonical_json
-
         print(canonical_json(payload))
         return 0
     print(f"{payload['name']} ({args.surface} surface):")
@@ -335,29 +498,18 @@ def _cmd_adaptive_run(args: argparse.Namespace) -> int:
     if true_rate is not None:
         print(f"true flux-weighted rate: {true_rate:.4f}")
     print(f"stream digest: {payload['digest']}")
-    if args.trace:
-        print(f"wrote trace: {args.trace}")
+    _epilogue(args)
     return 0
 
 
 def _cmd_adaptive_status(args: argparse.Namespace) -> int:
-    from .adaptive import build_source
     from .campaign import TrialStore
+    from .campaign.spec import canonical_json
     from .campaign.stream import stream_status
 
-    source, _ = build_source(
-        args.surface,
-        seed=args.seed,
-        uniform=args.uniform,
-        wave_size=args.wave,
-        max_rounds=args.max_rounds,
-        target_width=args.target_width,
-        epsilon=args.epsilon,
-    )
+    source, _ = _adaptive_source(args)
     st = stream_status(source, TrialStore(args.store), fast=args.fast)
     if args.json:
-        from .campaign.spec import canonical_json
-
         print(canonical_json({
             "name": st.name,
             "rounds_complete": st.rounds_complete,
@@ -421,34 +573,19 @@ def _cmd_mission(args: argparse.Namespace) -> int:
     report = MissionSimulator(config).run()
     print(report.summary())
     if args.csv:
-        Path(args.csv).write_text(report.dataset.to_csv())
-        print(f"wrote anomaly dataset: {args.csv}")
+        _write(args.csv, report.dataset.to_csv(), "anomaly dataset: ")
     return 0 if report.survived else 2
 
 
 def _cmd_fleet_run(args: argparse.Namespace) -> int:
-    from .errors import ConfigurationError
     from .fleet import load_spec, render_report, report_json, run_fleet
     from .obs.metrics import MetricsRegistry
 
-    try:
-        spec = load_spec(args.spec)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = load_spec(args.spec)
     metrics = MetricsRegistry() if args.metrics else None
-    supervision = None
-    if args.supervised:
-        from .ground import GroundPolicy
-
-        supervision = GroundPolicy(timeout_seconds=args.timeout)
     result = run_fleet(
-        spec,
-        store=args.store,
-        workers=args.workers,
-        metrics=metrics,
-        use_batch=not args.no_batch,
-        supervision=supervision,
+        spec, store=args.store, workers=args.workers, metrics=metrics,
+        use_batch=not args.no_batch, supervision=_supervision(args),
     )
     print(render_report(result.report))
     print(
@@ -463,23 +600,22 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
         for q in result.quarantined:
             print(f"  !! trial {q.index} ({q.fingerprint[:12]}…): {q.error}")
     if args.report:
-        Path(args.report).write_text(report_json(result.report))
-        print(f"wrote report JSON: {args.report}")
+        _write(args.report, report_json(result.report), "report JSON: ")
     if metrics is not None:
         print(json.dumps(metrics.snapshot(), indent=2, sort_keys=True))
     return 0
 
 
-def _cmd_fleet_status(args: argparse.Namespace) -> int:
-    from .errors import ConfigurationError
+def _fleet_statuses(args: argparse.Namespace):
+    """``(spec, per-campaign status)`` for ``--spec`` in ``--store``."""
     from .fleet import fleet_status, load_spec
 
-    try:
-        spec = load_spec(args.spec)
-        statuses = fleet_status(spec, args.store)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = load_spec(args.spec)
+    return spec, fleet_status(spec, args.store)
+
+
+def _cmd_fleet_status(args: argparse.Namespace) -> int:
+    _, statuses = _fleet_statuses(args)
     pending = 0
     for name, st in statuses.items():
         pending += st.total - st.completed
@@ -489,15 +625,9 @@ def _cmd_fleet_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_report(args: argparse.Namespace) -> int:
-    from .errors import ConfigurationError
-    from .fleet import fleet_status, load_spec, render_report, report_json, run_fleet
+    from .fleet import render_report, report_json, run_fleet
 
-    try:
-        spec = load_spec(args.spec)
-        statuses = fleet_status(spec, args.store)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec, statuses = _fleet_statuses(args)
     pending = sum(st.total - st.completed for st in statuses.values())
     if pending:
         print(
@@ -510,8 +640,7 @@ def _cmd_fleet_report(args: argparse.Namespace) -> int:
     result = run_fleet(spec, store=args.store, workers=1)
     print(render_report(result.report))
     if args.report:
-        Path(args.report).write_text(report_json(result.report))
-        print(f"wrote report JSON: {args.report}")
+        _write(args.report, report_json(result.report), "report JSON: ")
     return 0
 
 
@@ -567,56 +696,51 @@ def _cmd_fleet_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
+def _cmd_chaos_list(args: argparse.Namespace) -> int:
+    from .chaos import default_scenarios
+
+    for scenario in default_scenarios():
+        strikes = ",".join(scenario.control_strikes) or "-"
+        print(
+            f"{scenario.name:<24} seed={scenario.seed:<4} "
+            f"level={scenario.start_level:<9} "
+            f"sel/h={scenario.sel_per_hour:<4g} seu={scenario.seu_strikes} "
+            f"control={strikes}"
+        )
+    return 0
+
+
+def _cmd_chaos_run(args: argparse.Namespace) -> int:
     from .chaos import default_scenarios, render_reports, run_chaos
 
-    scenarios = default_scenarios()
-    if args.chaos_command == "list":
-        for scenario in scenarios:
-            strikes = ",".join(scenario.control_strikes) or "-"
-            print(
-                f"{scenario.name:<24} seed={scenario.seed:<4} "
-                f"level={scenario.start_level:<9} "
-                f"sel/h={scenario.sel_per_hour:<4g} seu={scenario.seu_strikes} "
-                f"control={strikes}"
-            )
-        return 0
-
-    if args.scenario is not None:
-        scenarios = tuple(s for s in scenarios if s.name == args.scenario)
-        if not scenarios:
-            raise SystemExit(f"unknown scenario {args.scenario!r}")
-    reports, digest = run_chaos(
-        scenarios,
-        seed=args.seed,
-        workers=args.workers,
-        store=args.store,
-        trace_path=args.trace,
+    reports, _ = run_chaos(
+        _scenarios(default_scenarios(), args), seed=args.seed,
+        workers=args.workers, store=args.store, trace_path=args.trace,
     )
     print(render_reports(reports))
-    if args.trace:
-        print(f"wrote trace: {args.trace}")
-    violations = sum(len(r.violations) for r in reports)
-    return 0 if violations == 0 else 2
+    _epilogue(args)
+    return 0 if not any(r.violations for r in reports) else 2
 
 
-def _cmd_store(args: argparse.Namespace) -> int:
+def _audited_store(args: argparse.Namespace):
+    """The store to audit; a missing directory is an error, not empty."""
     from .campaign import TrialStore
 
-    store = TrialStore(args.store)
-    if args.store_command == "stats":
-        print(json.dumps(store.stats(), indent=2))
-        return 0
-    report = (
-        store.verify() if args.store_command == "verify" else store.scrub()
-    )
+    if not Path(args.store).is_dir():
+        raise ConfigurationError(f"no trial store at {args.store}")
+    return TrialStore(args.store)
+
+
+def _cmd_store_verify(args: argparse.Namespace, scrub: bool = False) -> int:
+    store = _audited_store(args)
+    report = store.scrub() if scrub else store.verify()
     print(
         f"{store.root}: {report.ok}/{report.total} entries intact, "
         f"{len(report.corrupt)} corrupt, {len(report.stale)} stale"
     )
     for fingerprint in [*report.corrupt, *report.stale]:
         print(f"  !! {fingerprint}")
-    if args.store_command == "scrub" and report.quarantined:
+    if report.quarantined:
         print(
             f"quarantined {report.quarantined} defective entr"
             f"{'y' if report.quarantined == 1 else 'ies'} to "
@@ -626,30 +750,35 @@ def _cmd_store(args: argparse.Namespace) -> int:
     return 0 if report.clean else 1
 
 
-def _cmd_ground(args: argparse.Namespace) -> int:
-    from .ground import (
-        default_host_scenarios,
-        render_host_reports,
-        run_host_chaos,
-    )
+def _cmd_store_scrub(args: argparse.Namespace) -> int:
+    return _cmd_store_verify(args, scrub=True)
 
-    scenarios = default_host_scenarios()
-    if args.ground_command == "list":
-        for scenario in scenarios:
-            print(
-                f"{scenario.name:<18} kind={scenario.kind:<14} "
-                f"seed={scenario.seed:<4} trials={scenario.trials} "
-                f"fail_attempts={scenario.fail_attempts}"
-            )
-        return 0
-    if args.scenario is not None:
-        scenarios = tuple(s for s in scenarios if s.name == args.scenario)
-        if not scenarios:
-            raise SystemExit(f"unknown scenario {args.scenario!r}")
-    reports, _ = run_host_chaos(scenarios, workers=args.workers)
+
+def _cmd_store_stats(args: argparse.Namespace) -> int:
+    print(json.dumps(_audited_store(args).stats(), indent=2))
+    return 0
+
+
+def _cmd_ground_list(args: argparse.Namespace) -> int:
+    from .ground import default_host_scenarios
+
+    for scenario in default_host_scenarios():
+        print(
+            f"{scenario.name:<18} kind={scenario.kind:<14} "
+            f"seed={scenario.seed:<4} trials={scenario.trials} "
+            f"fail_attempts={scenario.fail_attempts}"
+        )
+    return 0
+
+
+def _cmd_ground_run(args: argparse.Namespace) -> int:
+    from .ground import default_host_scenarios, render_host_reports, run_host_chaos
+
+    reports, _ = run_host_chaos(
+        _scenarios(default_host_scenarios(), args), workers=args.workers
+    )
     print(render_host_reports(reports))
-    violations = sum(len(r.violations) for r in reports)
-    return 0 if violations == 0 else 2
+    return 0 if not any(r.violations for r in reports) else 2
 
 
 def _cmd_hmr_modes(args: argparse.Namespace) -> int:
@@ -671,12 +800,9 @@ def _cmd_hmr_modes(args: argparse.Namespace) -> int:
 def _cmd_hmr_sweep(args: argparse.Namespace) -> int:
     from .experiments.fig_hmr_frontier import frontier_json, run
 
+    grid = {"scale": args.scale, "seed": args.seed}
     table = run(
-        scale=args.scale,
-        seed=args.seed,
-        workers=args.workers,
-        store=args.store,
-        batched=args.batched,
+        **grid, workers=args.workers, store=args.store, batched=args.batched
     )
     canonical = frontier_json(table)
     if args.verify:
@@ -687,32 +813,23 @@ def _cmd_hmr_sweep(args: argparse.Namespace) -> int:
 
         with tempfile.TemporaryDirectory() as scratch:
             paths = {
-                "serial": run(scale=args.scale, seed=args.seed, workers=1),
-                "workers": run(scale=args.scale, seed=args.seed, workers=2),
-                "batched": run(
-                    scale=args.scale, seed=args.seed, batched=True,
-                    store=scratch,
-                ),
-                "store-replay": run(
-                    scale=args.scale, seed=args.seed, store=scratch
-                ),
+                "serial": run(**grid, workers=1),
+                "workers": run(**grid, workers=2),
+                "batched": run(**grid, batched=True, store=scratch),
+                "store-replay": run(**grid, store=scratch),
             }
         for name, result in paths.items():
             if frontier_json(result) != canonical:
                 print(f"error: {name} path diverged", file=sys.stderr)
                 return 2
         print("verified: serial == workers == batched == store-replay")
-    if args.json:
-        print(canonical)
-    else:
-        print(table.render())
+    print(canonical if args.json else table.render())
     if args.out:
-        Path(args.out).write_text(canonical + "\n")
-        print(f"wrote frontier JSON: {args.out}")
+        _write(args.out, canonical + "\n", "frontier JSON: ")
     return 0
 
 
-def _cmd_faults(args: argparse.Namespace) -> int:
+def _cmd_faults_census(args: argparse.Namespace) -> int:
     from .sim.faults import census_json, render_census
     from .sim.machine import Machine
 
@@ -737,456 +854,135 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
+CAMPAIGN_RUN = (
+    "campaign", STORE_REQUIRED, "--workers", "--trace", "--out", "--metrics",
+    "--supervised", "--timeout", "--max-attempts",
+)
+
+#: (command path, handler, help, options). A row whose handler is
+#: ``None`` is a command group; its subcommands follow it. An option
+#: is a key of ``OPTIONS`` or ``(key, {kwarg overrides})``.
+COMMANDS = (
+    ("list", _cmd_list, "list available experiments", ()),
+    ("run", _cmd_run, "run one experiment",
+     ("experiment", "--out", "--workers", "--trace", "--metrics", "--store")),
+    ("run-all", _cmd_run_all, "run every experiment",
+     ("--out-dir", "--no-ablations", "--workers", "--trace-dir", "--metrics",
+      "--store")),
+    ("campaign", None,
+     "drive an experiment's declarative trial grid against a store", ()),
+    ("campaign run", _cmd_campaign_run,
+     "execute the campaign (skips trials already in the store)",
+     CAMPAIGN_RUN),
+    ("campaign resume", _cmd_campaign_run,
+     "alias of run: the store makes every run a resume", CAMPAIGN_RUN),
+    ("campaign status", _cmd_campaign_status,
+     "report completed vs. pending trials without running",
+     ("campaign", STORE_REQUIRED, "--fast")),
+    ("adaptive", None,
+     "ML importance-sampled fault campaigns (docs/adaptive.md)", ()),
+    ("adaptive run", _cmd_adaptive_run,
+     "drain (or resume) an adaptive stream until the CI converges",
+     (*SOURCE, "--store", "--workers", "--trace")),
+    ("adaptive status", _cmd_adaptive_status,
+     "replay stored rounds and report stream progress",
+     (*SOURCE, STORE_REQUIRED,
+      ("--fast", {"help": "presence-only scan of the in-flight round; "
+                          "complete rounds are still read (their digests "
+                          "seed the next round's plan) and defective "
+                          "entries quarantined"}))),
+    ("trace", None, "inspect a recorded trace", ()),
+    ("trace summarize", _cmd_trace_summarize,
+     "render a trace as incident timelines "
+     "(injection → corruption → detection → recovery)",
+     ("file", "--task", "--max-tasks")),
+    ("mission", _cmd_mission, "simulate a mission",
+     ("--days", "--environment", "--no-ild", "--no-emr",
+      ("--supervised", {"help": "route SEL alarms through the recovery "
+                                "supervisor (checkpoint/rollback/replay) "
+                                "and run the degradation policy"}),
+      "--seed", "--csv")),
+    ("fleet", None, "simulate a constellation-scale fleet (docs/fleet.md)",
+     ()),
+    ("fleet run", _cmd_fleet_run, "simulate (or resume) the whole fleet",
+     ("--spec", "--store",
+      ("--workers", {"help": "worker processes for craft that leave batch "
+                             "lockstep (reports identical at any value)"}),
+      "--report", "--no-batch", "--metrics", "--supervised", "--timeout")),
+    ("fleet status", _cmd_fleet_status,
+     "completed vs pending trials, without running",
+     ("--spec", STORE_REQUIRED)),
+    ("fleet report", _cmd_fleet_report,
+     "rebuild the aggregate report from a complete store",
+     ("--spec", STORE_REQUIRED, "--report")),
+    ("fleet presets", _cmd_fleet_presets,
+     "list the orbit-band and mission-profile catalog", ()),
+    ("fleet bench", _cmd_fleet_bench,
+     "raw SoA tick-engine throughput (no campaign layer)",
+     ("--machines", "--ticks", "--dt", "--utilization", "--seed")),
+    ("chaos", None, "fuzz the whole protection stack with seeded faults", ()),
+    ("chaos list", _cmd_chaos_list, "list the standing chaos scenarios", ()),
+    ("chaos run", _cmd_chaos_run, "run the chaos matrix and check invariants",
+     ("--scenario", "--workers", "--store", "--trace", "--seed")),
+    ("store", None, "audit a trial store's integrity (docs/ground.md)", ()),
+    ("store verify", _cmd_store_verify,
+     "read-only integrity walk: checksum every entry", (STORE_AUDITED,)),
+    ("store scrub", _cmd_store_scrub,
+     "verify + quarantine defective entries to .quarantine/",
+     (STORE_AUDITED,)),
+    ("store stats", _cmd_store_stats,
+     "occupancy, per-campaign counts, integrity counters",
+     (STORE_AUDITED,)),
+    ("ground", None,
+     "host-fault chaos tier: break the ground segment, assert it holds", ()),
+    ("ground list", _cmd_ground_list,
+     "list the standing host-fault scenarios", ()),
+    ("ground run", _cmd_ground_run,
+     "run the host-fault matrix and check invariants",
+     ("--scenario", ("--workers", {"default": 2}))),
+    ("hmr", None, "hybrid modular redundancy: the mode lattice", ()),
+    ("hmr modes", _cmd_hmr_modes, "list the redundancy-mode lattice", ()),
+    ("hmr sweep", _cmd_hmr_sweep,
+     "sweep the throughput-vs-SDC-coverage frontier",
+     ("--scale", ("--seed", {"default": 7}), ("--workers", {"default": 1}),
+      "--store", "--batched", "--verify", "--json",
+      ("--out", {"help": "write the frontier JSON to a file"}))),
+    ("faults", None, "inspect the machine's addressable fault surface", ()),
+    ("faults census", _cmd_faults_census,
+     "print the machine-wide bit census (region, bits, protection, ECC)",
+     ("--json", "--warm", "--seed")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Radshield reproduction: experiments and missions",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list available experiments").set_defaults(
-        func=_cmd_list
-    )
-
-    run = sub.add_parser("run", help="run one experiment")
-    run.add_argument("experiment")
-    run.add_argument("--out", help="write rendered output to a file")
-    run.add_argument(
-        "--workers", type=int, default=None,
-        help="parallel worker processes for experiments that fan out "
-             "(results are identical at any value; default serial)",
-    )
-    run.add_argument(
-        "--trace", default=None, metavar="FILE",
-        help="write a JSONL trace of the experiment's spans/events "
-             "(byte-identical at any --workers value)",
-    )
-    run.add_argument(
-        "--metrics", action="store_true",
-        help="print the experiment's metrics snapshot as JSON",
-    )
-    run.set_defaults(func=_cmd_run)
-
-    run.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="trial-store directory: completed trials are persisted "
-             "there and skipped when the experiment reruns",
-    )
-
-    run_all_cmd = sub.add_parser("run-all", help="run every experiment")
-    run_all_cmd.add_argument("--out-dir", help="write one file per experiment")
-    run_all_cmd.add_argument("--no-ablations", action="store_true")
-    run_all_cmd.add_argument(
-        "--workers", type=int, default=None,
-        help="parallel worker processes for experiments that fan out",
-    )
-    run_all_cmd.add_argument(
-        "--trace-dir", default=None, metavar="DIR",
-        help="write one <experiment>.jsonl trace per tracing-capable "
-             "experiment into this directory",
-    )
-    run_all_cmd.add_argument(
-        "--metrics", action="store_true",
-        help="print one merged metrics snapshot as JSON at the end",
-    )
-    run_all_cmd.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="trial-store directory shared by every campaign-backed "
-             "experiment; an interrupted run-all resumes from here",
-    )
-    run_all_cmd.set_defaults(func=_cmd_run_all)
-
-    campaign = sub.add_parser(
-        "campaign",
-        help="drive an experiment's declarative trial grid against a store",
-    )
-    campaign_sub = campaign.add_subparsers(dest="campaign_command", required=True)
-    for verb, help_text in (
-        ("run", "execute the campaign (skips trials already in the store)"),
-        ("resume", "alias of run: the store makes every run a resume"),
-        ("status", "report completed vs. pending trials without running"),
-    ):
-        verb_parser = campaign_sub.add_parser(verb, help=help_text)
-        verb_parser.add_argument("campaign")
-        verb_parser.add_argument(
-            "--store", required=True, metavar="DIR",
-            help="trial-store directory (created if missing)",
-        )
-        if verb == "status":
-            verb_parser.add_argument(
-                "--fast", action="store_true",
-                help="presence-only scan (one stat per trial, no "
-                     "checksum verification or defect quarantine)",
+    parsers = {"": parser}
+    subparsers = {}
+    for path, handler, help_text, options in COMMANDS:
+        group, _, name = path.rpartition(" ")
+        if group not in subparsers:
+            subparsers[group] = parsers[group].add_subparsers(
+                dest=f"{group}_command" if group else "command", required=True
             )
-        else:
-            verb_parser.add_argument(
-                "--workers", type=int, default=None,
-                help="parallel worker processes (results identical at any value)",
-            )
-            verb_parser.add_argument(
-                "--trace", default=None, metavar="FILE",
-                help="write the merged JSONL trace of this run",
-            )
-            verb_parser.add_argument("--out", help="write rendered output to a file")
-            verb_parser.add_argument(
-                "--metrics", action="store_true",
-                help="print the campaign metrics snapshot as JSON",
-            )
-            verb_parser.add_argument(
-                "--supervised", action="store_true",
-                help="run under the fault-tolerant ground executor: "
-                     "crashed/hung workers replaced, failing trials "
-                     "retried with identical seeds, poison trials "
-                     "quarantined instead of killing the run",
-            )
-            verb_parser.add_argument(
-                "--timeout", type=float, default=None, metavar="SECONDS",
-                help="per-trial wall-clock budget (with --supervised)",
-            )
-            verb_parser.add_argument(
-                "--max-attempts", type=int, default=3,
-                help="attempts per trial before quarantine "
-                     "(with --supervised; default 3)",
-            )
-        verb_parser.set_defaults(func=_cmd_campaign)
-
-    adaptive = sub.add_parser(
-        "adaptive",
-        help="ML importance-sampled fault campaigns (docs/adaptive.md)",
-    )
-    adaptive_sub = adaptive.add_subparsers(
-        dest="adaptive_command", required=True
-    )
-
-    def _adaptive_source_args(p):
-        from .adaptive import SURFACES
-
-        p.add_argument(
-            "--surface", default="smoke", choices=sorted(SURFACES),
-            help="what the stream strikes: 'smoke' = synthetic census "
-                 "with known sensitivities (CI-fast); 'table7' = pinned "
-                 "strikes on the warmed machine (default: smoke)",
-        )
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--uniform", action="store_true",
-            help="the baseline sampler: every wave flux-weighted "
-                 "(epsilon=1.0, model never trains), stored under a "
-                 "'-uniform' name so it never collides with the "
-                 "adaptive stream",
-        )
-        p.add_argument(
-            "--wave", type=int, default=None, metavar="N",
-            help="trials per round (default: the surface's preset)",
-        )
-        p.add_argument(
-            "--max-rounds", type=int, default=None, metavar="N",
-            help="hard round cap (default: the surface's preset)",
-        )
-        p.add_argument(
-            "--target-width", type=float, default=None, metavar="W",
-            help="stop once the Horvitz-Thompson CI is narrower than "
-                 "this full width; 0 disables the width stop "
-                 "(default: the surface's preset)",
-        )
-        p.add_argument(
-            "--epsilon", type=float, default=None,
-            help="exploration share of each wave, in [0, 1] "
-                 "(default: the surface's preset)",
-        )
-        p.add_argument(
-            "--json", action="store_true",
-            help="emit the canonical JSON summary instead of text",
-        )
-
-    adaptive_run = adaptive_sub.add_parser(
-        "run",
-        help="drain (or resume) an adaptive stream: model-guided "
-             "strike waves until the CI converges",
-    )
-    _adaptive_source_args(adaptive_run)
-    adaptive_run.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="trial-store directory; an interrupted stream resumes "
-             "from here byte-identically, even mid-round",
-    )
-    adaptive_run.add_argument(
-        "--workers", type=int, default=None,
-        help="parallel worker processes (results identical at any value)",
-    )
-    adaptive_run.add_argument(
-        "--trace", default=None, metavar="FILE",
-        help="write the merged JSONL trace of this run",
-    )
-    adaptive_run.set_defaults(func=_cmd_adaptive_run)
-
-    adaptive_status = adaptive_sub.add_parser(
-        "status",
-        help="replay stored rounds and report stream progress "
-             "without executing anything",
-    )
-    _adaptive_source_args(adaptive_status)
-    adaptive_status.add_argument(
-        "--store", required=True, metavar="DIR",
-        help="trial-store directory to inspect",
-    )
-    adaptive_status.add_argument(
-        "--fast", action="store_true",
-        help="presence-only scan of the in-flight round (complete "
-             "rounds still need reads: their digests seed the next "
-             "round's plan)",
-    )
-    adaptive_status.set_defaults(func=_cmd_adaptive_status)
-
-    trace = sub.add_parser("trace", help="inspect a recorded trace")
-    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-    summarize = trace_sub.add_parser(
-        "summarize",
-        help="render a trace as an incident timeline "
-             "(injection → corruption → detection → recovery)",
-    )
-    summarize.add_argument("file")
-    summarize.add_argument(
-        "--task", type=int, default=None,
-        help="show only this parallel task's records",
-    )
-    summarize.add_argument(
-        "--max-tasks", type=int, default=20,
-        help="cap on incident chains rendered (default 20)",
-    )
-    summarize.set_defaults(func=_cmd_trace_summarize)
-
-    mission = sub.add_parser("mission", help="simulate a mission")
-    mission.add_argument("--days", type=float, default=1.0)
-    mission.add_argument("--environment", default="low-earth-orbit")
-    mission.add_argument("--no-ild", action="store_true")
-    mission.add_argument("--no-emr", action="store_true")
-    mission.add_argument(
-        "--supervised", action="store_true",
-        help="route SEL alarms through the recovery supervisor "
-             "(checkpoint/rollback/replay) and run the degradation policy",
-    )
-    mission.add_argument("--seed", type=int, default=0)
-    mission.add_argument("--csv", help="write the anomaly dataset as CSV")
-    mission.set_defaults(func=_cmd_mission)
-
-    fleet = sub.add_parser(
-        "fleet",
-        help="simulate a constellation-scale fleet (docs/fleet.md)",
-    )
-    fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
-
-    def _fleet_spec_args(p, store_required=False):
-        p.add_argument(
-            "--spec", required=True, metavar="SPEC",
-            help="fleet spec: a JSON file path, or a builtin name "
-                 "('reference': 1,110 craft / 1M machine-hours; "
-                 "'smoke': 64 craft)",
-        )
-        p.add_argument(
-            "--store", default=None, required=store_required, metavar="DIR",
-            help="trial-store directory; completed craft are skipped on "
-                 "rerun and the aggregate report is byte-identical",
-        )
-
-    fleet_run = fleet_sub.add_parser(
-        "run", help="simulate (or resume) the whole fleet"
-    )
-    _fleet_spec_args(fleet_run)
-    fleet_run.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for craft that leave batch lockstep "
-             "(reports identical at any value)",
-    )
-    fleet_run.add_argument(
-        "--report", default=None, metavar="FILE",
-        help="write the aggregate report as canonical JSON",
-    )
-    fleet_run.add_argument(
-        "--no-batch", action="store_true",
-        help="run every craft through the scalar path "
-             "(results are byte-identical; this only changes wall time)",
-    )
-    fleet_run.add_argument(
-        "--metrics", action="store_true",
-        help="print the campaign metrics snapshot after the run",
-    )
-    fleet_run.add_argument(
-        "--supervised", action="store_true",
-        help="run pool craft under the fault-tolerant ground "
-             "executor (worker replacement, retries, quarantine)",
-    )
-    fleet_run.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-craft wall-clock budget (with --supervised)",
-    )
-    fleet_run.set_defaults(func=_cmd_fleet_run)
-
-    fleet_status_cmd = fleet_sub.add_parser(
-        "status", help="completed vs pending trials, without running"
-    )
-    _fleet_spec_args(fleet_status_cmd, store_required=True)
-    fleet_status_cmd.set_defaults(func=_cmd_fleet_status)
-
-    fleet_report = fleet_sub.add_parser(
-        "report", help="rebuild the aggregate report from a complete store"
-    )
-    _fleet_spec_args(fleet_report, store_required=True)
-    fleet_report.add_argument(
-        "--report", default=None, metavar="FILE",
-        help="write the aggregate report as canonical JSON",
-    )
-    fleet_report.set_defaults(func=_cmd_fleet_report)
-
-    fleet_sub.add_parser(
-        "presets", help="list the orbit-band and mission-profile catalog"
-    ).set_defaults(func=_cmd_fleet_presets)
-
-    fleet_bench = fleet_sub.add_parser(
-        "bench", help="raw SoA tick-engine throughput (no campaign layer)"
-    )
-    fleet_bench.add_argument("--machines", type=int, default=1000)
-    fleet_bench.add_argument("--ticks", type=int, default=3600)
-    fleet_bench.add_argument(
-        "--dt", type=float, default=1.0,
-        help="tick length in simulated seconds (default 1.0)",
-    )
-    fleet_bench.add_argument("--utilization", type=float, default=0.5)
-    fleet_bench.add_argument("--seed", type=int, default=0)
-    fleet_bench.set_defaults(func=_cmd_fleet_bench)
-
-    chaos = sub.add_parser(
-        "chaos", help="fuzz the whole protection stack with seeded faults"
-    )
-    chaos_sub = chaos.add_subparsers(dest="chaos_command", required=True)
-    chaos_sub.add_parser(
-        "list", help="list the standing chaos scenarios"
-    ).set_defaults(func=_cmd_chaos)
-    chaos_run = chaos_sub.add_parser(
-        "run", help="run the chaos matrix and check invariants"
-    )
-    chaos_run.add_argument(
-        "--scenario", default=None,
-        help="run only the scenario with this name",
-    )
-    chaos_run.add_argument(
-        "--workers", type=int, default=None,
-        help="parallel worker processes (reports identical at any value)",
-    )
-    chaos_run.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="trial-store directory; completed scenarios are skipped on rerun",
-    )
-    chaos_run.add_argument(
-        "--trace", default=None, metavar="FILE",
-        help="write the merged JSONL trace of the run",
-    )
-    chaos_run.add_argument("--seed", type=int, default=0)
-    chaos_run.set_defaults(func=_cmd_chaos)
-
-    store_cmd = sub.add_parser(
-        "store", help="audit a trial store's integrity (docs/ground.md)"
-    )
-    store_sub = store_cmd.add_subparsers(dest="store_command", required=True)
-    for verb, help_text in (
-        ("verify", "read-only integrity walk: checksum every entry"),
-        ("scrub", "verify + quarantine defective entries to .quarantine/"),
-        ("stats", "occupancy, per-campaign counts, integrity counters"),
-    ):
-        verb_parser = store_sub.add_parser(verb, help=help_text)
-        verb_parser.add_argument(
-            "--store", required=True, metavar="DIR",
-            help="trial-store directory to audit",
-        )
-        verb_parser.set_defaults(func=_cmd_store)
-
-    ground = sub.add_parser(
-        "ground",
-        help="host-fault chaos tier: break the ground segment, "
-             "assert it holds (docs/ground.md)",
-    )
-    ground_sub = ground.add_subparsers(dest="ground_command", required=True)
-    ground_sub.add_parser(
-        "list", help="list the standing host-fault scenarios"
-    ).set_defaults(func=_cmd_ground)
-    ground_run = ground_sub.add_parser(
-        "run", help="run the host-fault matrix and check invariants"
-    )
-    ground_run.add_argument(
-        "--scenario", default=None,
-        help="run only the scenario with this name",
-    )
-    ground_run.add_argument(
-        "--workers", type=int, default=2,
-        help="worker processes for the faulted runs "
-             "(reports identical at any value; default 2)",
-    )
-    ground_run.set_defaults(func=_cmd_ground)
-
-    hmr = sub.add_parser(
-        "hmr", help="hybrid modular redundancy: the mode lattice"
-    )
-    hmr_sub = hmr.add_subparsers(dest="hmr_command", required=True)
-    hmr_sub.add_parser(
-        "modes", help="list the redundancy-mode lattice"
-    ).set_defaults(func=_cmd_hmr_modes)
-    hmr_sweep = hmr_sub.add_parser(
-        "sweep", help="sweep the throughput-vs-SDC-coverage frontier"
-    )
-    hmr_sweep.add_argument("--scale", type=int, default=1,
-                           help="injections per mode = 8 * scale")
-    hmr_sweep.add_argument("--seed", type=int, default=7)
-    hmr_sweep.add_argument(
-        "--workers", type=int, default=1,
-        help="parallel worker processes (output identical at any value)",
-    )
-    hmr_sweep.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="trial-store directory; completed trials are skipped on rerun",
-    )
-    hmr_sweep.add_argument(
-        "--batched", action="store_true",
-        help="run through the batched campaign engine",
-    )
-    hmr_sweep.add_argument(
-        "--verify", action="store_true",
-        help="run serial, worker-pool, batched, and store-replay paths "
-             "and require byte-identical frontier JSON",
-    )
-    hmr_sweep.add_argument(
-        "--json", action="store_true",
-        help="emit the canonical frontier JSON instead of the table",
-    )
-    hmr_sweep.add_argument("--out", help="write the frontier JSON to a file")
-    hmr_sweep.set_defaults(func=_cmd_hmr_sweep)
-
-    faults = sub.add_parser(
-        "faults", help="inspect the machine's addressable fault surface"
-    )
-    faults_sub = faults.add_subparsers(dest="faults_command", required=True)
-    census = faults_sub.add_parser(
-        "census",
-        help="print the machine-wide bit census "
-             "(region, bits, protection class, ECC)",
-    )
-    census.add_argument(
-        "--json", action="store_true",
-        help="emit the census as JSON instead of a table",
-    )
-    census.add_argument(
-        "--warm", action="store_true",
-        help="stage data through DRAM, the caches, and flash first, so "
-             "volatile regions report live bits instead of idle silicon",
-    )
-    census.add_argument("--seed", type=int, default=0)
-    census.set_defaults(func=_cmd_faults)
+        sub = parsers[path] = subparsers[group].add_parser(name, help=help_text)
+        for option in options:
+            key, overrides = (option, {}) if isinstance(option, str) else option
+            sub.add_argument(key, **{**OPTIONS[key], **overrides})
+        if handler is not None:
+            sub.set_defaults(func=handler)
     return parser
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":
