@@ -32,6 +32,10 @@ from .replication import ReplicationPlan
 
 @dataclass
 class FetchResult:
+    """Bytes one fetch returned, where their cache lines came from, and
+    what staging them from flash cost. :meth:`MaterializedWorkload.fetch_job`
+    sums a whole job's counts into one (its ``data`` stays empty)."""
+
     data: bytes
     trace: AccessTrace = field(default_factory=AccessTrace)
     disk_seconds: float = 0.0
@@ -177,81 +181,87 @@ class MaterializedWorkload:
         """Read one input region on behalf of a job, via the path the
         frontier dictates. Raises :class:`SegmentationFault` when the
         job's (possibly corrupted) pointer leaves the blob."""
+        result = FetchResult(data=b"")
+        result.data = self._fetch_into(job, role, result)
+        return result
+
+    def fetch_job(self, job: Job, counts: FetchResult) -> "dict[str, bytes]":
+        """Read every input region of ``job`` in one pass, in role
+        order, as :meth:`fetch` would one by one. The line sources and
+        disk charges of each region that read successfully accumulate
+        in ``counts``, so a pass that raises leaves the counts of the
+        regions before the failing one."""
+        return {role: self._fetch_into(job, role, counts) for role in job.dataset.regions}
+
+    def _fetch_into(self, job: Job, role: str, counts: FetchResult) -> bytes:
         ref = job.dataset.regions[role]
         offset, length = job.pointers[role]
-        executor = job.executor_id
-        group = job.group
-        if ref in self.plan.replicated:
-            if self.frontier is Frontier.DRAM:
-                copy = self._replica_copies[(ref, executor)]
-                # Pointer into the copy is copy-relative.
-                rel = offset - ref.offset
-                return self._cached_read(copy.addr + rel, length, group)
-            data = self._replica_blob_bytes[(ref, executor)]
-            rel = offset - ref.offset
-            if rel < 0 or rel + length > len(data):
-                raise SegmentationFault(
-                    f"job ds={job.dataset_index} exec={executor}: corrupted "
-                    f"pointer {role}=({offset}, {length})"
-                )
-            return FetchResult(data=data[rel : rel + length])
+        replicated = ref in self.plan.replicated
         if self.frontier is Frontier.DRAM:
-            base = self._blob_regions[ref.blob]
-            if offset < 0 or offset + length > base.size:
-                raise SegmentationFault(
-                    f"job ds={job.dataset_index} exec={executor}: corrupted "
-                    f"pointer {role}=({offset}, {length})"
-                )
-            return self._cached_read(base.addr + offset, length, group)
-        return self._staged_read(job, ref, offset, length)
+            if replicated:
+                # Pointer into the copy is copy-relative.
+                copy = self._replica_copies[(ref, job.executor_id)]
+                addr = copy.addr + offset - ref.offset
+            else:
+                base = self._blob_regions[ref.blob]
+                if offset < 0 or offset + length > base.size:
+                    raise self._segfault(job, f"{role}=({offset}, {length})")
+                addr = base.addr + offset
+            try:
+                return self.machine.caches.read(addr, length, job.group, counts.trace)[0]
+            except InvalidAddressError as exc:
+                raise SegmentationFault(str(exc)) from exc
+        if replicated:
+            data = self._replica_blob_bytes[(ref, job.executor_id)]
+            seconds = ios = 0
+        else:
+            data, seconds, ios = self._staged_copy(job, ref)
+        rel = offset - ref.offset
+        if rel < 0 or rel + length > len(data):
+            # A fault on a staged region names no role.
+            where = f"{role}=" if replicated else ""
+            raise self._segfault(job, f"{where}({offset}, {length})")
+        counts.disk_seconds += seconds
+        counts.disk_ios += ios
+        return data[rel : rel + length]
 
-    def _cached_read(self, addr: int, length: int, executor: int) -> FetchResult:
-        try:
-            data, trace = self.machine.read_via_cache(addr, length, executor)
-        except InvalidAddressError as exc:
-            raise SegmentationFault(str(exc)) from exc
-        return FetchResult(data=data, trace=trace)
+    @staticmethod
+    def _segfault(job: Job, pointer: str) -> SegmentationFault:
+        return SegmentationFault(
+            f"job ds={job.dataset_index} exec={job.executor_id}: corrupted "
+            f"pointer {pointer}"
+        )
 
-    def _staged_read(self, job: Job, ref: RegionRef, offset: int, length: int) -> FetchResult:
-        """Storage frontier: per-executor staging, dropped per jobset."""
+    def _staged_copy(self, job: Job, ref: RegionRef) -> "tuple[bytes, float, int]":
+        """Storage frontier: the executor's staged copy of ``ref`` and
+        the disk seconds and ios staging it cost now (zero when it was
+        already staged this jobset)."""
         key = (job.executor_id, ref)
         staged = self._staged.get(key)
-        if staged is None:
-            access = self.machine.storage.read(
-                self._flash_name(ref.blob), ref.offset, ref.length
-            )
-            # Independent read: don't let another executor's fetch hit
-            # this page-cache copy.
-            self.machine.storage.drop_page_cache()
-            staged = access.data
-            self._staged[key] = staged
-            result = FetchResult(
-                data=b"", disk_seconds=access.seconds, disk_ios=1
-            )
-        else:
-            result = FetchResult(data=b"")
-        rel = offset - ref.offset
-        if rel < 0 or rel + length > len(staged):
-            raise SegmentationFault(
-                f"job ds={job.dataset_index} exec={job.executor_id}: corrupted "
-                f"pointer ({offset}, {length})"
-            )
-        result.data = staged[rel : rel + length]
-        return result
+        if staged is not None:
+            return staged, 0.0, 0
+        access = self.machine.storage.read(
+            self._flash_name(ref.blob), ref.offset, ref.length
+        )
+        # Independent read: don't let another executor's fetch hit
+        # this page-cache copy.
+        self.machine.storage.drop_page_cache()
+        self._staged[key] = access.data
+        return access.data, access.seconds, 1
 
     def flush_job_regions(self, job: Job) -> int:
         """Post-job cache hygiene: drop every non-replicated line this
-        job touched (replicated copies stay hot — that's the point)."""
+        job touched (replicated copies stay hot — that's the point),
+        in one pass per cache level over the union of their lines."""
         if self.frontier is not Frontier.DRAM:
             return 0
-        flushed = 0
-        for role, ref in job.dataset.regions.items():
-            if ref in self.plan.replicated:
-                continue
-            base = self._blob_regions[ref.blob]
-            region = MemoryRegion(base.addr + ref.offset, ref.length)
-            flushed += self.machine.caches.flush_region(region, group=job.group)
-        return flushed
+        line = self._line
+        lines: "set[int]" = set()
+        for ref in job.dataset.regions.values():
+            if ref.length and ref not in self.plan.replicated:
+                addr = self._blob_regions[ref.blob].addr + ref.offset
+                lines.update(range(addr // line, (addr + ref.length - 1) // line + 1))
+        return self.machine.caches.flush_lines(lines, group=job.group)
 
     def end_of_jobset(self) -> None:
         """Barrier hygiene for the storage frontier: drop staged pages."""
@@ -273,7 +283,7 @@ class MaterializedWorkload:
         if self.frontier is Frontier.DRAM:
             slot = self._output_slots[(job.dataset_index, job.executor_id)]
             payload = len(output).to_bytes(4, "little") + output
-            self.machine.write_via_cache(slot.addr, payload, job.group)
+            self.machine.caches.write(slot.addr, payload, job.group)
             return len(payload) / 1.2e9  # DRAM store bandwidth
         name = f"{self.spec.name}/out{job.dataset_index}~{job.executor_id}"
         self.machine.storage.store(name, output)

@@ -37,7 +37,7 @@ from ...workloads.base import Workload, WorkloadSpec
 from .conflicts import ConflictGraph, detect_conflicts
 from .frontier import Frontier, FrontierCosts, validate_frontier
 from .jobs import Job, JobResult, JobSet
-from .materialize import MaterializedWorkload
+from .materialize import FetchResult, MaterializedWorkload
 from .replication import ReplicationPlan, plan_replication
 from .scheduler import (
     ModeSegment,
@@ -175,17 +175,16 @@ class JobEngine:
         machine = self.machine
         core = machine.cores[core_id]
         timings = {"compute": 0.0, "cache_clear": 0.0, "disk_read": 0.0}
-        inputs: "dict[str, bytes]" = {}
-        l1_hits = l2_hits = fills = 0
+        # Line sources and disk charges of the regions fetched so far:
+        # a failed fetch pass still paid for the regions before it.
+        fetched = FetchResult(data=b"")
+        trace = fetched.trace
         try:
             if self.hooks is not None:
                 self.hooks.before_job(runtime, job)
-            for role in job.dataset.regions:
-                fetched = self.materialized.fetch(job, role)
-                inputs[role] = fetched.data
-                l1_hits += fetched.trace.l1_hits
-                l2_hits += fetched.trace.l2_hits
-                fills += fetched.trace.memory_fills
+            try:
+                inputs = self.materialized.fetch_job(job, fetched)
+            finally:
                 timings["disk_read"] += fetched.disk_seconds
                 self.stats.disk_ios += fetched.disk_ios
             output = self.workload.run_job(inputs, dict(job.dataset.params))
@@ -205,7 +204,8 @@ class JobEngine:
             # The failed fetch/compute still burned time on the core.
             cost = core.execute(
                 self.workload.instructions_per_job(job.dataset) // 2,
-                l1_hits=l1_hits, l2_hits=l2_hits, memory_fills=fills,
+                l1_hits=trace.l1_hits, l2_hits=trace.l2_hits,
+                memory_fills=trace.memory_fills,
             )
             timings["compute"] += cost.seconds
             if self.obs.enabled:
@@ -235,15 +235,15 @@ class JobEngine:
             output = self.hooks.after_job_output(runtime, job, output)
         cost = core.execute(
             self.workload.instructions_per_job(job.dataset),
-            l1_hits=l1_hits,
-            l2_hits=l2_hits,
-            memory_fills=fills,
+            l1_hits=trace.l1_hits,
+            l2_hits=trace.l2_hits,
+            memory_fills=trace.memory_fills,
         )
         timings["compute"] += cost.seconds
         timings["compute"] += self.materialized.store_replica_output(job, output)
-        self.stats.l1_hits += l1_hits
-        self.stats.l2_hits += l2_hits
-        self.stats.memory_fills += fills
+        self.stats.l1_hits += trace.l1_hits
+        self.stats.l2_hits += trace.l2_hits
+        self.stats.memory_fills += trace.memory_fills
         if flush_after:
             flushed = self.materialized.flush_job_regions(job)
             self.stats.flushed_lines += flushed

@@ -180,19 +180,15 @@ class Cache:
                 self._checks[line_index] = ecc_codec.encode_array(words).tobytes()
                 self._dirty.discard(line_index)
 
-    def flush_line(self, line_index: int) -> bool:
-        if self._lines.pop(line_index, None) is not None:
+    def flush_lines(self, lines) -> int:
+        """Drop the resident ones of ``lines``; returns how many."""
+        resident = [line_index for line_index in lines if line_index in self._lines]
+        for line_index in resident:
+            del self._lines[line_index]
             self._checks.pop(line_index, None)
             self._dirty.discard(line_index)
-            self.stats.flushed_lines += 1
-            return True
-        return False
-
-    def flush_region(self, region: MemoryRegion) -> int:
-        flushed = 0
-        for line_index in region.line_span(self.line_size):
-            flushed += self.flush_line(line_index)
-        return flushed
+        self.stats.flushed_lines += len(resident)
+        return len(resident)
 
     def flush_all(self) -> int:
         flushed = len(self._lines)
@@ -319,34 +315,47 @@ class CacheHierarchy:
         n = min(self.line_size, self.memory.size - addr)
         return self.memory.read(addr, n)
 
-    def read(self, addr: int, n: int, group: int) -> tuple[bytes, AccessTrace]:
-        """Read ``n`` bytes at ``addr`` through the group's cache path."""
-        l1 = self.l1[group]
-        trace = AccessTrace()
+    def read(
+        self, addr: int, n: int, group: int, trace: "AccessTrace | None" = None
+    ) -> tuple[bytes, AccessTrace]:
+        """Read ``n`` bytes at ``addr`` through the group's cache path.
+
+        Where each line was served from is added to ``trace`` (a fresh
+        one by default), and only once the whole read succeeded, so a
+        caller can pass one accumulator to a series of reads.
+        """
+        if trace is None:
+            trace = AccessTrace()
         if n == 0:
             return b"", trace
+        l1 = self.l1[group]
         first = addr // self.line_size
         last = (addr + n - 1) // self.line_size
-        parts: list[bytes] = []
+        l1_hits = l2_hits = fills = 0
+        parts: "list[bytearray]" = []
         for line_index in range(first, last + 1):
             data = l1.lookup(line_index)
             if data is not None:
-                trace.l1_hits += 1
+                l1_hits += 1
             else:
                 data = self.l2.lookup(line_index)
                 if data is not None:
-                    trace.l2_hits += 1
+                    l2_hits += 1
                 else:
                     fresh = self._fill_from_memory(line_index)
                     data = self.l2.fill(line_index, fresh)
-                    trace.memory_fills += 1
+                    fills += 1
                 # L1 copies the (possibly corrupted) L2 line: corruption
                 # in the shared level propagates to private levels.
-                data = l1.fill(line_index, bytes(data))
-            parts.append(bytes(data))
-        blob = b"".join(parts)
+                data = l1.fill(line_index, data)
+            parts.append(data)
+        trace.l1_hits += l1_hits
+        trace.l2_hits += l2_hits
+        trace.memory_fills += fills
         start = addr - first * self.line_size
-        return blob[start : start + n], trace
+        if first == last:
+            return bytes(memoryview(parts[0])[start : start + n]), trace
+        return b"".join(parts)[start : start + n], trace
 
     def write(self, addr: int, data: bytes, group: int) -> AccessTrace:
         """Write-through: memory first, then refresh resident copies."""
@@ -379,12 +388,14 @@ class CacheHierarchy:
         group's L1 plus the shared L2 (the lines another group's L1
         holds were private to *its* jobs and flushed by its executor).
         """
-        flushed = self.l2.flush_region(region)
-        if group is None:
-            for l1 in self.l1:
-                flushed += l1.flush_region(region)
-        else:
-            flushed += self.l1[group].flush_region(region)
+        return self.flush_lines(region.line_span(self.line_size), group)
+
+    def flush_lines(self, lines, group: "int | None" = None) -> int:
+        """:meth:`flush_region` over any collection of line indices,
+        one pass per level; only resident lines count as flushed."""
+        flushed = self.l2.flush_lines(lines)
+        for l1 in self.l1 if group is None else (self.l1[group],):
+            flushed += l1.flush_lines(lines)
         return flushed
 
     def flush_all(self) -> int:

@@ -53,27 +53,23 @@ _PARITY_MASKS: tuple[int, ...] = tuple(
     for parity_pos in _PARITY_POSITIONS
 )
 
-#: Maps codeword position -> data bit index, or -1 for parity positions.
-_POSITION_TO_DATA_BIT = np.full(72, -1, dtype=np.int8)
-for _i, _pos in enumerate(_DATA_POSITIONS):
-    _POSITION_TO_DATA_BIT[_pos] = _i
-
-#: Maps codeword position -> check bit index (0 = overall, 1..7 = Hamming),
-#: or -1 for data positions.
-_POSITION_TO_CHECK_BIT = np.full(72, -1, dtype=np.int8)
-_POSITION_TO_CHECK_BIT[0] = 0
-for _i, _pos in enumerate(_PARITY_POSITIONS):
-    _POSITION_TO_CHECK_BIT[_pos] = _i + 1
-
 _PARITY_MASKS_U64 = np.array(_PARITY_MASKS, dtype=np.uint64)
+#: The check-byte bit of each Hamming parity bit (bits 1..7).
+_HAMMING_WEIGHTS = np.array([2 << k for k in range(7)], dtype=np.uint8)
+
+#: Maps a Hamming syndrome (0..127) to the data-bit mask a single-bit
+#: error at that codeword position flips: 0 for position 0, for the
+#: parity positions, and for syndromes >= 72 (outside the codeword).
+_SYNDROME_FLIP = np.zeros(128, dtype=np.uint64)
+for _i, _pos in enumerate(_DATA_POSITIONS):
+    _SYNDROME_FLIP[_pos] = 1 << _i
 
 
-def _parity_u64(values: np.ndarray) -> np.ndarray:
-    """Bitwise parity (popcount mod 2) of each uint64, vectorized."""
-    v = values.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> np.uint64(shift)
-    return (v & np.uint64(1)).astype(np.uint8)
+def _hamming_byte(words: np.ndarray) -> np.ndarray:
+    """Check-byte bits 1..7 of each word: all 7 Hamming parities in
+    one broadcast ``(..., 7)`` popcount."""
+    parities = np.bitwise_count(words[..., None] & _PARITY_MASKS_U64) & np.uint8(1)
+    return parities @ _HAMMING_WEIGHTS
 
 
 def _parity_int(value: int) -> int:
@@ -117,14 +113,9 @@ def decode(data: int, check: int) -> DecodeResult:
     """
     data &= (1 << 64) - 1
     check &= 0xFF
-    syndrome = 0
-    for k, mask in enumerate(_PARITY_MASKS):
-        recomputed = _parity_int(data & mask)
-        stored = (check >> (k + 1)) & 1
-        if recomputed != stored:
-            syndrome |= _PARITY_POSITIONS[k]
-    overall_recomputed = _parity_int(data) ^ _parity_int(check >> 1)
-    overall_mismatch = overall_recomputed != (check & 1)
+    # Recomputed Hamming bits xor stored ones, bit k -> position 2**k.
+    syndrome = (encode(data) ^ check) >> 1
+    overall_mismatch = _parity_int(data) ^ _parity_int(check)
 
     if syndrome == 0:
         if not overall_mismatch:
@@ -138,25 +129,19 @@ def decode(data: int, check: int) -> DecodeResult:
         # Syndrome points outside the codeword: multi-bit corruption
         # that aliased; treat as detected-uncorrectable.
         return DecodeResult(data, corrected=False, uncorrectable=True)
-    data_bit = int(_POSITION_TO_DATA_BIT[syndrome])
-    if data_bit >= 0:
-        data ^= 1 << data_bit
-    # (If the flip hit a parity position the data is already correct.)
+    # The flip mask is 0 when the flip hit a parity position: the data
+    # is already correct.
+    data ^= int(_SYNDROME_FLIP[syndrome])
     return DecodeResult(data, corrected=True, uncorrectable=False)
 
 
 def encode_array(words: np.ndarray) -> np.ndarray:
     """Vectorized :func:`encode` over a ``uint64`` array -> ``uint8`` checks."""
     words = np.asarray(words, dtype=np.uint64)
-    check = np.zeros(words.shape, dtype=np.uint8)
-    hamming_parity = np.zeros(words.shape, dtype=np.uint8)
-    for k in range(7):
-        bit = _parity_u64(words & _PARITY_MASKS_U64[k])
-        check |= (bit << np.uint8(k + 1)).astype(np.uint8)
-        hamming_parity ^= bit
-    overall = _parity_u64(words) ^ hamming_parity
-    check |= overall
-    return check
+    hamming = _hamming_byte(words)
+    # Overall parity covers the data bits plus the seven Hamming bits.
+    overall = (np.bitwise_count(words) + np.bitwise_count(hamming)) & np.uint8(1)
+    return hamming | overall
 
 
 def decode_array(
@@ -166,36 +151,19 @@ def decode_array(
 
     Returns ``(corrected_words, corrected_mask, uncorrectable_mask)``.
     """
-    words = np.asarray(words, dtype=np.uint64).copy()
+    words = np.asarray(words, dtype=np.uint64)
     checks = np.asarray(checks, dtype=np.uint8)
-    syndrome = np.zeros(words.shape, dtype=np.int16)
-    hamming_parity = np.zeros(words.shape, dtype=np.uint8)
-    for k in range(7):
-        recomputed = _parity_u64(words & _PARITY_MASKS_U64[k])
-        stored = (checks >> np.uint8(k + 1)) & np.uint8(1)
-        mismatch = recomputed ^ stored
-        syndrome += mismatch.astype(np.int16) * _PARITY_POSITIONS[k]
-        hamming_parity ^= (checks >> np.uint8(k + 1)) & np.uint8(1)
-    overall_recomputed = _parity_u64(words) ^ hamming_parity
-    overall_mismatch = overall_recomputed != (checks & np.uint8(1))
-
-    zero_syndrome = syndrome == 0
-    uncorrectable = (~zero_syndrome) & (~overall_mismatch)
-    uncorrectable |= (~zero_syndrome) & overall_mismatch & (syndrome >= 72)
-    single = (~zero_syndrome) & overall_mismatch & (syndrome < 72)
-    parity_only = zero_syndrome & overall_mismatch
-
-    if np.any(single):
-        idx = np.nonzero(single)[0]
-        positions = syndrome[idx]
-        data_bits = _POSITION_TO_DATA_BIT[positions]
-        fixable = data_bits >= 0
-        flip_idx = idx[fixable]
-        flip_bits = data_bits[fixable].astype(np.uint64)
-        words[flip_idx] ^= np.uint64(1) << flip_bits
-
-    corrected = single | parity_only
-    return words, corrected, uncorrectable
+    syndrome = (_hamming_byte(words) ^ checks) >> np.uint8(1)
+    # Odd parity over all 72 stored bits.
+    overall_mismatch = (
+        (np.bitwise_count(words) + np.bitwise_count(checks)) & np.uint8(1)
+    ).astype(bool)
+    nonzero = syndrome != 0
+    uncorrectable = nonzero & (~overall_mismatch | (syndrome >= 72))
+    single = nonzero & overall_mismatch & (syndrome < 72)
+    fixed = words ^ np.where(single, _SYNDROME_FLIP[syndrome], np.uint64(0))
+    corrected = single | (~nonzero & overall_mismatch)
+    return fixed, corrected, uncorrectable
 
 
 def bytes_to_words(data: bytes) -> np.ndarray:

@@ -130,10 +130,14 @@ class SimMemory:
         # np.zeros is calloc-backed: a 48 MB device costs microseconds
         # (lazy zero pages) instead of the milliseconds bytearray spends
         # memset-ing, which dominates Machine construction in campaigns.
-        self._data = np.zeros(size, dtype=np.uint8)
+        # Data and check bytes share one allocation: a separate check
+        # array is small enough for the allocator to serve from reused
+        # heap, which calloc must memset on every machine built.
         # All-zero data with all-zero checks is a valid SECDED codeword
         # (encode(0) == 0), so fresh memory needs no initial encoding.
-        self._checks = np.zeros(size // _WORD, dtype=np.uint8) if ecc else None
+        store = np.zeros(size + (size // _WORD if ecc else 0), dtype=np.uint8)
+        self._data = store[:size]
+        self._checks = store[size:] if ecc else None
         self._bump = 0
         self._allocations: list[MemoryRegion] = []
         self.stats = MemoryStats()
@@ -234,14 +238,18 @@ class SimMemory:
             first_word = addr // _WORD
             last_word = (addr + n - 1) // _WORD
             # Scrub partially-covered boundary words before overwriting.
-            if addr % _WORD:
+            # A word outside _dirty_words is a valid codeword, so its
+            # decode is the identity and is skipped (as in read()).
+            if addr % _WORD and first_word in self._dirty_words:
                 self._scrub_word(first_word)
-            if (addr + n) % _WORD and last_word != first_word:
+            if (
+                (addr + n) % _WORD
+                and last_word != first_word
+                and last_word in self._dirty_words
+            ):
                 self._scrub_word(last_word)
         self._data[addr : addr + n] = np.frombuffer(data, dtype=np.uint8)
         if self.has_ecc:
-            first_word = addr // _WORD
-            last_word = (addr + n - 1) // _WORD
             self._reencode_words(first_word, last_word - first_word + 1)
             if self._dirty_words:
                 self._dirty_words.difference_update(

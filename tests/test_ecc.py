@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import ecc
@@ -120,6 +120,61 @@ class TestVectorized:
         _, corrected, uncorrectable = ecc.decode_array(corrupted, checks)
         assert uncorrectable[0]
         assert not corrected[0]
+
+
+#: A stored (word, check byte) pair: a codeword with an arbitrary error
+#: pattern on the check byte. The error byte sets the Hamming syndrome
+#: (its bits 1..7) and the overall-parity mismatch (its popcount), so
+#: all 128 syndromes occur: zero, parity positions, data positions and
+#: positions >= 72.
+STORED = st.tuples(WORDS, st.integers(min_value=0, max_value=255)).map(
+    lambda pair: (pair[0], ecc.encode(pair[0]) ^ pair[1])
+)
+
+
+class TestVectorizedFullRange:
+    """``encode_array``/``decode_array`` against the scalar codec over
+    every 64-bit word, data bit 63 included."""
+
+    @given(st.lists(WORDS, max_size=24))
+    @example([(1 << 64) - 1, 1 << 63, 0])
+    @settings(max_examples=200)
+    def test_encode_array_equals_encode(self, words):
+        checks = ecc.encode_array(np.array(words, dtype=np.uint64))
+        assert checks.dtype == np.uint8
+        assert checks.tolist() == [ecc.encode(word) for word in words]
+
+    @given(st.lists(STORED | st.tuples(WORDS, st.integers(0, 255)), max_size=24))
+    @example([(1 << 63, ecc.encode(1 << 63) ^ 0x01)])  # zero syndrome, parity only
+    @example([(1 << 63, ecc.encode(1 << 63) ^ 0x03)])  # syndrome at parity position 1
+    @example([(1 << 63, ecc.encode(1 << 63) ^ 0x81)])  # syndrome at parity position 64
+    @example([(1 << 63, ecc.encode(1 << 63) ^ ((72 << 1) | 1))])  # syndrome 72
+    @example([(1 << 63, ecc.encode(1 << 63) ^ 0xFF)])  # syndrome 127
+    @example([(1 << 63, ecc.encode(1 << 63) ^ 0x06)])  # even mismatch: double
+    @example([(0, ecc.encode(1 << 63))])  # data bit 63 flipped
+    @settings(max_examples=300)
+    def test_decode_array_equals_decode(self, pairs):
+        words = np.array([word for word, _ in pairs], dtype=np.uint64)
+        checks = np.array([check for _, check in pairs], dtype=np.uint8)
+        fixed, corrected, uncorrectable = ecc.decode_array(words, checks)
+        expected = [ecc.decode(word, check) for word, check in pairs]
+        assert fixed.dtype == np.uint64
+        assert fixed.tolist() == [r.data for r in expected]
+        assert corrected.tolist() == [r.corrected for r in expected]
+        assert uncorrectable.tolist() == [r.uncorrectable for r in expected]
+
+    @pytest.mark.parametrize("shape", [(), (0,), (2, 3)])
+    def test_shape_and_dtype_are_kept(self, shape):
+        words = np.full(shape, (1 << 63) | 5, dtype=np.uint64)
+        checks = ecc.encode_array(words)
+        assert checks.shape == shape and checks.dtype == np.uint8
+        # Flip data bit 63 of every stored word: each decodes back.
+        stored = words ^ np.uint64(1 << 63)
+        fixed, corrected, uncorrectable = ecc.decode_array(stored, checks)
+        assert fixed.shape == corrected.shape == uncorrectable.shape == shape
+        assert fixed.dtype == np.uint64
+        assert np.array_equal(fixed, words)
+        assert corrected.all() and not uncorrectable.any()
 
 
 class TestByteHelpers:
