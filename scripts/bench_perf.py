@@ -295,6 +295,7 @@ def bench_batch_sim(smoke: bool) -> dict:
     return {
         "dt": config.dt,
         "entries": entries,
+        "speedup_n1": entries[0]["speedup"],
         "speedup_n1024": entries[-1]["speedup"],
         "identical": all(e["identical"] for e in entries),
     }

@@ -250,6 +250,11 @@ def _run_episode(machine, fine_cfg, delta: float, active_util: float,
                  mode=None):
     """A 1 s-tick detection episode for one micro-SEL.
 
+    The machine flies it as a one-lane :class:`BatchMachines`, which
+    carries the lane's tick state from one bubble period to the next;
+    :meth:`~BatchMachines.sync` writes the lane back into ``machine``
+    before it is read or power-cycled.
+
     Returns ``("cleared", latency_s, downtime_s, energy_j)``,
     ``("died", clock_time, energy_j)`` or ``("latched", energy_j)``.
     """
@@ -264,27 +269,25 @@ def _run_episode(machine, fine_cfg, delta: float, active_util: float,
     finite_deadline = np.isfinite(
         time_to_damage(fine_cfg.thermal, total_after)
     )
-    state = None
-    first = True
+    batch = BatchMachines([machine], fine_cfg)
+    batch.set_lane_modes([mode])
+    events = [LaneEvents(sels=(SelStep(0, delta),))]
     bubbles = 0
-    energy = 0.0
     while True:
-        events = LaneEvents(sels=(SelStep(0, delta),)) if first else None
-        first = False
-        ticker = FleetTicker(machine, fine_cfg, state=state, mode=mode)
-        rep = ticker.run(program, events=events)
-        state = ticker.state
+        rep = batch.run(program, events)
+        events = None
+        batch.sync()
+        energy = float(batch.lane_state(0).energy_joules)
         if rep.deaths:
-            return ("died", float(rep.deaths[0].time), float(state.energy_joules))
+            return ("died", float(rep.deaths[0].time), energy)
         if rep.alarms:
             latency = float(rep.alarms[0].time) - onset
-            energy = float(state.energy_joules)
             downtime = machine.power_cycle()
             machine.extra_current_draw = 0.0
             return ("cleared", latency, float(downtime), energy)
         bubbles += 1
         if not finite_deadline and bubbles >= MAX_QUIET_BUBBLES:
-            return ("latched", float(state.energy_joules))
+            return ("latched", energy)
 
 
 def _run_sel_craft(item, rng, sel_events, seu, util, ticks, dt, profile,
@@ -314,9 +317,11 @@ def _run_sel_craft(item, rng, sel_events, seu, util, ticks, dt, profile,
         nonlocal power_cycles, downtime, energy, cur, latched_onset
         if upto <= cur:
             return
-        ticker = FleetTicker(machine, coarse_cfg, mode=mode)
-        rep = ticker.run(TickProgram(util[cur:upto]))
-        energy += float(ticker.state.energy_joules)
+        batch = BatchMachines([machine], coarse_cfg)
+        batch.set_lane_modes([mode])
+        rep = batch.run(TickProgram(util[cur:upto]))
+        batch.sync()
+        energy += float(batch.lane_state(0).energy_joules)
         alarms += len(rep.alarms)
         if rep.alarms and machine.extra_current_draw > 0.0:
             # A previously latched micro-SEL finally crossed the

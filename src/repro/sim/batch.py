@@ -7,7 +7,8 @@ in exactly that dispatch. This module packs the *hot per-tick state* of
 N machines across a batch axis — core activity and PMU counters, DVFS
 frequency indices, board current, sensor samples, thermal deadlines,
 ILD rolling-filter windows, SEL/SEU application — so one
-:meth:`BatchMachines.run` advances all N lanes per tick with array ops.
+:meth:`BatchMachines.run` advances all N lanes through whole segments
+of ticks with array ops.
 
 Two backends, one contract:
 
@@ -35,9 +36,12 @@ make that possible:
    a comparison. Everything that runs per tick is elementwise IEEE
    arithmetic whose result does not depend on array shape.
 3. **Sequential accumulation.** Clocks, busy-seconds, energy and the
-   ILD running residual sum are accumulated one tick at a time in both
-   backends — a batched lane performs the same adds in the same order
-   as its scalar twin.
+   ILD running residual sum see the same adds in the same order in
+   both backends: :class:`FleetTicker` adds one tick at a time, and
+   :class:`BatchMachines` evaluates a whole segment of ticks with
+   ``np.add.accumulate`` along the tick axis (sequential, never
+   pairwise) plus one per-tick loop for the residual sum, which
+   resets on every non-quiescent tick.
 
 Divergence (a reboot, a power cycle, any per-machine control flow the
 lockstep loop cannot express) is handled by **peeling**:
@@ -49,6 +53,7 @@ stay batched. See ``docs/batch.md``.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -58,6 +63,13 @@ import numpy as np
 from ..errors import ConfigurationError, SimulationError
 from .machine import Machine, MachineSpec, _digest_update
 from ..radiation.thermal import ThermalParams, time_to_damage
+
+#: Lane-ticks one chunk of a segment evaluates at once. It bounds the
+#: memory of the ``(ticks, lanes, cores)`` temporaries of
+#: :meth:`BatchMachines._advance` (about 330 bytes per lane-tick on
+#: four cores) while keeping chunks wide enough to amortise the fixed
+#: cost of a chunk and its per-tick loop over many lanes.
+_CHUNK_LANE_TICKS = 1 << 13
 
 #: CoreCounters field order used by the packed (lane, core, counter)
 #: array — column i of the counters array is _COUNTER_FIELDS[i].
@@ -427,11 +439,12 @@ def _engine_digest(
 class _TickKernel:
     """Shape-generic tick arithmetic shared by both backends.
 
-    Every method works identically on ``(C,)`` arrays (one machine) and
-    ``(N, C)`` arrays (a batch): only elementwise IEEE operations and
-    fixed-length trailing-axis reductions, so results are bitwise
-    independent of the leading shape. Per-DVFS-level current tables are
-    precomputed here so no ``**`` runs per tick.
+    Every method works identically on ``(C,)`` arrays (one machine
+    tick) and ``(T, N, C)`` arrays (a batch segment): only elementwise
+    IEEE operations and fixed-length trailing-axis reductions, so
+    results are bitwise independent of the leading shape.
+    Per-DVFS-level current tables are precomputed here so no ``**``
+    runs per tick.
     """
 
     def __init__(self, spec: MachineSpec, config: TickConfig) -> None:
@@ -525,7 +538,10 @@ class _TickKernel:
 
 
 def _index_events(program: TickProgram, events: "LaneEvents | None", n_ticks: int):
-    """Tick -> list indices for one scalar lane (program then lane)."""
+    """Tick -> list indices for one scalar lane (program then lane).
+
+    Every event is validated here, before any tick runs, so a bad
+    event never leaves a lane half-advanced."""
     sel_by_tick: "dict[int, list]" = {}
     seu_by_tick: "dict[int, list]" = {}
     merged_sels = program.sels + (events.sels if events is not None else ())
@@ -540,6 +556,10 @@ def _index_events(program: TickProgram, events: "LaneEvents | None", n_ticks: in
         if ev.tick >= n_ticks:
             raise ConfigurationError(
                 f"SEU at tick {ev.tick} beyond program end {n_ticks}"
+            )
+        if ev.core >= program.n_cores:
+            raise ConfigurationError(
+                f"SEU on core {ev.core} of a {program.n_cores}-core program"
             )
         seu_by_tick.setdefault(ev.tick, []).append(ev.core)
     return sel_by_tick, seu_by_tick
@@ -914,14 +934,16 @@ class BatchMachines:
         :class:`LaneEvents | None`, one per lane. Program-level events
         apply to every lane; per lane, program events precede lane
         events at the same tick (matching :meth:`FleetTicker.run`).
+
+        Each RNG block is cut into segments at event ticks, and each
+        segment is evaluated in lane chunks as whole arrays over its
+        ticks (:meth:`_advance`).
         """
         cfg = self.config
         kernel = self.kernel
         n = self.n_lanes
         n_cores = self.spec.n_cores
         n_samples = cfg.samples_per_tick
-        window_ticks = kernel.window
-        halfwidth = kernel.halfwidth
         if program.n_cores != n_cores:
             raise ConfigurationError(
                 f"program has {program.n_cores} cores; spec has {n_cores}"
@@ -932,7 +954,11 @@ class BatchMachines:
             )
         n_ticks = program.n_ticks
         ov_idx = kernel.override_indices(program)
-        base = program.utilization
+        amp = (
+            program.jitter
+            if program.jitter is not None
+            else np.full(n_ticks, cfg.util_jitter)
+        )
         # Merge program-level and per-lane events into tick indices.
         sel_by_tick: "dict[int, list]" = {}
         seu_by_tick: "dict[int, list]" = {}
@@ -947,137 +973,236 @@ class BatchMachines:
                 seu_by_tick.setdefault(k, []).extend(
                     (lane, core) for core in cores
                 )
+        event_ticks = sorted(set(sel_by_tick) | set(seu_by_tick))
         alarms: list = []
         deaths: list = []
 
         for k0 in range(0, n_ticks, cfg.block_ticks):
-            drawing = ~self._dead & ~self._peeled
-            if not drawing.any():
+            rows = np.nonzero(~self._dead & ~self._peeled)[0]
+            if not rows.size:
                 break
             k1 = min(n_ticks, k0 + cfg.block_ticks)
             block = k1 - k0
-            jit = np.zeros((n, block, n_cores))
-            noise = np.zeros((n, block, n_samples))
-            spike_u = np.zeros((n, block, n_samples))
-            spike_m = np.zeros((n, block, n_samples))
-            for i in np.nonzero(drawing)[0]:
-                rng = self._rngs[i]
-                jit[i] = rng.normal(0.0, 1.0, (block, n_cores))
-                noise[i] = rng.normal(0.0, 1.0, (block, n_samples))
-                spike_u[i] = rng.random((block, n_samples))
-                spike_m[i] = rng.random((block, n_samples))
-            for b in range(block):
-                k = k0 + b
+            draws = tuple(
+                np.empty((rows.size, block, width))
+                for width in (n_cores, n_samples, n_samples, n_samples)
+            )
+            jit, noise, spike_u, spike_m = draws
+            for r, lane in enumerate(rows):
+                rng = self._rngs[lane]
+                jit[r] = rng.normal(0.0, 1.0, (block, n_cores))
+                noise[r] = rng.normal(0.0, 1.0, (block, n_samples))
+                spike_u[r] = rng.random((block, n_samples))
+                spike_m[r] = rng.random((block, n_samples))
+            first = bisect.bisect_right(event_ticks, k0)
+            last = bisect.bisect_left(event_ticks, k1)
+            bounds = [k0, *event_ticks[first:last], k1]
+            for s0, s1 in zip(bounds, bounds[1:]):
                 live = ~self._dead & ~self._peeled
-                if not live.any():
+                lanes = np.nonzero(live)[0]
+                if not lanes.size:
                     break
-                # 1. radiation events
-                for lane, delta in sel_by_tick.get(k, ()):
-                    if not live[lane]:
-                        continue
-                    self._extra[lane] += delta
-                    if math.isnan(self._sel_onset[lane]):
-                        self._sel_onset[lane] = self._t[lane]
-                    deadline = self._t[lane] + time_to_damage(
-                        kernel.thermal, float(self._extra[lane])
-                    )
-                    self._deadline[lane] = min(
-                        self._deadline[lane], deadline
-                    )
-                for lane, core_index in seu_by_tick.get(k, ()):
-                    if live[lane]:
-                        self._poisoned[lane, core_index] = True
-                # 2–5. utilization, DVFS, charging, currents, sensing
-                amp = program.jitter_amp(k, cfg.util_jitter)
-                util = np.clip(base[k][None, :] + amp * jit[:, b, :], 0.0, 1.0)
-                if ov_idx is not None and ov_idx[k] >= 0:
-                    idx = np.full((n, n_cores), ov_idx[k], dtype=np.int64)
-                else:
-                    idx = kernel.freq_index(util)
-                instr, branches, misses, cycles, bus, seconds = kernel.charge(
-                    util, idx
+                self._apply_events(
+                    sel_by_tick.get(s0, ()), seu_by_tick.get(s0, ()), live
                 )
-                active = kernel.board_current(util, idx) + self._mode_extra
-                total = active + self._extra
-                fine = kernel.sense(
-                    total, noise[:, b, :], spike_u[:, b, :], spike_m[:, b, :]
-                )
-                window = np.concatenate([self._tails, fine], axis=1)
-                filtered = window.min(axis=1)
-                new_tails = window[:, window.shape[1] - halfwidth:]
-                residual = filtered - active
-                quiescent = util.mean(axis=1) <= kernel.quiescence_utilization
-                # Commit hot state for live lanes only (dead/peeled
-                # lanes stay bitwise frozen, like the scalar `break`).
-                li = slice(None) if bool(live.all()) else np.nonzero(live)[0]
-                self._freq_idx[li] = idx[li]
-                self._counters[li, :, 0] += instr[li]
-                self._counters[li, :, 1] += cycles[li]
-                self._counters[li, :, 2] += bus[li]
-                self._counters[li, :, 3] += branches[li]
-                self._counters[li, :, 4] += misses[li]
-                self._busy[li] += seconds[li]
-                self._tails[li] = new_tails[li]
-                self._energy[li] = self._energy[li] + total[li] * kernel.vdt
-                # 6–7. ILD residual persistence
-                q_lanes = np.nonzero(live & quiescent)[0]
-                if q_lanes.size:
-                    self._streak[q_lanes] += 1
-                    pos = self._ring_pos[q_lanes]
-                    old = self._rings[q_lanes, pos].copy()
-                    self._rings[q_lanes, pos] = residual[q_lanes]
-                    self._ring_pos[q_lanes] = (pos + 1) % window_ticks
-                    deep = self._streak[q_lanes] > window_ticks
-                    delta = np.where(
-                        deep, residual[q_lanes] - old, residual[q_lanes]
+                lane_rows = np.searchsorted(rows, lanes)
+                step = max(1, _CHUNK_LANE_TICKS // (s1 - s0))
+                for c in range(0, lanes.size, step):
+                    self._advance(
+                        program, ov_idx, amp, draws, lanes[c : c + step],
+                        lane_rows[c : c + step], s0, s1, s0 - k0, alarms, deaths,
                     )
-                    self._run_sum[q_lanes] = self._run_sum[q_lanes] + delta
-                    ready = self._streak[q_lanes] >= window_ticks
-                    if ready.any():
-                        r_lanes = q_lanes[ready]
-                        mean = self._run_sum[r_lanes] / window_ticks
-                        over = mean > self._mode_threshold[r_lanes]
-                        onset = over & ~self._in_alarm[r_lanes]
-                        if onset.any():
-                            o_lanes = r_lanes[onset]
-                            at = self._t[o_lanes] + cfg.dt
-                            self._alarm_count[o_lanes] += 1
-                            first = self._first_alarm[o_lanes]
-                            self._first_alarm[o_lanes] = np.where(
-                                np.isnan(first), at, first
-                            )
-                            o_means = mean[onset]
-                            for j, lane in enumerate(o_lanes):
-                                alarms.append(
-                                    TickAlarm(
-                                        lane=int(lane),
-                                        tick=k,
-                                        time=float(at[j]),
-                                        mean_residual=float(o_means[j]),
-                                    )
-                                )
-                        self._in_alarm[r_lanes] = over
-                nq_lanes = np.nonzero(live & ~quiescent)[0]
-                if nq_lanes.size:
-                    self._streak[nq_lanes] = 0
-                    self._run_sum[nq_lanes] = 0.0
-                    self._ring_pos[nq_lanes] = 0
-                    self._in_alarm[nq_lanes] = False
-                # 8. clock + thermal deadline
-                self._t[li] = self._t[li] + cfg.dt
-                self._ticks_run[li] += 1
-                newly_dead = live & (self._t >= self._deadline)
-                for lane in np.nonzero(newly_dead)[0]:
-                    self._dead[lane] = True
-                    self._damaged[lane, :] = True
-                    deaths.append(
-                        TickDeath(
-                            lane=int(lane), tick=k, time=float(self._t[lane])
-                        )
-                    )
+        alarms.sort(key=lambda a: (a.tick, a.lane))
+        deaths.sort(key=lambda d: (d.tick, d.lane))
         return TickRunReport(
             lanes=n, ticks=n_ticks, alarms=tuple(alarms), deaths=tuple(deaths)
         )
+
+    def _apply_events(self, sels, seus, live) -> None:
+        """Radiation events of one tick, on live lanes only."""
+        kernel = self.kernel
+        for lane, delta in sels:
+            if not live[lane]:
+                continue
+            self._extra[lane] += delta
+            if math.isnan(self._sel_onset[lane]):
+                self._sel_onset[lane] = self._t[lane]
+            deadline = self._t[lane] + time_to_damage(
+                kernel.thermal, float(self._extra[lane])
+            )
+            self._deadline[lane] = min(self._deadline[lane], deadline)
+        for lane, core_index in seus:
+            if live[lane]:
+                self._poisoned[lane, core_index] = True
+
+    def _advance(
+        self, program, ov_idx, amp, draws, lanes, rows, s0, s1, b0,
+        alarms, deaths,
+    ) -> None:
+        """Advance ``lanes`` through ticks ``[s0, s1)`` of one segment.
+
+        ``rows`` locates the lanes in the block's ``draws``, whose tick
+        ``b0`` is program tick ``s0``. No event falls inside the
+        segment, so every lane's damage deadline is constant and its
+        last tick is the first one whose clock reaches it (or the
+        segment's last): every per-tick quantity is computed for the
+        whole segment as a ``(ticks, lanes, ...)`` array, and the
+        lane's state is gathered at its last tick. Ticks lead so that
+        the sums and accumulates along them run over contiguous rows.
+        """
+        cfg = self.config
+        kernel = self.kernel
+        window = kernel.window
+        halfwidth = kernel.halfwidth
+        n_samples = cfg.samples_per_tick
+        n_lanes, n_ticks = lanes.size, s1 - s0
+        if rows[-1] - rows[0] == rows.size - 1:
+            rows = slice(int(rows[0]), int(rows[-1]) + 1)  # views, no copies
+        ticks = np.arange(n_ticks)[:, None]
+        at = np.arange(n_lanes)
+        # 8. clock (t + dt, sequentially) and the first tick past the
+        # damage deadline: the lane's last tick
+        clock = np.full((n_ticks, n_lanes), cfg.dt)
+        clock[0] += self._t[lanes]
+        np.add.accumulate(clock, axis=0, out=clock)
+        dying = clock >= self._deadline[lanes]
+        died = dying.any(axis=0)
+        end = np.where(died, dying.argmax(axis=0), n_ticks - 1)
+        valid = ticks <= end
+        self._t[lanes] = clock[end, at]
+        self._ticks_run[lanes] += end + 1
+        # 2-4. utilization, DVFS, charging; the charge arrays are
+        # reduced into the lane state at once, so they die young
+        jit, noise, spike_u, spike_m = (
+            d[rows, b0 : b0 + n_ticks].swapaxes(0, 1) for d in draws
+        )
+        util = np.multiply(amp[s0:s1, None, None], jit, out=np.empty(jit.shape))
+        util += program.utilization[s0:s1, None, :]
+        np.clip(util, 0.0, 1.0, out=util)
+        idx = kernel.freq_index(util)
+        if ov_idx is not None:
+            ov = ov_idx[s0:s1, None, None]
+            if (ov >= 0).any():
+                idx = np.where(ov >= 0, ov, idx)
+        self._freq_idx[lanes] = idx[end, at]
+        instr, branches, misses, cycles, bus, seconds = kernel.charge(util, idx)
+        counts = (instr, cycles, bus, branches, misses)  # _COUNTER_FIELDS order
+        if died.any():
+            for column in counts:
+                column[~valid] = 0
+        self._counters[lanes, :, : len(counts)] += np.stack(
+            [column.sum(axis=0) for column in counts], axis=-1
+        )
+        del instr, branches, misses, cycles, bus, counts
+        seconds[0] += self._busy[lanes]
+        np.add.accumulate(seconds, axis=0, out=seconds)
+        self._busy[lanes] = seconds[end, at]
+        del seconds
+        # 5. currents and sensor samples
+        active = kernel.board_current(util, idx) + self._mode_extra[lanes]
+        quiet = util.mean(axis=-1) <= kernel.quiescence_utilization
+        del util, idx
+        total = active + self._extra[lanes]
+        energy = total * kernel.vdt
+        energy[0] += self._energy[lanes]
+        np.add.accumulate(energy, axis=0, out=energy)
+        self._energy[lanes] = energy[end, at]
+        # 6. rolling minimum over each lane's sample stream (carried
+        # tail first): tick j's window is the halfwidth + S samples
+        # that start at sample j * S
+        fine = kernel.sense(total, noise, spike_u, spike_m)
+        stream = np.concatenate(
+            [self._tails[lanes], fine.swapaxes(0, 1).reshape(n_lanes, -1)], axis=1
+        )
+        del fine
+        span = n_ticks * n_samples
+        filtered = stream[:, 0:span:n_samples].copy()
+        for offset in range(1, halfwidth + n_samples):
+            np.minimum(
+                filtered, stream[:, offset : offset + span : n_samples],
+                out=filtered,
+            )
+        tail = (end[:, None] + 1) * n_samples + np.arange(halfwidth)
+        self._tails[lanes] = stream[at[:, None], tail]
+        del stream
+        residual = filtered.T - active
+        # 7. ILD persistence. The streak counts quiescent ticks since the
+        # last reset (the lane's carried streak puts a virtual one before
+        # the segment). Both engines keep ring_pos == streak % W and
+        # in_alarm only while streak >= W, so a quiescent tick writes
+        # ring slot (streak - 1) % W.
+        last_reset = np.where(quiet, -1 - self._streak[lanes], ticks)
+        streak = ticks - np.maximum.accumulate(last_reset, axis=0)
+        slot = (streak - 1) % window
+        # The slot's old value was written W ticks earlier: in this
+        # segment, or before it (then it is still in the ring).
+        head = min(window, n_ticks)
+        old = np.empty((n_ticks, n_lanes))
+        old[:head] = self._rings[lanes, slot[:head]]
+        old[head:] = residual[: n_ticks - head]
+        delta = np.where(quiet & (streak > window), residual - old, residual)
+        # The running residual sum is the one true recurrence: a
+        # non-quiescent tick resets it to 0.0, so it only has to run
+        # over ticks where some lane is quiescent.
+        run_sum = np.zeros((n_ticks, n_lanes))
+        acc = self._run_sum[lanes]
+        after = 0
+        for j in np.flatnonzero(quiet.any(axis=1)).tolist():
+            if j != after:
+                acc = 0.0  # every lane reset on the ticks skipped
+            acc = run_sum[j] = np.where(quiet[j], acc + delta[j], 0.0)
+            after = j + 1
+        mean = run_sum / window
+        # ``over`` is also the alarm state after each tick: a reset
+        # clears it, and it cannot be set before the streak is ready.
+        over = quiet & (streak >= window) & (mean > self._mode_threshold[lanes])
+        was = np.empty_like(over)
+        was[0] = self._in_alarm[lanes]
+        was[1:] = over[:-1]
+        onset = over & ~was & valid
+        # Ring writes that survive the segment: the last write to a slot
+        # within its run that no later run (restarting at slot 0) reaches.
+        written = quiet & valid
+        stop = np.minimum.accumulate(
+            np.where(quiet, n_ticks, ticks)[::-1], axis=0
+        )[::-1]
+        stop = np.minimum(stop, end + 1)
+        run_len = np.where(written & (streak == 1), stop - ticks, 0)
+        later = np.zeros_like(run_len)
+        later[:-1] = np.maximum.accumulate(run_len[:0:-1], axis=0)[::-1]
+        final = written & (ticks + window >= stop) & (slot >= later)
+        fj, fl = np.nonzero(final)
+        self._rings[lanes[fl], slot[fj, fl]] = residual[fj, fl]
+
+        # Commit the ILD state at every lane's last tick.
+        self._streak[lanes] = streak[end, at]
+        self._ring_pos[lanes] = streak[end, at] % window
+        self._run_sum[lanes] = run_sum[end, at]
+        self._in_alarm[lanes] = over[end, at]
+        self._alarm_count[lanes] += onset.sum(axis=0)
+        oj, ol = np.nonzero(onset)
+        for j, i in zip(oj.tolist(), ol.tolist()):
+            lane = int(lanes[i])
+            time = float(clock[j, i])
+            if math.isnan(self._first_alarm[lane]):
+                self._first_alarm[lane] = time
+            alarms.append(
+                TickAlarm(
+                    lane=lane,
+                    tick=s0 + j,
+                    time=time,
+                    mean_residual=float(mean[j, i]),
+                )
+            )
+        for i in np.nonzero(died)[0].tolist():
+            lane = int(lanes[i])
+            self._dead[lane] = True
+            self._damaged[lane, :] = True
+            deaths.append(
+                TickDeath(
+                    lane=lane, tick=s0 + int(end[i]), time=float(clock[end[i], i])
+                )
+            )
 
     # ------------------------------------------------------------------
     def machine(self, lane: int) -> Machine:

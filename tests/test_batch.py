@@ -129,6 +129,22 @@ class TestBatchIdentity:
             tickers[2].state_digest(),
         ]
 
+    def test_seu_core_out_of_range_raises_before_any_tick(self):
+        spec = MachineSpec(n_cores=2, dram_size=1 << 16, l1_lines=8,
+                           l2_lines=16, flash_capacity=1 << 16)
+        program = TickProgram.constant(0.5, 60, n_cores=2)
+        bad = [LaneEvents(seus=(SeuStrike(30, 5),))]
+        batch = BatchMachines.from_specs(spec, seeds=[1], config=CONFIG)
+        before = batch.lane_digests()
+        with pytest.raises(ConfigurationError, match="core 5"):
+            batch.run(program, bad)
+        assert batch.lane_digests() == before
+        ticker = FleetTicker(Machine(spec, seed=1), CONFIG)
+        before = ticker.state_digest()
+        with pytest.raises(ConfigurationError, match="core 5"):
+            ticker.run(program, bad[0])
+        assert ticker.state_digest() == before
+
     def test_adopted_machines_must_not_share_rngs(self):
         m1, m2 = Machine(SPEC, seed=5), Machine(SPEC, seed=6)
         m2.rng = m1.rng
