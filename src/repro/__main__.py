@@ -419,9 +419,8 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 def _adaptive_payload(source, result, true_rate) -> dict:
     """Canonical JSON-able summary of one adaptive stream run.
 
-    ``scripts/check_adaptive.py`` compares these payloads across
-    serial / pooled / resumed executions — everything here must be a
-    pure function of the stream outcome.
+    Everything here must be a pure function of the stream outcome, so
+    the payload is identical serial, pooled or resumed.
     """
     from .campaign.stream import StreamHistory
 

@@ -3,7 +3,7 @@
 Trial fingerprints hash the campaign name, params, and seeds — so two
 processes only share a store if they build *identical* sources. Every
 entry point (``repro adaptive run/status``,
-``scripts/check_adaptive.py``, ``scripts/bench_perf.py``) goes
+``scripts/check_equivalence.py``, ``scripts/bench_perf.py``) goes
 through :func:`build_source` for exactly that reason: same arguments,
 same source, fingerprint-for-fingerprint.
 

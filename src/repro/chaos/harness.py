@@ -109,8 +109,8 @@ def decode_chaos_report(data: dict) -> ChaosReport:
 
 def reports_digest(reports: "list[ChaosReport]") -> str:
     """SHA-256 over the canonical encoding of every report, in order —
-    the byte-identity witness ``scripts/check_chaos.py`` compares
-    across worker counts and reruns."""
+    the byte-identity witness ``tests/test_chaos.py`` compares across
+    worker counts and reruns."""
     material = canonical_json([encode_chaos_report(r) for r in reports])
     return hashlib.sha256(material.encode()).hexdigest()
 

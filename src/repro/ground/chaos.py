@@ -248,7 +248,7 @@ class HostChaosReport:
 
     Deliberately excludes the worker count and any host path, so the
     digest over a matrix run is comparable across worker counts and
-    reruns — the cross-run byte-identity witness ``check_ground`` uses.
+    reruns — the cross-run witness ``scripts/check_equivalence.py`` uses.
     """
 
     scenario: str

@@ -1,10 +1,11 @@
 """Tests for the chaos harness and the supervised mission loop.
 
-The full 24-scenario matrix runs in CI via ``scripts/check_chaos.py``;
-here we run a representative subset and pin the properties the harness
-itself promises: invariants hold, reports are deterministic, control-
-plane strikes are survived, and the supervised mission recovers every
-latchup while the policy visibly moves the replication level.
+The full 24-scenario matrix runs in CI as the ``chaos`` row of
+``scripts/check_equivalence.py``; here we run a representative subset
+and pin the properties the harness itself promises: invariants hold,
+reports are deterministic, control-plane strikes are survived, and the
+supervised mission recovers every latchup while the policy visibly
+moves the replication level.
 """
 
 import numpy as np
