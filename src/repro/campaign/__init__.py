@@ -2,7 +2,7 @@
 
 Declare a grid of trials (:class:`Campaign` / :class:`Trial`), run it
 with :func:`execute` — deterministically parallel via
-:func:`repro.parallel.pmap`, per-trial RNG pinned by
+:func:`repro.parallel.pmap_report`, per-trial RNG pinned by
 ``(seed_root, seed_index)`` — and point it at a :class:`TrialStore`
 to make the run resumable: completed trials are fingerprinted
 (:class:`TrialSpec`), persisted, and skipped on rerun, with aggregate

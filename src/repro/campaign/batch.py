@@ -25,7 +25,7 @@ power-cycle, a reboot, any per-lane control flow the SoA engine cannot
 express) are *peeled* — the batch function returns the
 :class:`Diverged` sentinel for that lane and the executor re-runs the
 whole trial through the scalar ``campaign.trial_fn`` with a fresh
-``trial_rng``, in the same ``pmap`` call as any other scalar trial (so
+``trial_rng``, in the same ``pmap_report`` call as any other scalar trial (so
 ``workers`` and ``supervision`` apply to it). Because a trial's stream
 depends only on ``(seed_root, seed_index)``, the scalar re-run is the
 same trial the scalar engine would have produced, not an

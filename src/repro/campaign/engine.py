@@ -1,7 +1,7 @@
 """The campaign executor: run a declared grid, skip what's done.
 
 :func:`execute` is the one way any experiment's trials reach
-:func:`repro.parallel.pmap`. Since the round-based refactor it is a
+:func:`repro.parallel.pmap_report`. Since the round-based refactor it is a
 thin wrapper: the campaign becomes the trivial one-round
 :class:`~repro.campaign.stream.TrialSource`
 (:class:`~repro.campaign.stream.GridSource`) and drains through
@@ -15,7 +15,7 @@ runs through :func:`run_round`, the one round executor, which:
 3. with a ``batch_fn``, advances the missing trials in-process as one
    lockstep group (:mod:`repro.campaign.batch`);
 4. runs every other missing trial (all of them without ``batch_fn``,
-   else the lanes that diverged) through one ``pmap`` call — each in a
+   else the lanes that diverged) through one ``pmap_report`` call — each in a
    worker with its own :func:`~repro.campaign.spec.trial_rng`
    generator and (when tracing) a fresh per-trial
    :class:`~repro.obs.TraceRecorder`;
@@ -57,7 +57,7 @@ def _execute_trial(payload):
 
     Returns ``(value, records)`` where ``records`` is the trial's
     trace (``None`` when tracing is off). The tracer is created here —
-    not by ``pmap`` — so the records can ride into the store and a
+    not by ``pmap_report`` — so the records can ride into the store and a
     resumed run can replay them without re-executing the trial.
     """
     fn, item, seed_root, seed_index, with_tracer = payload

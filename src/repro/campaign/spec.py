@@ -6,7 +6,7 @@ as a ``for`` loop inside each experiment module. Declaring the grid
 buys three things:
 
 * the engine (:mod:`repro.campaign.engine`) can run any campaign
-  through :func:`repro.parallel.pmap` with the same determinism
+  through :func:`repro.parallel.pmap_report` with the same determinism
   contract every experiment already relies on;
 * every trial gets a **stable fingerprint** — a SHA-256 over the
   canonical JSON of (campaign name, code-version salt, campaign
@@ -21,7 +21,7 @@ the seed stream is pinned by ``(seed_root, seed_index)`` alone (see
 scheme — keeps previously completed trials valid in the store.
 
 Trial functions are top-level callables ``fn(item, rng, tracer)``
-(picklable by qualified name, like :func:`repro.parallel.pmap` task
+(picklable by qualified name, like :func:`repro.parallel.pmap_report` task
 functions); ``rng`` is ``None`` for unseeded trials and ``tracer`` is
 ``None`` when tracing is off. They must return *reduced, JSON-safe*
 data — or the campaign supplies ``encode``/``decode`` hooks that

@@ -258,7 +258,7 @@ def execute_stream(
     Each round runs through the one round executor
     (:func:`~repro.campaign.engine.run_round`): store skip/persist per
     trial, the ``batch_fn`` lockstep group when given, supervision/
-    quarantine for every trial that runs in ``pmap``, per-round
+    quarantine for every trial that runs in ``pmap_report``, per-round
     metrics. Trace records are accumulated across rounds and merged
     into **one** file at the end, in round-major grid order — for a
     one-round stream that is byte-identical to the pre-stream trace

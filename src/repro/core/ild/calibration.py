@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ...errors import ConfigurationError
-from ...parallel import pmap
+from ...parallel import pmap_report
 from ...sim.telemetry import TelemetryTrace
 from .detector import IldConfig, IldDetector
 
@@ -111,7 +111,7 @@ def sweep_thresholds(
         for detector in detectors
         for labelled in labelled_traces
     ]
-    cell_scores = pmap(_score_task, grid, workers=workers)
+    cell_scores = pmap_report(_score_task, grid, workers=workers).values
     scores = []
     n_traces = len(labelled_traces)
     for t_index, threshold in enumerate(thresholds):

@@ -74,6 +74,12 @@ class StoreWriteError(ReproError):
     """
 
 
+class PoolTaskError(ReproError):
+    """A pooled task failed in a way that cannot re-raise as its own
+    exception: its worker process died mid-task, or the exception it
+    raised cannot cross the process boundary."""
+
+
 class HardwareDamagedError(SimulationError):
     """The simulated chip burned out (an SEL ran past the thermal limit)."""
 

@@ -279,7 +279,7 @@ def _evaluate_episode(
     Top-level (picklable) worker for :meth:`SelTestbench.evaluate`;
     detectors arrive as pickled copies under the pool, so their
     streaming state never leaks between episodes or processes. The
-    optional ``tracer`` (wired by ``pmap(trace_path=...)``) records the
+    optional ``tracer`` (wired by ``pmap_report(trace_path=...)``) records the
     SEL truth and is handed to every detector that carries an ``obs``
     attribute (the ILD pipeline instruments itself).
     """

@@ -14,7 +14,7 @@ per-craft trials and a fleet-level report, in four moves:
    trial stream samples latchups return
    :class:`~repro.campaign.Diverged` — they leave lockstep (power
    cycles, fine-tick detection episodes, deaths) and re-run through
-   the process pool (:func:`repro.parallel.pmap`). Both routes share
+   the process pool (:func:`repro.parallel.pmap_report`). Both routes share
    one campaign identity — same fingerprints, same
    :class:`TrialStore` entries — so the aggregate report is
    byte-identical at any worker count, batched or not, cold or

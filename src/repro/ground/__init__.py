@@ -4,14 +4,16 @@ PRs 4–5 made the simulated spacecraft dependable on unreliable
 hardware; this package applies the same discipline to the ground
 segment that actually runs the campaigns. Two layers:
 
-* :mod:`repro.ground.supervision` — a supervised replacement for the
-  worker pool underneath :func:`repro.parallel.pmap_report` and
-  :func:`repro.campaign.execute`: per-trial wall-clock timeouts,
-  bounded retry with **byte-identical reseeding** (a retried trial
-  that succeeds is indistinguishable from a first-try success),
-  crashed/hung-worker replacement, poison-trial quarantine (the
-  campaign completes with a manifest instead of dying), and graceful
-  degradation to serial execution when the pool is repeatedly lost.
+* :mod:`repro.ground.supervision` — the :class:`GroundPolicy` that
+  turns the one worker pool underneath
+  :func:`repro.parallel.pmap_report` and
+  :func:`repro.campaign.execute` from fail-fast into supervised:
+  per-trial wall-clock timeouts, bounded retry with **byte-identical
+  reseeding** (a retried trial that succeeds is indistinguishable
+  from a first-try success), crashed/hung-worker replacement,
+  poison-trial quarantine (the campaign completes with a manifest
+  instead of dying), and graceful degradation to serial execution
+  when the pool is repeatedly lost.
 * :mod:`repro.ground.chaos` — a deterministic host-fault chaos tier
   that proves the layer works: seeded scenarios inject worker crashes,
   hangs, transient exceptions, store bit-flips/truncations, and
@@ -39,7 +41,6 @@ from .supervision import (
     QuarantinedTask,
     QuarantinedTrial,
     quarantine_manifest,
-    supervised_pmap_report,
 )
 
 __all__ = [
@@ -54,5 +55,4 @@ __all__ = [
     "render_host_reports",
     "run_host_chaos",
     "run_host_scenario",
-    "supervised_pmap_report",
 ]

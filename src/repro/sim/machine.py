@@ -443,7 +443,7 @@ class SnapshotFactory:
     callable that stages inputs, trains state, etc.); every call then
     materialises an identical fresh machine from the captured
     snapshot. Because the factory is plain data it pickles into
-    :func:`repro.parallel.pmap` workers, so campaign trials can share
+    :func:`repro.parallel.pmap_report` workers, so campaign trials can share
     one warmed template instead of re-deriving it per trial.
     """
 

@@ -37,7 +37,6 @@ from repro.ground import (
     GroundPolicy,
     QuarantinedTrial,
     quarantine_manifest,
-    supervised_pmap_report,
 )
 from repro.obs import MetricsRegistry, read_trace
 from repro.obs.summarize import has_incident_chain, summarize_records
@@ -200,9 +199,9 @@ class TestSupervisedPmap:
     def test_ground_events_ride_into_the_trace(self, tmp_path):
         items = _items(3, tmp_path, bad=1, fail=1, kind="error")
         trace = tmp_path / "ground.jsonl"
-        report = supervised_pmap_report(
+        report = pmap_report(
             _faulty, items, seed=2, workers=2,
-            policy=GroundPolicy(**FAST), trace_path=str(trace),
+            supervision=GroundPolicy(**FAST), trace_path=str(trace),
         )
         names = [r.name for r in report.ground_events[1]]
         assert names == ["ground.trial_error", "ground.retry"]
@@ -479,9 +478,9 @@ class TestGroundObservability:
     def test_ground_events_open_an_incident_chain(self, tmp_path):
         items = _items(3, tmp_path, bad=1, fail=1, kind="error")
         trace = tmp_path / "t.jsonl"
-        supervised_pmap_report(
+        pmap_report(
             _faulty, items, seed=2, workers=2,
-            policy=GroundPolicy(**FAST), trace_path=str(trace),
+            supervision=GroundPolicy(**FAST), trace_path=str(trace),
         )
         records = [r for r in read_trace(str(trace)) if r.task == 1]
         assert has_incident_chain(records)

@@ -16,7 +16,7 @@ from repro.obs import (
 )
 from repro.obs.metrics import Histogram
 from repro.obs.summarize import has_incident_chain
-from repro.parallel import pmap
+from repro.parallel import pmap_report
 
 
 class _Clock:
@@ -284,11 +284,11 @@ class TestMergeDeterminism:
     def test_trace_bytes_identical_across_workers(self, tmp_path):
         serial_path = tmp_path / "serial.jsonl"
         pooled_path = tmp_path / "pooled.jsonl"
-        serial = pmap(_traced_task, range(12), seed=5, workers=1,
-                      trace_path=str(serial_path))
-        pooled = pmap(_traced_task, range(12), seed=5, workers=4,
-                      force_pool=True, trace_path=str(pooled_path))
-        assert serial == pooled
+        serial = pmap_report(_traced_task, range(12), seed=5, workers=1,
+                             trace_path=str(serial_path))
+        pooled = pmap_report(_traced_task, range(12), seed=5, workers=4,
+                             force_pool=True, trace_path=str(pooled_path))
+        assert serial.values == pooled.values
         assert serial_path.read_bytes() == pooled_path.read_bytes()
         assert {r.task for r in read_trace(serial_path)} == set(range(12))
 

@@ -1,12 +1,20 @@
 """Determinism contract of the parallel experiment engine."""
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PoolTaskError
+from repro.ground import GroundPolicy
 from repro.parallel import (
     ParallelReport,
-    pmap,
     pmap_report,
     resolve_workers,
     spawn_generators,
@@ -19,6 +27,31 @@ def _square(x):
 
 def _draw(item, rng):
     return item + float(rng.random())
+
+
+def _reject(x):
+    if x == 2:
+        raise ConfigurationError(f"bad item {x}")
+    return x
+
+
+class _TwoArgError(Exception):
+    """Pickles but cannot unpickle: ``__init__`` wants two arguments."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+def _reject_unportably(x):
+    if x == 1:
+        raise _TwoArgError("stuck in the worker", None)
+    return x
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the pool needs the fork start method",
+)
 
 
 class TestPrimitives:
@@ -46,7 +79,7 @@ class TestPrimitives:
 
 class TestPmap:
     def test_order_preserved(self):
-        assert pmap(_square, range(10)) == [x * x for x in range(10)]
+        assert pmap_report(_square, range(10)).values == [x * x for x in range(10)]
 
     def test_empty(self):
         report = pmap_report(_square, [])
@@ -54,12 +87,13 @@ class TestPmap:
         assert report.timings == ()
 
     def test_seeded_runs_repeat(self):
-        first = pmap(_draw, range(6), seed=7)
-        second = pmap(_draw, range(6), seed=7)
+        first = pmap_report(_draw, range(6), seed=7).values
+        second = pmap_report(_draw, range(6), seed=7).values
         assert first == second
 
     def test_seed_changes_values(self):
-        assert pmap(_draw, range(6), seed=7) != pmap(_draw, range(6), seed=8)
+        first = pmap_report(_draw, range(6), seed=7).values
+        assert first != pmap_report(_draw, range(6), seed=8).values
 
     def test_report_accounting(self):
         report = pmap_report(_draw, range(5), seed=1, workers=1)
@@ -79,6 +113,80 @@ class TestPmap:
         assert pooled.values == serial.values
         if pooled.mode == "fork-pool":  # may degrade where fork is absent
             assert pooled.workers == 4
+
+
+class TestFailures:
+    def test_trial_exception_same_serial_and_pool(self):
+        for kwargs in ({"workers": 1}, {"workers": 2, "force_pool": True}):
+            with pytest.raises(ConfigurationError, match=r"^bad item 2$"):
+                pmap_report(_reject, range(4), **kwargs)
+
+    def test_supervised_trial_exception_quarantines(self):
+        report = pmap_report(
+            _reject, range(4), workers=2,
+            supervision=GroundPolicy(max_attempts=1),
+        )
+        assert report.values == [0, 1, None, 3]
+        assert [q.to_dict() for q in report.quarantined] == [{
+            "index": 2,
+            "attempts": 1,
+            "error": "trial_error: ConfigurationError: bad item 2",
+        }]
+
+    @needs_fork
+    def test_unportable_exception_names_the_task(self):
+        with pytest.raises(
+            PoolTaskError,
+            match=r"^task 1: trial_error: _TwoArgError: stuck in the worker$",
+        ):
+            pmap_report(_reject_unportably, range(4), workers=2, force_pool=True)
+
+    @needs_fork
+    def test_lost_worker_raises_and_leaves_no_child(self):
+        # Run in a subprocess with its own deadline: an executor that
+        # hangs on a dead worker fails this test in seconds, not never.
+        script = textwrap.dedent("""
+            import os, time
+            from repro.errors import PoolTaskError
+            from repro.parallel import pmap_report
+
+            def die_on_three(x):
+                if x == 3:
+                    os._exit(1)
+                return x
+
+            started = time.perf_counter()
+            try:
+                pmap_report(die_on_three, range(8), workers=2, force_pool=True)
+            except PoolTaskError as exc:
+                print("raised:", exc)
+            print("seconds:", time.perf_counter() - started)
+            try:
+                os.waitpid(-1, os.WNOHANG)
+                print("children: left behind")
+            except ChildProcessError:
+                print("children: none")
+        """)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, env=env,
+            start_new_session=True,
+        )
+        try:
+            stdout, stderr = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the workers too
+            proc.communicate()
+            pytest.fail("pmap_report hung on a dead worker")
+        assert proc.returncode == 0, stderr
+        lines = stdout.splitlines()
+        assert lines[0] == (
+            "raised: task 3: worker_crash: worker process died mid-trial"
+        )
+        assert float(lines[1].split()[1]) < 10.0
+        assert lines[2] == "children: none"
 
 
 @pytest.mark.slow
