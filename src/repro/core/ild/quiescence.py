@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ...errors import ConfigurationError
-from ...sim.perfcounters import CounterFrame
+from ...sim.perfcounters import CounterFrame, sum_cores
 from ...sim.telemetry import ActivitySegment, quiescent_segment
 
 
@@ -38,7 +38,7 @@ class QuiescenceDetector:
 
     def mask(self, frame: CounterFrame) -> np.ndarray:
         """Per-tick quiescence from aggregate instruction rate."""
-        total = frame.instruction_rate.sum(axis=1)
+        total = sum_cores(frame.instruction_rate)
         capacity = self.max_instruction_rate * frame.n_cores
         return total < self.utilization_threshold * capacity
 

@@ -45,13 +45,24 @@ class RollingMinimumFilter:
         return minimum_filter1d(samples, size=self.window, mode="nearest")
 
     def per_tick(self, fine_samples: np.ndarray, samples_per_tick: int) -> np.ndarray:
-        """Filter, then decimate to one value per metric tick (the
-        filtered sample at each tick's center)."""
+        """The filtered sample at each metric tick's center: the bytes of
+        ``apply(fine_samples)[samples_per_tick // 2 :: samples_per_tick]``,
+        with the minimum taken only at those centres (over one strided
+        slice of the edge-padded stream per window offset)."""
         if samples_per_tick <= 0:
             raise ConfigurationError("samples_per_tick must be positive")
-        filtered = self.apply(fine_samples)
+        samples = np.asarray(fine_samples, dtype=float)
+        if samples.ndim != 1:
+            raise ConfigurationError("expected a 1-D sample stream")
         center = samples_per_tick // 2
-        return filtered[center::samples_per_tick]
+        if len(samples) <= center:
+            return np.empty(0)
+        padded = np.pad(samples, self.halfwidth, mode="edge")
+        stop = center + len(range(center, len(samples), samples_per_tick)) * samples_per_tick
+        out = padded[center:stop:samples_per_tick].copy()
+        for offset in range(1, self.window):
+            np.minimum(out, padded[center + offset : stop + offset : samples_per_tick], out=out)
+        return out
 
     def noise_reduction(self, samples: np.ndarray) -> "tuple[float, float]":
         """(raw σ, filtered σ) — the paper's 0.14 A -> 0.02 A check."""

@@ -60,9 +60,10 @@ class OndemandGovernor:
     def steady_state_freq_array(self, utilization: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`steady_state_freq` for telemetry generation."""
         levels = np.asarray(self.spec.freq_levels)
-        utilization = np.asarray(utilization, dtype=float)
-        span = (utilization - self.down_threshold) / (
-            self.up_threshold - self.down_threshold
-        )
-        index = np.clip(np.round(span * (len(levels) - 1)), 0, len(levels) - 1)
-        return levels[index.astype(int)]
+        index = np.array(utilization, dtype=float)  # the one working buffer
+        index -= self.down_threshold
+        index /= self.up_threshold - self.down_threshold
+        index *= len(levels) - 1
+        np.round(index, out=index)
+        np.clip(index, 0, len(levels) - 1, out=index)
+        return levels.take(index.astype(np.intp))

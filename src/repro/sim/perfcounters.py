@@ -10,8 +10,6 @@ provides adapters from the functional machine's raw PMU counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import ConfigurationError
@@ -45,88 +43,96 @@ def n_features(n_cores: int) -> int:
     return n_cores * len(PER_CORE_METRICS) + len(GLOBAL_METRICS)
 
 
-@dataclass
-class CounterFrame:
-    """One sampling interval's worth of Table 1 metrics.
+def sum_cores(per_core: np.ndarray) -> np.ndarray:
+    """Sum over the trailing (core) axis, adding the columns left to
+    right: the same bytes as ``per_core.sum(axis=-1)`` for fewer than
+    eight cores (numpy's pairwise summation starts at eight), without
+    numpy's per-row reduction loop."""
+    total = np.positive(per_core[..., 0])  # a copy; a scalar for 1-D input
+    for column in range(1, per_core.shape[-1]):
+        total += per_core[..., column]
+    return total
 
-    Per-core arrays have shape ``(n_ticks, n_cores)``; global arrays
-    have shape ``(n_ticks,)``. Rates are per second; ``cpu_freq`` is in
-    Hz; ``cache_hit_rate``/``branch_miss_rate`` are ratios in [0, 1];
-    disk IO columns are IOs per second.
+
+#: Rows per block when :meth:`CounterFrame.pack` interleaves metrics.
+_PACK_ROWS = 2048
+
+
+def _view(name: str) -> property:
+    """A named metric as a view into :attr:`CounterFrame.matrix`."""
+    if name in GLOBAL_METRICS:
+        column = GLOBAL_METRICS.index(name) - len(GLOBAL_METRICS)
+        return property(lambda self: self.matrix[:, column])
+    first, step = PER_CORE_METRICS.index(name), len(PER_CORE_METRICS)
+    return property(lambda self: self.matrix[:, first : self.n_cores * step : step])
+
+
+class CounterFrame:
+    """Table 1 metrics over ``n_ticks`` sampling intervals.
+
+    The frame is one C-contiguous float64 ``matrix`` of shape
+    ``(n_ticks, n_features)`` in :func:`feature_names` column order.
+    The seven named metrics are views into it: a per-core metric is an
+    ``(n_ticks, n_cores)`` stride over the core blocks, a global one an
+    ``(n_ticks,)`` column. Rates are per second; ``cpu_freq`` is in Hz;
+    ``cache_hit_rate``/``branch_miss_rate`` are ratios in [0, 1]; disk
+    IO columns are IOs per second.
     """
 
-    instruction_rate: np.ndarray
-    branch_miss_rate: np.ndarray
-    cpu_freq: np.ndarray
-    bus_cycle_rate: np.ndarray
-    cache_hit_rate: np.ndarray
-    disk_read_ios: np.ndarray
-    disk_write_ios: np.ndarray
+    instruction_rate = _view("instruction_rate")
+    branch_miss_rate = _view("branch_miss_rate")
+    cpu_freq = _view("cpu_freq")
+    bus_cycle_rate = _view("bus_cycle_rate")
+    cache_hit_rate = _view("cache_hit_rate")
+    disk_read_ios = _view("disk_read_ios")
+    disk_write_ios = _view("disk_write_ios")
 
-    def __post_init__(self) -> None:
-        shape = self.instruction_rate.shape
-        for name in ("branch_miss_rate", "cpu_freq", "bus_cycle_rate", "cache_hit_rate"):
-            if getattr(self, name).shape != shape:
-                raise ConfigurationError(f"{name} shape {getattr(self, name).shape} != {shape}")
-        for name in ("disk_read_ios", "disk_write_ios"):
-            if getattr(self, name).shape != (shape[0],):
-                raise ConfigurationError(f"{name} must have shape ({shape[0]},)")
+    def __init__(self, matrix: np.ndarray) -> None:
+        per_core = matrix.shape[-1] - len(GLOBAL_METRICS)
+        if (matrix.ndim != 2 or matrix.dtype != np.float64 or not matrix.flags.c_contiguous
+                or per_core <= 0 or per_core % len(PER_CORE_METRICS)):
+            raise ConfigurationError(
+                f"need a C-contiguous float64 (n_ticks, n_features) counter matrix, "
+                f"got {matrix.dtype} {matrix.shape}"
+            )
+        self.matrix = matrix
+
+    @classmethod
+    def pack(cls, **metrics: np.ndarray) -> "CounterFrame":
+        """Copy one array per metric name into a new frame."""
+        n_ticks, n_cores = np.shape(metrics["instruction_rate"])
+        frame = cls(np.empty((n_ticks, n_features(n_cores))))
+        pairs = [(getattr(frame, name), metrics.pop(name))
+                 for name in PER_CORE_METRICS + GLOBAL_METRICS]
+        if metrics or any(np.shape(values) != view.shape for view, values in pairs):
+            raise ConfigurationError("pack takes one array per metric, shaped as its view")
+        # Row blocks that stay in cache: each matrix line goes to memory
+        # once, not once per metric.
+        for lo in range(0, n_ticks, _PACK_ROWS):
+            for view, values in pairs:
+                view[lo : lo + _PACK_ROWS] = values[lo : lo + _PACK_ROWS]
+        return frame
 
     @property
     def n_ticks(self) -> int:
-        return self.instruction_rate.shape[0]
+        return self.matrix.shape[0]
 
     @property
     def n_cores(self) -> int:
-        return self.instruction_rate.shape[1]
+        return (self.matrix.shape[1] - len(GLOBAL_METRICS)) // len(PER_CORE_METRICS)
 
     def feature_matrix(self) -> np.ndarray:
-        """Stack into the canonical ``(n_ticks, n_features)`` layout."""
-        per_core = np.stack(
-            [
-                self.instruction_rate,
-                self.branch_miss_rate,
-                self.cpu_freq,
-                self.bus_cycle_rate,
-                self.cache_hit_rate,
-            ],
-            axis=2,
-        )  # (ticks, cores, metrics)
-        flat = per_core.reshape(self.n_ticks, -1)
-        return np.concatenate(
-            [flat, self.disk_read_ios[:, None], self.disk_write_ios[:, None]], axis=1
-        )
-
-    def total_utilization(self, max_rate_per_core: float) -> np.ndarray:
-        """Aggregate CPU load proxy in [0, n_cores] used for quiescence."""
-        if max_rate_per_core <= 0:
-            raise ConfigurationError("max_rate_per_core must be positive")
-        return self.instruction_rate.sum(axis=1) / max_rate_per_core
+        """The ``(n_ticks, n_features)`` matrix itself, not a copy."""
+        return self.matrix
 
     def slice(self, mask: np.ndarray) -> "CounterFrame":
-        return CounterFrame(
-            self.instruction_rate[mask],
-            self.branch_miss_rate[mask],
-            self.cpu_freq[mask],
-            self.bus_cycle_rate[mask],
-            self.cache_hit_rate[mask],
-            self.disk_read_ios[mask],
-            self.disk_write_ios[mask],
-        )
+        return CounterFrame(np.ascontiguousarray(self.matrix[mask]))
 
     @staticmethod
     def concatenate(frames: "list[CounterFrame]") -> "CounterFrame":
         if not frames:
             raise ConfigurationError("cannot concatenate zero frames")
-        return CounterFrame(
-            np.concatenate([f.instruction_rate for f in frames]),
-            np.concatenate([f.branch_miss_rate for f in frames]),
-            np.concatenate([f.cpu_freq for f in frames]),
-            np.concatenate([f.bus_cycle_rate for f in frames]),
-            np.concatenate([f.cache_hit_rate for f in frames]),
-            np.concatenate([f.disk_read_ios for f in frames]),
-            np.concatenate([f.disk_write_ios for f in frames]),
-        )
+        return CounterFrame(np.concatenate([f.matrix for f in frames]))
 
 
 class PerfCounterSampler:
@@ -153,28 +159,23 @@ class PerfCounterSampler:
         """Rates since the previous sample, attributed to one tick."""
         if interval_seconds <= 0:
             raise ConfigurationError("interval must be positive")
-        n = len(self._cores)
-        instr = np.zeros((1, n))
-        miss = np.zeros((1, n))
-        freq = np.zeros((1, n))
-        bus = np.zeros((1, n))
-        hit = np.zeros((1, n))
+        frame = CounterFrame(np.zeros((1, n_features(len(self._cores)))))
         for i, core in enumerate(self._cores):
             delta = core.counters.delta(self._snapshots[i])
             self._snapshots[i] = core.counters.snapshot()
-            instr[0, i] = delta.instructions / interval_seconds
-            bus[0, i] = delta.bus_cycles / interval_seconds
-            freq[0, i] = core.freq
-            miss[0, i] = (
+            frame.instruction_rate[0, i] = delta.instructions / interval_seconds
+            frame.bus_cycle_rate[0, i] = delta.bus_cycles / interval_seconds
+            frame.cpu_freq[0, i] = core.freq
+            frame.branch_miss_rate[0, i] = (
                 delta.branch_misses / delta.branches if delta.branches else 0.0
             )
-            hit[0, i] = (
+            frame.cache_hit_rate[0, i] = (
                 delta.cache_hits / delta.cache_references
                 if delta.cache_references
                 else 1.0
             )
-        reads = np.array([self._disk_read_ios / interval_seconds])
-        writes = np.array([self._disk_write_ios / interval_seconds])
+        frame.disk_read_ios[0] = self._disk_read_ios / interval_seconds
+        frame.disk_write_ios[0] = self._disk_write_ios / interval_seconds
         self._disk_read_ios = 0
         self._disk_write_ios = 0
-        return CounterFrame(instr, miss, freq, bus, hit, reads, writes)
+        return frame

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
+from .perfcounters import sum_cores
 
 
 @dataclass(frozen=True)
@@ -55,15 +56,6 @@ class PowerModel:
             raise ConfigurationError("max_freq must be positive")
         self.max_freq = max_freq
 
-    def core_current(self, utilization, freq) -> np.ndarray:
-        """Current of one core (vectorized over arrays)."""
-        p = self.params
-        utilization = np.clip(np.asarray(utilization, dtype=float), 0.0, 1.0)
-        rel_freq = np.asarray(freq, dtype=float) / self.max_freq
-        dynamic = p.core_max_current * utilization * rel_freq**p.freq_exponent
-        static = p.static_freq_current * rel_freq
-        return dynamic + static
-
     def board_current(
         self,
         core_utilization: np.ndarray,
@@ -79,12 +71,21 @@ class PowerModel:
         leading axes.
         """
         p = self.params
-        per_core = self.core_current(core_utilization, core_freq)
-        total = p.idle_current + per_core.sum(axis=-1)
-        util_mean = np.clip(np.asarray(core_utilization, dtype=float), 0, 1).mean(axis=-1)
-        total = total + p.dram_current_per_gbs * np.asarray(dram_gbs, dtype=float)
-        total = total + p.disk_current_per_kiops * np.asarray(disk_iops, dtype=float) / 1e3
-        total = total + p.branch_miss_current * np.asarray(branch_miss_rate, dtype=float) * util_mean
+        util = np.clip(np.asarray(core_utilization, dtype=float), 0.0, 1.0)
+        util_mean = sum_cores(util) / util.shape[-1]
+        # Per-core current, in place in ``util``: dynamic
+        # (max current * util * rel_freq ** exponent) + static.
+        rel_freq = np.asarray(core_freq, dtype=float) / self.max_freq
+        util *= p.core_max_current
+        util *= rel_freq**p.freq_exponent
+        rel_freq *= p.static_freq_current
+        util += rel_freq
+        total = sum_cores(util)
+        total += p.idle_current
+        total += p.dram_current_per_gbs * np.asarray(dram_gbs, dtype=float)
+        total += p.disk_current_per_kiops * np.asarray(disk_iops, dtype=float) / 1e3
+        miss = np.asarray(branch_miss_rate, dtype=float)
+        total += p.branch_miss_current * miss * util_mean
         return total
 
     def quiescent_current(self, n_cores: int, min_freq: float) -> float:

@@ -53,16 +53,21 @@ class CurrentSensor:
         self.params = params or SensorParams()
 
     def sample(self, true_current: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Measure an array of true currents (one sensor sample each)."""
+        """Measure an array of true currents (one sensor sample each)
+        into a new array; ``true_current`` may be a broadcast view."""
         p = self.params
         true_current = np.asarray(true_current, dtype=float)
-        measured = true_current + rng.normal(0.0, p.noise_sigma, true_current.shape)
+        measured = rng.normal(0.0, p.noise_sigma, true_current.shape)
+        measured += true_current
         spikes = rng.random(true_current.shape) < p.spike_probability
         if spikes.any():
             magnitude = rng.uniform(p.spike_min, p.spike_max, int(spikes.sum()))
             measured[spikes] += magnitude
-        measured = np.maximum(measured, 0.0)
-        return np.round(measured / p.lsb) * p.lsb
+        np.maximum(measured, 0.0, out=measured)
+        measured /= p.lsb
+        np.round(measured, out=measured)
+        measured *= p.lsb
+        return measured
 
     def oversample(
         self,
@@ -80,5 +85,6 @@ class CurrentSensor:
         """
         if samples_per_tick <= 0:
             raise ConfigurationError("samples_per_tick must be positive")
-        fine = np.repeat(np.asarray(tick_current, dtype=float), samples_per_tick)
-        return self.sample(fine, rng)
+        column = np.asarray(tick_current, dtype=float).reshape(-1, 1)
+        held = np.broadcast_to(column, (len(column), samples_per_tick))
+        return self.sample(held, rng).reshape(-1)

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from .dvfs import OndemandGovernor
-from .perfcounters import CounterFrame
+from .perfcounters import CounterFrame, sum_cores
 from .power import PowerModel
 from .sensor import CurrentSensor
 
@@ -214,7 +214,7 @@ class TraceGenerator:
         disk_w = np.empty(n_ticks)
         quiescent = np.zeros(n_ticks, dtype=bool)
         labels = np.empty(n_ticks, dtype=np.int32)
-        freq_override = np.full(n_ticks, np.nan)
+        pinned: list = []  # (rows, frequency) of freq_override segments
         label_names: list = []
 
         row = 0
@@ -226,23 +226,16 @@ class TraceGenerator:
                     f"machine has {n_cores} cores"
                 )
             base = np.asarray(seg.core_util)
-            util[sl] = np.clip(
-                base + rng.normal(0, seg.util_jitter, (count, n_cores)), 0, 1
-            )
-            miss[sl] = np.clip(
-                seg.branch_miss_rate + rng.normal(0, 0.004, (count, n_cores)), 0, 1
-            )
-            hit[sl] = np.clip(
-                seg.cache_hit_rate + rng.normal(0, 0.006, (count, n_cores)), 0, 1
-            )
-            dram[sl] = np.maximum(
-                seg.dram_gbs + rng.normal(0, 0.02 + 0.05 * seg.dram_gbs, count), 0
-            )
-            disk_r[sl] = self._poisson_rate(seg.disk_read_iops, count, rng)
-            disk_w[sl] = self._poisson_rate(seg.disk_write_iops, count, rng)
+            shape = (count, n_cores)
+            np.clip(base + rng.normal(0, seg.util_jitter, shape), 0, 1, out=util[sl])
+            np.clip(seg.branch_miss_rate + rng.normal(0, 0.004, shape), 0, 1, out=miss[sl])
+            np.clip(seg.cache_hit_rate + rng.normal(0, 0.006, shape), 0, 1, out=hit[sl])
+            np.maximum(seg.dram_gbs + rng.normal(0, 0.02 + 0.05 * seg.dram_gbs, count), 0, out=dram[sl])
+            self._poisson_rate(seg.disk_read_iops, disk_r[sl], rng)
+            self._poisson_rate(seg.disk_write_iops, disk_w[sl], rng)
             quiescent[sl] = seg.quiescent
             if seg.freq_override is not None:
-                freq_override[sl] = seg.freq_override
+                pinned.append((sl, seg.freq_override))
             if seg.label not in label_names:
                 label_names.append(seg.label)
             labels[sl] = label_names.index(seg.label)
@@ -253,35 +246,38 @@ class TraceGenerator:
             row += count
 
         freq = self.governor.steady_state_freq_array(util)
-        pinned = ~np.isnan(freq_override)
-        if pinned.any():
-            freq[pinned] = freq_override[pinned, None]
-        instr_rate = util * self._ipc * freq
-        instr_rate *= np.clip(rng.normal(1.0, 0.02, instr_rate.shape), 0.85, 1.15)
-        bus_rate = instr_rate * self._bus_per_instr
+        for sl, frequency in pinned:
+            freq[sl] = frequency
+        true_current = self.power_model.board_current(
+            util, freq, dram_gbs=dram, disk_iops=disk_r + disk_w,
+            branch_miss_rate=sum_cores(miss) / n_cores,
+        )
+        true_current += extra_baseline_amps
 
-        counters = CounterFrame(
+        # util is spent: scale it in place into the instruction rate.
+        instr_rate = util
+        instr_rate *= self._ipc
+        instr_rate *= freq
+        jitter = rng.normal(1.0, 0.02, instr_rate.shape)
+        instr_rate *= np.clip(jitter, 0.85, 1.15, out=jitter)
+        counters = CounterFrame.pack(
             instruction_rate=instr_rate,
             branch_miss_rate=miss,
             cpu_freq=freq,
-            bus_cycle_rate=bus_rate,
+            bus_cycle_rate=np.multiply(instr_rate, self._bus_per_instr, out=jitter),
             cache_hit_rate=hit,
             disk_read_ios=disk_r,
             disk_write_ios=disk_w,
         )
-
-        true_current = self.power_model.board_current(
-            util, freq, dram_gbs=dram, disk_iops=disk_r + disk_w,
-            branch_miss_rate=miss.mean(axis=1),
-        )
-        true_current = true_current + extra_baseline_amps
+        # Packed: free the per-metric arrays before the sensor draws.
+        del util, instr_rate, miss, hit, freq, jitter
 
         sel_delta = np.zeros(n_ticks)
         if current_steps:
             times = (np.arange(n_ticks) + 0.5) * cfg.tick
             for step in current_steps:
                 sel_delta[step.active_mask(times)] += step.delta_amps
-        true_current = true_current + sel_delta
+        true_current += sel_delta
 
         fine = self.sensor.oversample(true_current, cfg.samples_per_tick, rng)
         return TelemetryTrace(
@@ -296,14 +292,12 @@ class TraceGenerator:
             start_time=start_time,
         )
 
-    def _poisson_rate(
-        self, iops: float, count: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Per-tick IO rates: Poisson counts per tick scaled to IOs/s."""
+    def _poisson_rate(self, iops: float, out: np.ndarray, rng: np.random.Generator) -> None:
+        """Per-tick IO rates into ``out``: Poisson counts per tick scaled to IOs/s."""
         if iops <= 0:
-            return np.zeros(count)
-        lam = iops * self.config.tick
-        return rng.poisson(lam, count) / self.config.tick
+            out.fill(0.0)
+        else:
+            np.divide(rng.poisson(iops * self.config.tick, len(out)), self.config.tick, out=out)
 
     def _inject_housekeeping(
         self,
