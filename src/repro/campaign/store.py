@@ -224,7 +224,9 @@ class TrialStore:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, sort_keys=True, separators=(",", ":"))
+                # One string, one write: ``json.dump`` streams through
+                # the pure-Python encoder in small chunks.
+                fh.write(json.dumps(entry, sort_keys=True, separators=(",", ":")))
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)

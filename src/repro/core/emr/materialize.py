@@ -72,6 +72,15 @@ class MaterializedWorkload:
         self.disk_read_seconds = 0.0
         self.disk_ios = 0
         self._stage_all()
+        # Per dataset, worked out once: each role's ref and whether it
+        # is replicated, and the lines flush_job_regions drops.
+        self._fetch_plans: "dict[int, dict[str, tuple[RegionRef, bool]]]" = {}
+        self._flush_plans: "dict[int, tuple[int, ...]]" = {}
+        for ds in spec.datasets:
+            roles = {role: (ref, ref in plan.replicated) for role, ref in ds.regions.items()}
+            self._fetch_plans[ds.index] = roles
+            if frontier is Frontier.DRAM:
+                self._flush_plans[ds.index] = self._lines_to_flush(roles.values())
 
     # ------------------------------------------------------------------
     # Staging
@@ -194,9 +203,8 @@ class MaterializedWorkload:
         return {role: self._fetch_into(job, role, counts) for role in job.dataset.regions}
 
     def _fetch_into(self, job: Job, role: str, counts: FetchResult) -> bytes:
-        ref = job.dataset.regions[role]
+        ref, replicated = self._fetch_plans[job.dataset.index][role]
         offset, length = job.pointers[role]
-        replicated = ref in self.plan.replicated
         if self.frontier is Frontier.DRAM:
             if replicated:
                 # Pointer into the copy is copy-relative.
@@ -255,13 +263,20 @@ class MaterializedWorkload:
         in one pass per cache level over the union of their lines."""
         if self.frontier is not Frontier.DRAM:
             return 0
+        return self.machine.caches.flush_lines(
+            self._flush_plans[job.dataset.index], group=job.group
+        )
+
+    def _lines_to_flush(self, roles) -> "tuple[int, ...]":
+        """The union of the DRAM lines of the non-replicated ``roles``
+        (``(ref, replicated)`` pairs), sorted."""
         line = self._line
         lines: "set[int]" = set()
-        for ref in job.dataset.regions.values():
-            if ref.length and ref not in self.plan.replicated:
+        for ref, replicated in roles:
+            if not replicated:
                 addr = self._blob_regions[ref.blob].addr + ref.offset
                 lines.update(range(addr // line, (addr + ref.length - 1) // line + 1))
-        return self.machine.caches.flush_lines(lines, group=job.group)
+        return tuple(sorted(lines))
 
     def end_of_jobset(self) -> None:
         """Barrier hygiene for the storage frontier: drop staged pages."""

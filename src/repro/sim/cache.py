@@ -310,11 +310,6 @@ class CacheHierarchy:
     def n_groups(self) -> int:
         return len(self.l1)
 
-    def _fill_from_memory(self, line_index: int) -> bytes:
-        addr = line_index * self.line_size
-        n = min(self.line_size, self.memory.size - addr)
-        return self.memory.read(addr, n)
-
     def read(
         self, addr: int, n: int, group: int, trace: "AccessTrace | None" = None
     ) -> tuple[bytes, AccessTrace]:
@@ -323,27 +318,44 @@ class CacheHierarchy:
         Where each line was served from is added to ``trace`` (a fresh
         one by default), and only once the whole read succeeded, so a
         caller can pass one accumulator to a series of reads.
+
+        Each level is probed inline, as :meth:`Cache.lookup` would:
+        stats count per line, so a read that raises partway leaves the
+        counts of the lines before the failing one.
         """
         if trace is None:
             trace = AccessTrace()
         if n == 0:
             return b"", trace
-        l1 = self.l1[group]
-        first = addr // self.line_size
-        last = (addr + n - 1) // self.line_size
+        l1, l2, memory, ecc = self.l1[group], self.l2, self.memory, self.has_ecc
+        l1_lines, l2_lines = l1._lines, l2._lines
+        line_size = self.line_size
+        first = addr // line_size
+        last = (addr + n - 1) // line_size
         l1_hits = l2_hits = fills = 0
         parts: "list[bytearray]" = []
         for line_index in range(first, last + 1):
-            data = l1.lookup(line_index)
+            data = l1_lines.get(line_index)
             if data is not None:
+                l1_lines.move_to_end(line_index)
+                l1.stats.hits += 1
+                if ecc and line_index in l1._dirty:
+                    l1._correct_line(line_index, data)
                 l1_hits += 1
             else:
-                data = self.l2.lookup(line_index)
+                l1.stats.misses += 1
+                data = l2_lines.get(line_index)
                 if data is not None:
+                    l2_lines.move_to_end(line_index)
+                    l2.stats.hits += 1
+                    if ecc and line_index in l2._dirty:
+                        l2._correct_line(line_index, data)
                     l2_hits += 1
                 else:
-                    fresh = self._fill_from_memory(line_index)
-                    data = self.l2.fill(line_index, fresh)
+                    l2.stats.misses += 1
+                    line_addr = line_index * line_size
+                    fresh = memory.read(line_addr, min(line_size, memory.size - line_addr))
+                    data = l2.fill(line_index, fresh)
                     fills += 1
                 # L1 copies the (possibly corrupted) L2 line: corruption
                 # in the shared level propagates to private levels.
@@ -352,7 +364,7 @@ class CacheHierarchy:
         trace.l1_hits += l1_hits
         trace.l2_hits += l2_hits
         trace.memory_fills += fills
-        start = addr - first * self.line_size
+        start = addr - first * line_size
         if first == last:
             return bytes(memoryview(parts[0])[start : start + n]), trace
         return b"".join(parts)[start : start + n], trace

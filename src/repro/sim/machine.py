@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import weakref
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -177,7 +178,10 @@ class Machine:
         self.fault_surface.register("flash", self.storage)
         for core in self.cores:
             self.fault_surface.register(f"core{core.core_id}", core)
-        self.clock.on_reset(self._pending_state)
+        # Held weakly: a clock that kept its machine alive would leave
+        # every dropped trial Machine to the cyclic GC.
+        pending_state = weakref.WeakMethod(self._pending_state)
+        self.clock.on_reset(lambda: (guard := pending_state()) and guard())
 
     # ------------------------------------------------------------------
     # Topology

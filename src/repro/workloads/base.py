@@ -29,9 +29,13 @@ from ..errors import ConfigurationError, WorkloadError
 from ..sim.telemetry import ActivitySegment
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionRef:
-    """A blob-relative input region. Equal refs = shared data."""
+    """A blob-relative input region. Equal refs = shared data.
+
+    The hash is computed once, as ``hash((blob, offset, length))`` (so
+    frozenset order, and every staging address, follows it as before).
+    A ref never equals a plain tuple."""
 
     blob: str
     offset: int
@@ -42,6 +46,22 @@ class RegionRef:
             raise ConfigurationError(
                 f"region {self.blob}[{self.offset}:{self.offset + self.length}] invalid"
             )
+        key = (self.blob, self.offset, self.length)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: rebuild, never carry
+        # ``_hash`` across a pickle.
+        return RegionRef, self._key
 
     @property
     def end(self) -> int:

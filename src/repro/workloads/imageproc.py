@@ -200,10 +200,8 @@ class ImageProcessingWorkload(Workload):
 
     def run_job(self, inputs: "dict[str, bytes]", params: "dict[str, object]") -> bytes:
         n = int(params["n"])
-        rows = [
-            np.frombuffer(inputs[f"row{r}"], dtype=np.uint8) for r in range(n)
-        ]
-        window = np.stack(rows)
+        rows = b"".join([inputs[f"row{r}"] for r in range(n)])
+        window = np.frombuffer(rows, dtype=np.uint8).reshape(n, n)
         template = np.frombuffer(inputs["template"], dtype=np.uint8).reshape(n, n)
         ncc, sad = match_scores(window, template)
         return struct.pack("<ddII", ncc, sad, int(params["row"]), int(params["col"]))

@@ -165,6 +165,15 @@ class TestTrialStore:
         assert len(store) == 1
         assert store.fingerprints() == [fp]
 
+    def test_entry_file_is_one_compact_sorted_dump(self, tmp_path):
+        store = TrialStore(tmp_path)
+        fp = "ef" + "2" * 62
+        store.put(fp, {"schema": STORE_SCHEMA, "result": {"b": [1.5, "é"], "a": None}})
+        entry = store.get(fp)
+        assert store.path(fp).read_text(encoding="utf-8") == json.dumps(
+            entry, sort_keys=True, separators=(",", ":")
+        )
+
     def test_absent_and_corrupt_and_stale_are_none(self, tmp_path):
         store = TrialStore(tmp_path)
         fp = "cd" + "1" * 62

@@ -7,7 +7,9 @@ attached-component consistency, the clock reset guard) and the
 ``SnapshotFactory`` cloning path campaigns use.
 """
 
+import gc
 import pickle
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,16 @@ class TestGuardRails:
         with pytest.raises(SimulationError, match="pending component state"):
             machine.clock.reset()
         machine.clock.reset(force=True)
+
+    def test_dropped_machine_is_freed_without_the_cyclic_gc(self):
+        machine, _ = _prepared_machine()
+        ref = weakref.ref(machine)
+        gc.disable()
+        try:
+            del machine
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_clock_reset_allowed_on_pristine_machine(self):
         machine = Machine.rpi_zero2w()

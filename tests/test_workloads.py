@@ -1,10 +1,15 @@
 """Tests for workload specs, image matching, DNN, matmul, registry."""
 
+import os
+import pickle
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import ConfigurationError, WorkloadError
 from repro.workloads import (
     ALL_WORKLOADS,
@@ -42,6 +47,32 @@ class TestRegionRef:
     def test_line_range(self):
         assert RegionRef("x", 60, 10).line_range(64) == (0, 1)
         assert RegionRef("x", 64, 64).line_range(64) == (1, 1)
+
+    def test_hash_is_the_field_tuple_hash(self):
+        # Frozenset iteration order (and so staging addresses) follows it.
+        ref = RegionRef("map", 48, 12)
+        assert hash(ref) == hash(("map", 48, 12))
+        assert hash(pickle.loads(pickle.dumps(ref))) == hash(ref)
+
+    def test_unpickled_ref_hashes_under_its_own_process_seed(self):
+        payload = pickle.dumps({RegionRef("map", 48, 12): 1})
+        code = (
+            "import pickle, sys; from repro.workloads import RegionRef; "
+            "d = pickle.loads(sys.stdin.buffer.read()); "
+            "assert d[RegionRef('map', 48, 12)] == 1; "
+            "assert hash(next(iter(d))) == hash(('map', 48, 12))"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], input=payload, env=env, check=True)
+
+    def test_equality_is_by_fields_and_never_with_tuples(self):
+        ref = RegionRef("map", 48, 12)
+        assert ref == RegionRef("map", 48, 12)
+        assert ref != RegionRef("map", 48, 13)
+        assert ref != ("map", 48, 12) and ("map", 48, 12) != ref
+        assert pickle.loads(pickle.dumps(ref)) == ref
+        assert repr(ref) == "RegionRef(blob='map', offset=48, length=12)"
 
     def test_invalid(self):
         with pytest.raises(ConfigurationError):
