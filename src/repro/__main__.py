@@ -905,8 +905,9 @@ COMMANDS = (
      ()),
     ("fleet run", _cmd_fleet_run, "simulate (or resume) the whole fleet",
      ("--spec", "--store",
-      ("--workers", {"help": "worker processes for craft that leave batch "
-                             "lockstep (reports identical at any value)"}),
+      ("--workers", {"help": "worker processes for the lockstep band "
+                             "groups and for craft that leave lockstep "
+                             "(reports identical at any value)"}),
       "--report", "--no-batch", "--metrics", "--supervised", "--timeout")),
     ("fleet status", _cmd_fleet_status,
      "completed vs pending trials, without running",

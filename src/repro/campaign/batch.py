@@ -4,9 +4,13 @@
 structure-of-arrays backend (:mod:`repro.sim.batch`). Where
 :func:`repro.campaign.engine.execute` hands each trial to a worker
 process, ``execute_batched`` hands the pending trials to one
-``batch_fn(items, rngs)`` call that advances all of them in lockstep —
-one :class:`~repro.sim.batch.BatchMachines` sweep instead of N scalar
-tick loops. Both go through the one round executor,
+``batch_fn(items, rngs)`` call per lockstep group that advances the
+group's lanes in lockstep — one :class:`~repro.sim.batch.BatchMachines`
+sweep instead of N scalar tick loops. Without a
+``batch_fn.lockstep_key`` the round's pending trials are one group,
+run in-process; with one (a top-level ``key(item)``), they are grouped
+by key and the groups run as fail-fast pool tasks, largest first.
+Both go through the one round executor,
 :func:`repro.campaign.engine.run_round`.
 
 The determinism contract is unchanged. Each lane receives exactly the
@@ -75,10 +79,12 @@ def execute_batched(
 ) -> "CampaignResult":
     """Run ``campaign`` as one lockstep group, skipping stored trials.
 
-    ``batch_fn(items, rngs)`` receives the pending trials' ``item``
+    ``batch_fn(items, rngs)`` receives a lockstep group's ``item``
     payloads and their per-lane generators (grid order) and must
     return one result per lane — a trial value, or :class:`Diverged`
-    for lanes that left lockstep and need the scalar fallback.
+    for lanes that left lockstep and need the scalar fallback. A
+    ``batch_fn.lockstep_key`` attribute splits the pending trials into
+    one group per key (:func:`~repro.campaign.engine.run_round`).
 
     This is :func:`~repro.campaign.engine.execute` with ``batch_fn``
     set; pass that directly to add ``workers`` or ``supervision`` for

@@ -12,8 +12,10 @@ runs through :func:`run_round`, the one round executor, which:
 1. resolves the round's trial fingerprints (:meth:`Campaign.specs`);
 2. consults the :class:`~repro.campaign.store.TrialStore` (if given)
    and **skips** trials whose fingerprint is already stored;
-3. with a ``batch_fn``, advances the missing trials in-process as one
-   lockstep group (:mod:`repro.campaign.batch`);
+3. with a ``batch_fn``, advances the missing trials as lockstep groups
+   (:mod:`repro.campaign.batch`): one in-process group, or — when the
+   batch function declares a ``lockstep_key`` — one pool task per key,
+   largest group first, through one ``pmap_report`` call;
 4. runs every other missing trial (all of them without ``batch_fn``,
    else the lanes that diverged) through one ``pmap_report`` call — each in a
    worker with its own :func:`~repro.campaign.spec.trial_rng`
@@ -24,8 +26,11 @@ runs through :func:`run_round`, the one round executor, which:
    cold runs aggregate **byte-identically**;
 6. persists each fresh result (with its trace records) *as it lands*
    — not after the batch — so a run killed mid-grid keeps every
-   completed trial; finally the stream merges all trace records, in
-   round-major grid order, into one JSONL file.
+   completed trial, and ends the round with one
+   :meth:`~repro.campaign.store.TrialStore.barrier` (also when the
+   round raises) that makes those entries durable; finally the stream
+   merges all trace records, in round-major grid order, into one JSONL
+   file.
 
 Store accounting lands in the caller's
 :class:`~repro.obs.metrics.MetricsRegistry` under
@@ -40,7 +45,7 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, StoreWriteError
 from ..parallel import ParallelReport, pmap_report
 from .batch import Diverged
 from .spec import Campaign, TrialSpec, jsonify, trial_rng
@@ -68,6 +73,13 @@ def _execute_trial(payload):
         tracer = TraceRecorder(ring_size=None)
     value = fn(item, trial_rng(seed_root, seed_index), tracer)
     return value, (tracer.drain() if tracer is not None else None)
+
+
+def _execute_group(payload):
+    """Run one lockstep group in a worker; top-level so the pool can
+    pickle it. Each lane gets the generator its scalar trial would."""
+    batch_fn, items, seeds = payload
+    return list(batch_fn(items, [trial_rng(root, index) for root, index in seeds]))
 
 
 @dataclass(frozen=True)
@@ -158,15 +170,21 @@ def run_round(
     """Execute one round (a fully resolved grid): the one round executor.
 
     Stored trials are replayed; with ``batch_fn`` the pending trials
-    first advance in-process as one lockstep group
-    (:mod:`repro.campaign.batch`). Every trial left over — all of them
+    first advance as lockstep groups (:mod:`repro.campaign.batch`).
+    Without a ``batch_fn.lockstep_key`` they form one group, run
+    in-process. With one — a top-level ``lockstep_key(item)`` function
+    attribute — the lanes are grouped by key, no group is ever split,
+    and the groups run largest first as fail-fast pool tasks, each
+    absorbed the moment it lands. Every trial left over — all of them
     without ``batch_fn``, else the lanes that returned
     :class:`~repro.campaign.batch.Diverged` — runs through one
     ``pmap_report`` call, so those lanes get ``workers``,
-    ``supervision`` and quarantine. Records are *returned*
-    (``RoundExecution.records``) so the stream can merge every round
-    into one file. Callers outside the stream machinery want
-    :func:`execute` / :func:`~repro.campaign.stream.execute_stream`.
+    ``supervision`` and quarantine; ``CampaignResult.report`` is that
+    call's report. The round ends with one store barrier, also when it
+    raises. Records are *returned* (``RoundExecution.records``) so the
+    stream can merge every round into one file. Callers outside the
+    stream machinery want :func:`execute` /
+    :func:`~repro.campaign.stream.execute_stream`.
     """
     store = TrialStore.coerce(store)
     specs = campaign.specs()
@@ -207,45 +225,76 @@ def run_round(
                 },
             )
 
-    scalar = pending
-    if batch_fn is not None and pending:
-        outcomes = list(
-            batch_fn(
-                [campaign.trials[i].item for i in pending],
-                [trial_rng(specs[i].seed_root, specs[i].seed_index)
-                 for i in pending],
-            )
-        )
-        if len(outcomes) != len(pending):
-            raise ConfigurationError(
-                f"batch_fn returned {len(outcomes)} results for a "
-                f"{len(pending)}-lane group"
-            )
-        scalar = []
-        for i, value in zip(pending, outcomes):
-            if isinstance(value, Diverged):
-                scalar.append(i)
-            else:
-                _absorb(i, value)
+    try:
+        scalar = pending
+        if batch_fn is not None and pending:
+            key = getattr(batch_fn, "lockstep_key", None) or (lambda item: None)
+            by_key: dict = {}
+            for i in pending:
+                by_key.setdefault(key(campaign.trials[i].item), []).append(i)
+            groups = sorted(by_key.values(), key=len, reverse=True)
+            diverged: "list[int]" = []
 
-    report = pmap_report(
-        _execute_trial,
-        [
-            (
-                campaign.trial_fn,
-                campaign.trials[i].item,
-                specs[i].seed_root,
-                specs[i].seed_index,
-                with_tracer,
+            def _absorb_group(position: int, outcomes) -> None:
+                lanes = groups[position]
+                if len(outcomes) != len(lanes):
+                    raise ConfigurationError(
+                        f"batch_fn returned {len(outcomes)} results for a "
+                        f"{len(lanes)}-lane group"
+                    )
+                for i, value in zip(lanes, outcomes):
+                    if isinstance(value, Diverged):
+                        diverged.append(i)
+                    else:
+                        _absorb(i, value)
+
+            # A keyless batch_fn makes one group, which pmap_report runs
+            # in-process (one task never starts a pool).
+            pmap_report(
+                _execute_group,
+                [
+                    (
+                        batch_fn,
+                        [campaign.trials[i].item for i in lanes],
+                        [(specs[i].seed_root, specs[i].seed_index) for i in lanes],
+                    )
+                    for lanes in groups
+                ],
+                workers=workers,
+                force_pool=force_pool,
+                on_result=_absorb_group,
             )
-            for i in scalar
-        ],
-        workers=workers,
-        force_pool=force_pool,
-        on_result=lambda position, outcome: _absorb(scalar[position], *outcome),
-        supervision=supervision,
-        metrics=metrics if supervision is not None else None,
-    )
+            scalar = sorted(diverged)
+
+        report = pmap_report(
+            _execute_trial,
+            [
+                (
+                    campaign.trial_fn,
+                    campaign.trials[i].item,
+                    specs[i].seed_root,
+                    specs[i].seed_index,
+                    with_tracer,
+                )
+                for i in scalar
+            ],
+            workers=workers,
+            force_pool=force_pool,
+            on_result=lambda position, outcome: _absorb(scalar[position], *outcome),
+            supervision=supervision,
+            metrics=metrics if supervision is not None else None,
+        )
+    except BaseException:
+        # Keep what the round finished, but never let a failing barrier
+        # replace the round's own exception.
+        if store is not None:
+            try:
+                store.barrier()
+            except (OSError, StoreWriteError):
+                pass
+        raise
+    if store is not None:
+        store.barrier()
 
     # Resolve pmap-level quarantines (positions in `scalar`) to their
     # campaign identities, and splice ground events into trial traces.
@@ -358,8 +407,8 @@ def execute(
     byte-identical seeds, and poison trials quarantined — the campaign
     then *completes* with ``result.quarantined`` naming the survivors'
     missing peers instead of the whole run dying. ``batch_fn`` runs
-    the missing trials as one lockstep group first
-    (:func:`~repro.campaign.batch.execute_batched`); supervision then
+    the missing trials as lockstep groups first (:func:`run_round`,
+    :func:`~repro.campaign.batch.execute_batched`); supervision then
     covers the lanes that diverged.
     """
     from .stream import GridSource, execute_stream

@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -104,7 +105,12 @@ def trial_rng(seed_root, seed_index):
 
 @dataclass(frozen=True)
 class TrialSpec:
-    """One fully resolved trial: identity material + fingerprint."""
+    """One fully resolved trial: identity material + fingerprint.
+
+    The fingerprint and the parsed params are computed once per spec
+    (``functools.cached_property`` stores them in the instance dict,
+    which a frozen dataclass allows and pickling carries along).
+    """
 
     campaign: str
     salt: str
@@ -113,8 +119,8 @@ class TrialSpec:
     seed_root: "int | None"
     seed_index: "int | None"
 
-    @property
-    def fingerprint(self) -> str:
+    @cached_property
+    def _fingerprint(self) -> str:
         material = canonical_json(
             {
                 "campaign": self.campaign,
@@ -127,8 +133,15 @@ class TrialSpec:
         )
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
+    # A plain property over the cache, so the attribute stays one
+    # perfbench's ``campaign.spec`` layer can wrap as a property.
     @property
+    def fingerprint(self) -> str:
+        return self._fingerprint
+
+    @cached_property
     def params(self) -> dict:
+        """The trial's params, parsed once; treat as read-only."""
         return json.loads(self.params_json)
 
 

@@ -8,13 +8,21 @@ campaigns.
 Durability and integrity are first-class (the ground-segment analog of
 the flight stack's no-silent-escape invariant):
 
-* **Atomic, durable writes.** :meth:`TrialStore.put` writes a temp
-  file, ``fsync``\\ s it, ``os.replace``\\ s it into place, then
-  ``fsync``\\ s the directory — a host power cut can no longer lose a
-  trial that resume later trusts as committed. Host disk faults with a
-  clear operator action (``ENOSPC``/``EACCES``/``EROFS``/``EDQUOT``)
-  raise :class:`~repro.errors.StoreWriteError` instead of a bare
-  ``OSError``.
+* **Atomic writes, one durability barrier per round.**
+  :meth:`TrialStore.put` writes a temp file and ``os.replace``\\ s it
+  into place, so a reader never sees a partial entry; it does not
+  ``fsync``. :meth:`TrialStore.barrier` makes every entry written since
+  the last barrier durable: it ``fsync``\\ s each of those files, then
+  each of their directories once. The round executor calls it at the
+  end of every round, also when the round raises, and ``put`` calls it
+  once 256 entries are pending, so a long round (a static grid is one
+  round) has a durability point every 256 trials. An entry a power cut
+  tears or loses before its barrier fails its checksum (or is absent)
+  on resume and is re-run, so a cut costs re-execution, never a wrong
+  result. Host disk faults with a clear operator action
+  (``ENOSPC``/``EACCES``/``EROFS``/``EDQUOT``), from a write or a
+  barrier, raise :class:`~repro.errors.StoreWriteError` instead of a
+  bare ``OSError``.
 * **Checksummed entries, verified on read.** Every entry embeds a
   SHA-256 over its own canonical JSON; :meth:`TrialStore.get` verifies
   it. Corrupt, truncated, or stale-schema entries are **counted**
@@ -53,6 +61,11 @@ __all__ = [
 #: v2 added the embedded content checksum (older entries re-run).
 STORE_SCHEMA = 2
 
+#: :meth:`TrialStore.put` runs a :meth:`TrialStore.barrier` once this
+#: many entries are pending, so a power cut inside a long round (a
+#: static grid is one round) loses at most this many trials.
+_BARRIER_EVERY = 256
+
 #: ``OSError`` errnos with an unambiguous operator action; ``put``
 #: translates these into :class:`~repro.errors.StoreWriteError`.
 _TERMINAL_ERRNOS = frozenset(
@@ -83,11 +96,13 @@ def entry_checksum(entry: dict) -> str:
 
 
 def _fsync_path(path) -> None:
-    """Best-effort fsync of a directory (entry durability on rename)."""
+    """``fsync`` one file or directory. A path that cannot be opened (an
+    entry quarantined since it was written, or a platform without
+    directory fds) has nothing left to sync."""
     try:
         fd = os.open(path, os.O_RDONLY)
     except OSError:
-        return  # platform without directory fds; nothing more we can do
+        return
     try:
         os.fsync(fd)
     finally:
@@ -129,6 +144,8 @@ class TrialStore:
         #: (well-formed, wrong schema), ``quarantined`` (files moved
         #: aside), ``unreadable`` (I/O errors other than absence).
         self.counters: "Counter[str]" = Counter()
+        #: Entries written since the last :meth:`barrier`, in write order.
+        self._unsynced: "dict[Path, None]" = {}
 
     @classmethod
     def coerce(cls, store) -> "TrialStore | None":
@@ -213,7 +230,8 @@ class TrialStore:
     # write side
     # ------------------------------------------------------------------
     def _write_entry(self, path: Path, entry: dict) -> None:
-        """Durable atomic write: tmp file → fsync → rename → dir fsync.
+        """Atomic write: tmp file → rename; :meth:`barrier` makes it
+        durable.
 
         Separated out so the host-fault chaos tier can inject
         fill-disk-style failures at exactly this seam.
@@ -227,8 +245,6 @@ class TrialStore:
                 # One string, one write: ``json.dump`` streams through
                 # the pure-Python encoder in small chunks.
                 fh.write(json.dumps(entry, sort_keys=True, separators=(",", ":")))
-                fh.flush()
-                os.fsync(fh.fileno())
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -236,10 +252,21 @@ class TrialStore:
             except OSError:
                 pass
             raise
-        _fsync_path(path.parent)
+
+    def _raise_disk_fault(self, exc: OSError, what: str) -> None:
+        """Raise ``exc`` as a :class:`~repro.errors.StoreWriteError` when
+        its errno names an operator action; return otherwise."""
+        if exc.errno in _TERMINAL_ERRNOS:
+            raise StoreWriteError(
+                f"trial store {self.root}: {what}: {exc.strerror or exc} "
+                f"(errno {exc.errno}); completed work up to this point is "
+                "on disk — free space / fix permissions and resume"
+            ) from exc
 
     def put(self, fingerprint: str, entry: dict) -> None:
-        """Atomically and durably persist one trial entry.
+        """Atomically persist one trial entry, durable at the next
+        :meth:`barrier` (which ``put`` itself runs once
+        ``_BARRIER_EVERY`` entries are pending).
 
         The entry is stamped with its content checksum. Disk faults
         the operator must act on (full disk, permissions, read-only
@@ -247,18 +274,38 @@ class TrialStore:
         """
         entry = dict(entry)
         entry["checksum"] = entry_checksum(entry)
+        path = self.path(fingerprint)
         try:
-            self._write_entry(self.path(fingerprint), entry)
+            self._write_entry(path, entry)
         except OSError as exc:
-            if exc.errno in _TERMINAL_ERRNOS:
-                raise StoreWriteError(
-                    f"trial store {self.root}: cannot persist trial "
-                    f"{fingerprint[:12]}…: {exc.strerror or exc} "
-                    f"(errno {exc.errno}); completed work up to this "
-                    "point is on disk — free space / fix permissions "
-                    "and resume"
-                ) from exc
+            self._raise_disk_fault(
+                exc, f"cannot persist trial {fingerprint[:12]}…"
+            )
             raise
+        self._unsynced[path] = None
+        if len(self._unsynced) >= _BARRIER_EVERY:
+            self.barrier()
+
+    def barrier(self) -> None:
+        """Make every entry written since the last barrier durable.
+
+        ``fsync``\\ s each of those files, then each of their
+        directories once. A failed ``fsync`` leaves them all pending
+        for the next barrier and raises (as
+        :class:`~repro.errors.StoreWriteError` for the disk faults
+        :meth:`put` maps).
+        """
+        try:
+            for path in self._unsynced:
+                _fsync_path(path)
+            for directory in dict.fromkeys(p.parent for p in self._unsynced):
+                _fsync_path(directory)
+        except OSError as exc:
+            self._raise_disk_fault(
+                exc, f"cannot make {len(self._unsynced)} entries durable"
+            )
+            raise
+        self._unsynced.clear()
 
     # ------------------------------------------------------------------
     # audit tooling (the `repro store` CLI)

@@ -8,9 +8,10 @@ per-craft trials and a fleet-level report, in four moves:
    itself a resumable campaign.
 2. **Simulate** — the canonical craft campaign (one trial per
    spacecraft) runs through one :func:`repro.campaign.execute` call
-   that routes each pending craft: every craft starts in the SoA
-   lockstep group (``batch_fn`` over
-   :class:`repro.sim.batch.BatchMachines`), and craft whose pinned
+   that routes each pending craft: every craft starts in its band's
+   SoA lockstep group (``batch_fn`` over
+   :class:`repro.sim.batch.BatchMachines`, one pool task per
+   ``(preset, profile, days, dt)`` program), and craft whose pinned
    trial stream samples latchups return
    :class:`~repro.campaign.Diverged` — they leave lockstep (power
    cycles, fine-tick detection episodes, deaths) and re-run through
@@ -410,75 +411,75 @@ def _run_sel_craft(item, rng, sel_events, seu, util, ticks, dt, profile,
 # The batched route: zero-SEL craft in SoA lockstep
 # ----------------------------------------------------------------------
 
+def _fleet_lockstep_key(item) -> tuple:
+    """The one tick program a craft flies: its band's preset, profile,
+    mission length and tick."""
+    params = item["params"]
+    return (params["preset"], params["profile"], params["days"], item["dt"])
+
+
 def _fleet_batch_fn(items, rngs):
-    """Advance all pending zero-SEL craft lane-lockstep, bucketed by
-    band (one shared program per bucket). Craft that turn out to have
-    SELs return :class:`Diverged` and re-run through the scalar path
-    with a fresh stream."""
+    """Advance one lockstep group of pending craft (one
+    :func:`_fleet_lockstep_key`, so one shared program) lane-lockstep.
+    Craft that turn out to have SELs return :class:`Diverged` and re-run
+    through the scalar path with a fresh stream."""
+    key = _fleet_lockstep_key(items[0])
+    if any(_fleet_lockstep_key(item) != key for item in items):
+        # A wrapper that drops ``lockstep_key`` hands over a whole round.
+        raise ConfigurationError(
+            "_fleet_batch_fn got craft of more than one lockstep key; "
+            "group lanes by _fleet_batch_fn.lockstep_key"
+        )
+    preset_name, profile_name, days, dt = key
+    env = get_preset(preset_name).environment
+    profile = get_profile(profile_name)
+    duration_s = days * 86400.0
+    ticks = max(1, int(round(duration_s / dt)))
     results = [None] * len(items)
-    buckets: dict = {}
-    for i, item in enumerate(items):
-        key = (
-            item["params"]["preset"],
-            item["params"]["profile"],
-            item["params"]["days"],
-            item["dt"],
-        )
-        buckets.setdefault(key, []).append(i)
-    for key in sorted(buckets):
-        idxs = buckets[key]
-        preset_name, profile_name, days, dt = key
-        env = get_preset(preset_name).environment
-        profile = get_profile(profile_name)
-        duration_s = days * 86400.0
-        ticks = max(1, int(round(duration_s / dt)))
-        pre = {}
-        for i in idxs:
-            rng = rngs[i]
-            if env.sample_sel_events(duration_s, rng):
-                results[i] = Diverged("sel-bearing craft left lockstep")
-                continue
-            cells = _sample_seu_cells(env, duration_s, rng)
-            pre[i] = _classify_seus(
-                cells, items[i]["calib"], items[i]["params"]["scheme"], rng
-            )
-        lanes = [i for i in idxs if i in pre]
-        if not lanes:
+    pre = {}
+    for i, (item, rng) in enumerate(zip(items, rngs)):
+        if env.sample_sel_events(duration_s, rng):
+            results[i] = Diverged("sel-bearing craft left lockstep")
             continue
-        batch = BatchMachines.from_specs(
-            CRAFT_SPEC,
-            config=_coarse_config(dt),
-            rngs=[rngs[i] for i in lanes],
+        cells = _sample_seu_cells(env, duration_s, rng)
+        pre[i] = _classify_seus(
+            cells, item["calib"], item["params"]["scheme"], rng
         )
-        # Buckets mix schemes (the bucket key is band-shaped, not
-        # scheme-shaped), so modes apply as per-lane masks.
-        batch.set_lane_modes(
-            [
-                fleet_mode(items[i]["params"]["scheme"]).as_tick_mode()
-                for i in lanes
-            ]
+    if not pre:
+        return results
+    lanes = list(pre)
+    batch = BatchMachines.from_specs(
+        CRAFT_SPEC,
+        config=_coarse_config(dt),
+        rngs=[rngs[i] for i in lanes],
+    )
+    # A group mixes schemes (the key is band-shaped, not scheme-shaped),
+    # so modes apply as per-lane masks.
+    batch.set_lane_modes(
+        [fleet_mode(items[i]["params"]["scheme"]).as_tick_mode() for i in lanes]
+    )
+    util = build_utilization(profile, ticks, CRAFT_SPEC.n_cores, dt)
+    rep = batch.run(TickProgram(util))
+    for lane, i in enumerate(lanes):
+        n_alarms = len(rep.lane_alarms(lane))
+        results[i] = _reduce(
+            items[i],
+            survived=True,
+            machine_hours=ticks * dt / 3600.0,
+            sels={"total": 0, "ocp": 0, "ild": 0, "latched": 0, "fatal": 0},
+            seu=pre[i],
+            alarms=n_alarms,
+            false_alarms=n_alarms,
+            power_cycles=0,
+            downtime_s=0.0,
+            detections=0,
+            detect_latency_s=0.0,
+            energy_j=float(batch.lane_state(lane).energy_joules),
         )
-        util = build_utilization(profile, ticks, CRAFT_SPEC.n_cores, dt)
-        rep = batch.run(TickProgram(util))
-        for lane, i in enumerate(lanes):
-            state = batch.lane_state(lane)
-            n_alarms = len(rep.lane_alarms(lane))
-            results[i] = _reduce(
-                items[i],
-                survived=True,
-                machine_hours=ticks * dt / 3600.0,
-                sels={"total": 0, "ocp": 0, "ild": 0,
-                      "latched": 0, "fatal": 0},
-                seu=pre[i],
-                alarms=n_alarms,
-                false_alarms=n_alarms,
-                power_cycles=0,
-                downtime_s=0.0,
-                detections=0,
-                detect_latency_s=0.0,
-                energy_j=float(state.energy_joules),
-            )
     return results
+
+
+_fleet_batch_fn.lockstep_key = _fleet_lockstep_key
 
 
 # ----------------------------------------------------------------------
@@ -642,8 +643,9 @@ def run_fleet(
     """Simulate (or resume) the whole constellation.
 
     The craft campaign runs through one executor call. With
-    ``use_batch`` every pending craft first rides the SoA lockstep
-    group (:func:`_fleet_batch_fn`); craft that sample latchups come
+    ``use_batch`` every pending craft first rides its band program's
+    SoA lockstep group (:func:`_fleet_batch_fn`, one pool task per
+    :func:`_fleet_lockstep_key`); craft that sample latchups come
     back :class:`~repro.campaign.Diverged` and re-run through
     :func:`_craft_trial` in the process pool, beside every craft when
     ``use_batch`` is off. ``supervision`` (a

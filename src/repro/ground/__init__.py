@@ -21,7 +21,7 @@ segment that actually runs the campaigns. Two layers:
   PR-4-style invariants (always terminates, no silent escape,
   byte-identical final reports).
 
-Store-side integrity (checksums, fsync durability, quarantine) lives
+Store-side integrity (checksums, a per-round fsync barrier, quarantine) lives
 with the store itself in :mod:`repro.campaign.store`.
 
 See ``docs/ground.md``.

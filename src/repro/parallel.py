@@ -478,6 +478,10 @@ class _Batch:
                 continue
             worker.clear()
             if status == "ok":
+                # Hand the freed worker its next task before the parent
+                # spends time in ``on_result`` (store writes, a whole
+                # group's absorb).
+                self._dispatch()
                 self._complete(index, outcome)
             else:
                 self._fail(index, "trial_error", detail, outcome)
@@ -619,7 +623,9 @@ def pmap_report(
         campaign engine's incremental-persistence hook: a run killed
         mid-grid keeps every trial already absorbed. The serial path
         calls it in ascending task order; every pool path calls it in
-        *completion* order, so the callback must key on the index.
+        *completion* order, so the callback must key on the index, and
+        only after the worker that returned the result has its next
+        task, so a slow callback does not idle a worker.
     supervision:
         A :class:`repro.ground.GroundPolicy`. The batch then survives
         its host: per-task wall-clock timeouts, bounded retry with

@@ -10,6 +10,7 @@ training, `MissionSimulator.run_batch`).
 """
 
 import json
+import os
 import tempfile
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.campaign import (
     TrialStore,
     execute,
     execute_batched,
+    trial_rng,
 )
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry
@@ -178,6 +180,118 @@ def _tick_batch_fn(items, rngs):
         for lane, i in enumerate(lanes):
             out[i] = {"digest": batch.state_digest(lane)}
     return out
+
+
+def _util_key(item):
+    return item["util"]
+
+
+def _keyed_tick_batch_fn(items, rngs):
+    """:func:`_tick_batch_fn` as keyed groups: one program per call."""
+    if len({_util_key(item) for item in items}) != 1:
+        raise AssertionError("a lockstep group mixed keys")
+    return _tick_batch_fn(items, rngs)
+
+
+_keyed_tick_batch_fn.lockstep_key = _util_key
+
+
+def _group_probe(items, rngs):
+    """Each lane reports the keys and size of the call it rode in."""
+    keys = sorted({_util_key(item) for item in items})
+    return [
+        {"util": item["util"], "keys": keys, "lanes": len(items)}
+        for item in items
+    ]
+
+
+_group_probe.lockstep_key = _util_key
+
+
+def _keyed_campaign(name="batch-keyed"):
+    """Nine lanes under three keys (sizes 4, 3, 2); lane 1 diverges."""
+    utils = [0.6, 0.3, 0.6, 0.9, 0.3, 0.6, 0.9, 0.3, 0.6]
+    trials = [
+        Trial(params={"k": k, "util": u}, item={"util": u, "diverge": k == 1})
+        for k, u in enumerate(utils)
+    ]
+    return Campaign(name=name, trial_fn=_tick_trial, trials=trials, seed=78)
+
+
+def _store_bytes(root) -> "dict[str, bytes]":
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.glob("??/*.json"))
+    }
+
+
+class TestLockstepGroups:
+    @pytest.mark.parametrize(
+        "pool", [{"workers": 1}, {"workers": 2, "force_pool": True}]
+    )
+    def test_keyed_groups_are_never_split(self, pool):
+        camp = _keyed_campaign()
+        result = execute(camp, batch_fn=_group_probe, **pool)
+        sizes = {0.6: 4, 0.3: 3, 0.9: 2}
+        for value in result.values:
+            assert value["keys"] == [value["util"]]
+            assert value["lanes"] == sizes[value["util"]]
+
+    def test_pool_and_serial_groups_store_identically(self, tmp_path):
+        camp = _keyed_campaign()
+        scalar = execute(camp, store=tmp_path / "scalar")
+        serial = execute(
+            camp, batch_fn=_keyed_tick_batch_fn, store=tmp_path / "serial",
+            workers=1,
+        )
+        pooled = execute(
+            camp, batch_fn=_keyed_tick_batch_fn, store=tmp_path / "pooled",
+            workers=2, force_pool=True,
+        )
+        assert pooled.values == serial.values == scalar.values
+        assert (
+            _store_bytes(tmp_path / "pooled")
+            == _store_bytes(tmp_path / "serial")
+            == _store_bytes(tmp_path / "scalar")
+        )
+
+    def test_diverged_lane_of_a_pooled_group_reruns_through_trial_fn(self):
+        camp = _keyed_campaign()
+        metrics = MetricsRegistry()
+        result = execute(
+            camp, batch_fn=_keyed_tick_batch_fn, workers=2, force_pool=True,
+            metrics=metrics,
+        )
+        counters = metrics.snapshot()["counters"]
+        assert counters["campaign.batch.lanes"] == 9
+        assert counters["campaign.batch.diverged"] == 1
+        # The round's report is the scalar call's: the one diverged lane.
+        assert len(result.report.timings) == 1
+        assert result.values[1] == _tick_trial(
+            camp.trials[1].item, trial_rng(78, 1), None
+        )
+
+    def test_keyless_closure_runs_once_in_process(self):
+        calls = []
+
+        def batch_fn(items, rngs):
+            calls.append((len(items), os.getpid()))
+            return _tick_batch_fn(items, rngs)
+
+        camp = self._uniform_campaign()
+        result = execute(camp, batch_fn=batch_fn, workers=2, force_pool=True)
+        assert calls == [(4, os.getpid())]
+        assert result.values == execute(camp).values
+
+    @staticmethod
+    def _uniform_campaign():
+        trials = [
+            Trial(params={"k": k}, item={"util": 0.6, "diverge": k == 2})
+            for k in range(4)
+        ]
+        return Campaign(
+            name="batch-keyless", trial_fn=_tick_trial, trials=trials, seed=79
+        )
 
 
 class TestExecuteBatched:

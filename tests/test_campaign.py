@@ -8,7 +8,11 @@ round-trip and every trial's RNG is pinned by ``(seed_root,
 seed_index)`` rather than by which trials happen to run.
 """
 
+import errno
+import hashlib
 import json
+import os
+import pickle
 
 import numpy as np
 import pytest
@@ -27,7 +31,8 @@ from repro.campaign import (
     status,
     trial_rng,
 )
-from repro.errors import ConfigurationError
+from repro.campaign import store as store_module
+from repro.errors import ConfigurationError, StoreWriteError
 from repro.obs import MetricsRegistry
 
 
@@ -54,6 +59,19 @@ def _traced_trial(item, rng, tracer=None):
         tracer.span("trial", t=0.0, dur=1.0, item=item)
         tracer.event("work", t=0.5, item=item)
     return item
+
+
+def _raise_on_two(item, rng, tracer=None):
+    if item == 2:
+        raise ConfigurationError("trial 2 failed")
+    return item
+
+
+def _store_bytes(store: TrialStore) -> "dict[str, bytes]":
+    return {
+        str(path.relative_to(store.root)): path.read_bytes()
+        for path in sorted(store.root.glob("??/*.json"))
+    }
 
 
 def _grid(n=4, seed=7, **kwargs) -> Campaign:
@@ -323,6 +341,174 @@ class TestExecute:
         assert (full.completed, full.corrupt, full.pending) == (3, 1, 1)
         # The full scan quarantined the defect; fast now sees 3.
         assert status(_grid(), store, fast=True).completed == 3
+
+
+class TestTrialSpecCache:
+    def test_cached_fingerprint_is_the_fresh_digest_and_pickles(self):
+        spec = _grid().specs()[1]
+        material = canonical_json(
+            {
+                "campaign": spec.campaign,
+                "salt": spec.salt,
+                "context": spec.context_json,
+                "params": spec.params_json,
+                "seed_root": spec.seed_root,
+                "seed_index": spec.seed_index,
+            }
+        )
+        fresh = hashlib.sha256(material.encode("utf-8")).hexdigest()
+        assert spec.fingerprint == fresh
+        # Computed once: every access returns the same objects.
+        assert spec.fingerprint is spec.fingerprint
+        assert spec.params is spec.params
+        assert spec.params == {"i": 1}
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec and hash(clone) == hash(spec)
+        assert clone.fingerprint == fresh
+        assert clone.params == {"i": 1}
+
+
+class TestDurabilityBarrier:
+    def test_put_defers_fsync_and_barrier_syncs_files_then_dirs(
+        self, tmp_path, monkeypatch
+    ):
+        synced = []
+        monkeypatch.setattr(store_module, "_fsync_path", synced.append)
+        store = TrialStore(tmp_path)
+        fps = ["ab" + "0" * 62, "cd" + "1" * 62, "ab" + "2" * 62]
+        for fp in fps:
+            store.put(fp, {"schema": STORE_SCHEMA, "result": fp[:4]})
+        assert synced == []
+        store.barrier()
+        assert synced == [store.path(fp) for fp in fps] + [
+            tmp_path / "ab", tmp_path / "cd",
+        ]
+        synced.clear()
+        store.barrier()  # nothing written since the last barrier
+        assert synced == []
+
+    def test_enospc_from_barrier_fsync_is_store_write_error(
+        self, tmp_path, monkeypatch
+    ):
+        store = TrialStore(tmp_path)
+        fp = "ab" + "0" * 62
+        store.put(fp, {"schema": STORE_SCHEMA, "result": 1})
+
+        def full_disk(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", full_disk)
+        with pytest.raises(StoreWriteError, match="durable.*resume"):
+            store.barrier()
+        monkeypatch.undo()
+        # The failed barrier left the entry pending; the next one syncs it.
+        synced = []
+        monkeypatch.setattr(store_module, "_fsync_path", synced.append)
+        store.barrier()
+        assert synced == [store.path(fp), tmp_path / "ab"]
+
+    def test_barrier_runs_when_a_trial_raises_mid_round(
+        self, tmp_path, monkeypatch
+    ):
+        barriers = []
+        original = TrialStore.barrier
+
+        def recording(self):
+            barriers.append(sorted(p.stem for p in self._unsynced))
+            original(self)
+
+        monkeypatch.setattr(TrialStore, "barrier", recording)
+        camp = Campaign(
+            name="raises",
+            trial_fn=_raise_on_two,
+            trials=[Trial(params={"i": i}, item=i) for i in range(4)],
+        )
+        store = TrialStore(tmp_path)
+        with pytest.raises(ConfigurationError, match="trial 2 failed"):
+            execute(camp, store=store)
+        written = sorted(spec.fingerprint for spec in camp.specs()[:2])
+        assert barriers == [written]
+        assert store.fingerprints() == written
+        assert not store._unsynced
+
+    def test_put_runs_a_barrier_every_n_pending_entries(
+        self, tmp_path, monkeypatch
+    ):
+        synced = []
+        monkeypatch.setattr(store_module, "_fsync_path", synced.append)
+        monkeypatch.setattr(store_module, "_BARRIER_EVERY", 3)
+        store = TrialStore(tmp_path)
+        fps = [f"{k:02d}" + "0" * 62 for k in range(7)]
+        for fp in fps:
+            store.put(fp, {"schema": STORE_SCHEMA, "result": fp[:2]})
+        files = [p for p in synced if p.suffix == ".json"]
+        assert files == [store.path(fp) for fp in fps[:6]]
+        assert list(store._unsynced) == [store.path(fps[6])]
+
+    def test_failing_barrier_keeps_the_rounds_own_exception(
+        self, tmp_path, monkeypatch
+    ):
+        def full_disk(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", full_disk)
+        camp = Campaign(
+            name="raises",
+            trial_fn=_raise_on_two,
+            trials=[Trial(params={"i": i}, item=i) for i in range(4)],
+        )
+        store = TrialStore(tmp_path)
+        with pytest.raises(ConfigurationError, match="trial 2 failed"):
+            execute(camp, store=store)
+        # The failed barrier left both finished entries pending.
+        assert len(store._unsynced) == 2
+
+    def test_power_cut_before_barrier_is_detected_and_rerun(
+        self, tmp_path, monkeypatch
+    ):
+        """Write a round whose barrier never runs (the power cut), tear
+        a seeded random subset of its entries, and resume."""
+        cold_store = TrialStore(tmp_path / "cold")
+        cold = execute(_grid(n=16), store=cold_store)
+
+        unsynced = []
+        monkeypatch.setattr(
+            TrialStore, "barrier", lambda self: unsynced.extend(self._unsynced)
+        )
+        execute(_grid(n=16), store=tmp_path / "cut")
+        monkeypatch.undo()
+        assert len(unsynced) == 16
+
+        rng = np.random.default_rng(2026)
+        damaged = sorted(rng.choice(16, size=7, replace=False).tolist())
+        defective = 0
+        for k, index in enumerate(damaged):
+            path = unsynced[index]
+            data = path.read_bytes()
+            how = ("truncate", "flip", "delete")[k % 3]
+            if how == "truncate":
+                path.write_bytes(data[: int(rng.integers(0, len(data)))])
+            elif how == "flip":
+                at = int(rng.integers(0, len(data)))
+                # The low bit never maps a compact JSON byte onto an
+                # equivalent one ('e' -> 'd', ',' -> '-', '1' -> '0').
+                path.write_bytes(
+                    data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
+                )
+            else:
+                path.unlink()
+            defective += how != "delete"
+
+        metrics = MetricsRegistry()
+        resumed_store = TrialStore(tmp_path / "cut")
+        with pytest.warns(RuntimeWarning):
+            resumed = execute(_grid(n=16), store=resumed_store, metrics=metrics)
+        counters = metrics.snapshot()["counters"]
+        assert counters["campaign.store.corrupt"] == defective
+        assert resumed.executed == len(damaged)
+        assert resumed.store_hits == 16 - len(damaged)
+        assert resumed.values == cold.values
+        assert _store_bytes(resumed_store) == _store_bytes(cold_store)
 
 
 class TestReportCodec:

@@ -6,14 +6,16 @@ runs exactly once for the whole module.
 """
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
 import pytest
 
 from repro.__main__ import main
-from repro.campaign import TrialStore
+from repro.campaign import TrialStore, execute
 from repro.errors import ConfigurationError
+from repro.fleet.engine import _fleet_batch_fn
 from repro.fleet import (
     PRESETS,
     PROFILES,
@@ -397,6 +399,16 @@ class TestFleetDeterminism:
             cold_result.values, sort_keys=True
         )
         assert report_json(rerun.report) == report_json(cold_result.report)
+
+    def test_batch_fn_without_its_key_rejects_a_mixed_band_group(self):
+        # A wrapper that drops ``lockstep_key`` makes the round keyless,
+        # so the whole mixed-band grid arrives as one group.
+        with pytest.raises(ConfigurationError, match="more than one lockstep key"):
+            execute(
+                fleet_campaign(tiny_spec(), calibration={}),
+                batch_fn=functools.partial(_fleet_batch_fn),
+                workers=1,
+            )
 
     def test_fleet_status_after_run(self, cold_result, fleet_store):
         statuses = fleet_status(tiny_spec(), fleet_store)

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,13 @@ def _reject_unportably(x):
     if x == 1:
         raise _TwoArgError("stuck in the worker", None)
     return x
+
+
+def _touch(marker):
+    """Write ``marker`` (when given) and return it."""
+    if marker is not None:
+        Path(marker).write_text("ran")
+    return marker
 
 
 needs_fork = pytest.mark.skipif(
@@ -113,6 +121,31 @@ class TestPmap:
         assert pooled.values == serial.values
         if pooled.mode == "fork-pool":  # may degrade where fork is absent
             assert pooled.workers == 4
+
+
+    @needs_fork
+    def test_freed_worker_redispatched_before_on_result(self, tmp_path):
+        # Two workers take tasks 0 and 1. The first result's callback
+        # blocks until task 2 has run, which happens only if the worker
+        # that returned it was handed task 2 before the callback.
+        marker = tmp_path / "task-2-ran"
+        seen = []
+
+        def on_result(index, value):
+            if seen:
+                return
+            deadline = time.monotonic() + 30.0
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            seen.append(marker.exists())
+
+        report = pmap_report(
+            _touch, [None, None, str(marker)], workers=2, force_pool=True,
+            on_result=on_result,
+        )
+        assert report.mode == "fork-pool"
+        assert report.values == [None, None, str(marker)]
+        assert seen == [True]
 
 
 class TestFailures:
