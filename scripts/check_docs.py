@@ -1,8 +1,14 @@
-"""Execute the fenced ``python`` examples in README.md and docs/.
+"""Execute the fenced ``python`` examples in README.md and docs/, and
+resolve every backticked ``repro.…`` name in them and in DESIGN.md.
 
 Documentation that doesn't run is documentation that rots: every code
 block tagged ```python is extracted and executed in its own namespace,
 and any exception fails the build (CI runs this as the ``docs`` job).
+A backticked dotted name such as ``repro.campaign.execute`` (also at
+the start of a span, ``repro.campaign.execute(..., batch_fn=)``) must
+name something that exists: the longest importable module prefix is
+imported and the remaining parts are walked with ``getattr``, so a
+reference to a deleted function fails the build too.
 
 Opting out: tag a block ```python no-run (for snippets that are
 intentionally partial — pseudo-code, slow paper-scale commands, or
@@ -16,6 +22,7 @@ Usage::
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 import tempfile
@@ -30,10 +37,51 @@ _FENCE = re.compile(
 )
 
 
+#: A dotted ``repro.…`` name at the start of a backticked span.
+_REFERENCE = re.compile(r"`(repro(?:\.\w+)+)")
+
+
 def doc_files() -> "list[Path]":
     files = [REPO / "README.md"]
     files += sorted((REPO / "docs").glob("*.md"))
     return [f for f in files if f.exists()]
+
+
+def reference_files() -> "list[Path]":
+    return [f for f in [REPO / "DESIGN.md", *doc_files()] if f.exists()]
+
+
+def resolve_reference(name: str) -> "str | None":
+    """Why the dotted ``name`` does not resolve, or None if it does."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        module_name = ".".join(parts[:cut])
+        try:
+            target = importlib.import_module(module_name)
+        except ModuleNotFoundError as exc:
+            if module_name == exc.name or module_name.startswith(f"{exc.name}."):
+                continue  # not a module: try a shorter prefix
+            raise  # a real module whose own import is broken
+        for depth, attr in enumerate(parts[cut:], start=cut):
+            try:
+                target = getattr(target, attr)
+            except AttributeError:
+                return f"{'.'.join(parts[:depth])} has no attribute {attr!r}"
+        return None
+    return f"no module named {parts[0]!r}"
+
+
+def check_references(path: Path) -> "list[str]":
+    """``line: name: reason`` for every reference in ``path`` that
+    does not resolve."""
+    text = path.read_text()
+    failures = []
+    for match in _REFERENCE.finditer(text):
+        error = resolve_reference(match.group(1))
+        if error is not None:
+            line = text[: match.start()].count("\n") + 1
+            failures.append(f"{line}: {match.group(1)}: {error}")
+    return failures
 
 
 def extract_blocks(path: Path) -> "list[tuple[int, str, bool]]":
@@ -71,6 +119,11 @@ def main(argv: "list[str] | None" = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     files = [Path(a) for a in argv] if argv else doc_files()
     ran = skipped = failed = 0
+    for path in [Path(a) for a in argv] if argv else reference_files():
+        rel = path.relative_to(REPO) if path.is_relative_to(REPO) else path
+        for failure in check_references(path):
+            failed += 1
+            print(f"FAIL {rel}:{failure}")
     for path in files:
         for line, source, runnable in extract_blocks(path):
             rel = path.relative_to(REPO) if path.is_relative_to(REPO) else path

@@ -94,17 +94,6 @@ class SurfaceCell:
         )
         return out
 
-    def to_params(self) -> dict:
-        """JSON-safe identity for trial params / round context."""
-        return {
-            "domain": self.domain,
-            "region": self.region,
-            "band": self.band,
-            "n_bands": self.n_bands,
-            "start_bit": self.start_bit,
-            "bits": self.bits,
-        }
-
 
 def cells_from_census(
     entries: "tuple[CensusEntry, ...]",

@@ -22,7 +22,7 @@ and resume semantics, and ``docs/adaptive.md`` for multi-round
 streams.
 """
 
-from .batch import Diverged, execute_batched
+from .batch import Diverged
 from .engine import CampaignResult, CampaignStatus, execute, status
 from .reports import decode_report, encode_report
 from .spec import (
@@ -69,7 +69,6 @@ __all__ = [
     "decode_report",
     "encode_report",
     "execute",
-    "execute_batched",
     "execute_stream",
     "jsonify",
     "replay_round",

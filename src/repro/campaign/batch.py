@@ -1,9 +1,9 @@
 """Batched campaign execution through the SoA tick engine.
 
-:func:`execute_batched` is the campaign-layer entry point for the
-structure-of-arrays backend (:mod:`repro.sim.batch`). Where
-:func:`repro.campaign.engine.execute` hands each trial to a worker
-process, ``execute_batched`` hands the pending trials to one
+``execute(campaign, batch_fn=...)`` (:func:`repro.campaign.engine.execute`)
+runs a campaign through the structure-of-arrays backend
+(:mod:`repro.sim.batch`). Where a scalar run hands each trial to a
+worker process, a batched run hands the pending trials to one
 ``batch_fn(items, rngs)`` call per lockstep group that advances the
 group's lanes in lockstep — one :class:`~repro.sim.batch.BatchMachines`
 sweep instead of N scalar tick loops. Without a
@@ -37,18 +37,12 @@ approximation.
 
 Tracing is deliberately unsupported here: a batched sweep has no
 per-trial tracer to thread through lockstep lanes. Campaigns that need
-traces use the scalar :func:`~repro.campaign.engine.execute`.
+traces run :func:`~repro.campaign.engine.execute` without ``batch_fn``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .engine import CampaignResult
-    from .spec import Campaign
-
-__all__ = ["Diverged", "execute_batched"]
+__all__ = ["Diverged"]
 
 
 class Diverged:
@@ -69,27 +63,3 @@ class Diverged:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Diverged({self.reason!r})"
 
-
-def execute_batched(
-    campaign: "Campaign",
-    batch_fn,
-    *,
-    store=None,
-    metrics=None,
-) -> "CampaignResult":
-    """Run ``campaign`` as one lockstep group, skipping stored trials.
-
-    ``batch_fn(items, rngs)`` receives a lockstep group's ``item``
-    payloads and their per-lane generators (grid order) and must
-    return one result per lane — a trial value, or :class:`Diverged`
-    for lanes that left lockstep and need the scalar fallback. A
-    ``batch_fn.lockstep_key`` attribute splits the pending trials into
-    one group per key (:func:`~repro.campaign.engine.run_round`).
-
-    This is :func:`~repro.campaign.engine.execute` with ``batch_fn``
-    set; pass that directly to add ``workers`` or ``supervision`` for
-    the diverged lanes.
-    """
-    from .engine import execute
-
-    return execute(campaign, store=store, metrics=metrics, batch_fn=batch_fn)

@@ -61,9 +61,10 @@ def _execute_trial(payload):
     """Run one trial in a worker; top-level so the pool can pickle it.
 
     Returns ``(value, records)`` where ``records`` is the trial's
-    trace (``None`` when tracing is off). The tracer is created here —
-    not by ``pmap_report`` — so the records can ride into the store and a
-    resumed run can replay them without re-executing the trial.
+    trace (``None`` when tracing is off). The tracer is created here,
+    in the process that runs the trial, so the records can ride into
+    the store and a resumed run can replay them without re-executing
+    the trial.
     """
     fn, item, seed_root, seed_index, with_tracer = payload
     tracer = None
@@ -282,7 +283,7 @@ def run_round(
             force_pool=force_pool,
             on_result=lambda position, outcome: _absorb(scalar[position], *outcome),
             supervision=supervision,
-            metrics=metrics if supervision is not None else None,
+            metrics=metrics,
         )
     except BaseException:
         # Keep what the round finished, but never let a failing barrier
@@ -408,8 +409,8 @@ def execute(
     then *completes* with ``result.quarantined`` naming the survivors'
     missing peers instead of the whole run dying. ``batch_fn`` runs
     the missing trials as lockstep groups first (:func:`run_round`,
-    :func:`~repro.campaign.batch.execute_batched`); supervision then
-    covers the lanes that diverged.
+    :mod:`repro.campaign.batch`); supervision then covers the lanes
+    that diverged.
     """
     from .stream import GridSource, execute_stream
 

@@ -22,13 +22,15 @@ scheme — keeps previously completed trials valid in the store.
 
 Trial functions are top-level callables ``fn(item, rng, tracer)``
 (picklable by qualified name, like :func:`repro.parallel.pmap_report` task
-functions); ``rng`` is ``None`` for unseeded trials and ``tracer`` is
-``None`` when tracing is off. They must return *reduced, JSON-safe*
-data — or the campaign supplies ``encode``/``decode`` hooks that
-convert to/from JSON-safe form. The engine canonicalises **every**
-result through an encode -> JSON -> decode round-trip, even for trials
-executed in-memory, so a resumed campaign (values read back from
-disk) aggregates byte-identically to a cold one.
+functions); the engine builds ``rng`` with :func:`trial_rng` and the
+``tracer`` in whichever process runs the trial. ``rng`` is ``None``
+for unseeded trials and ``tracer`` is ``None`` when tracing is off.
+They must return *reduced, JSON-safe* data — or the campaign
+supplies ``encode``/``decode`` hooks that convert to/from JSON-safe
+form. The engine canonicalises **every** result through an encode ->
+JSON -> decode round-trip, even for trials executed in-memory, so a
+resumed campaign (values read back from disk) aggregates
+byte-identically to a cold one.
 """
 
 from __future__ import annotations
@@ -89,6 +91,9 @@ def canonical_json(value) -> str:
 def trial_rng(seed_root, seed_index):
     """The generator a seeded trial receives.
 
+    Randomness is split, never shared: this is the one place a trial's
+    generator is built, in whichever process runs the trial, so the
+    stream is bit-identical at any worker count and on every retry.
     ``SeedSequence(entropy=root, spawn_key=(i,))`` is exactly the
     child ``SeedSequence(root).spawn(n)[i]`` for any ``n >= i+1``, so
     a trial's stream depends only on ``(root, i)`` — never on how many

@@ -27,11 +27,10 @@ executor without giving up any of the campaign layer's guarantees:
   :func:`stream_status` does this replay read-only to report progress
   without executing anything.
 
-``execute_stream`` is the single drain loop behind both
-:func:`repro.campaign.execute` (scalar / supervised / traced) and
-:func:`repro.campaign.execute_batched` (SoA lockstep via
-``batch_fn``); every round goes through the one round executor,
-:func:`~repro.campaign.engine.run_round`, which is what makes
+``execute_stream`` is the single drain loop behind
+:func:`repro.campaign.execute` (scalar / supervised / traced, or SoA
+lockstep via ``batch_fn``); every round goes through the one round
+executor, :func:`~repro.campaign.engine.run_round`, which is what makes
 static-grid campaigns through the round core byte-identical to the
 historical one-shot executors.
 """

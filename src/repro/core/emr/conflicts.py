@@ -29,9 +29,6 @@ class ConflictGraph:
     def conflicts(self, a: int, b: int) -> bool:
         return b in self.neighbours.get(a, frozenset())
 
-    def degree(self, index: int) -> int:
-        return len(self.neighbours.get(index, frozenset()))
-
     @property
     def edge_count(self) -> int:
         return sum(len(adj) for adj in self.neighbours.values()) // 2

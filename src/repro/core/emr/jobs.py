@@ -71,10 +71,6 @@ class JobSet:
         job.jobset_id = self.jobset_id
         self.jobs.append(job)
 
-    @property
-    def dataset_indices(self) -> "set[int]":
-        return {job.dataset_index for job in self.jobs}
-
     def jobs_for_executor(self, executor_id: int) -> "list[Job]":
         return [job for job in self.jobs if job.executor_id == executor_id]
 

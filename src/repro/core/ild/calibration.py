@@ -39,14 +39,6 @@ class ThresholdScore:
     sel_traces: int
     clean_traces: int
 
-    @property
-    def fn_rate(self) -> float:
-        return self.false_negatives / self.sel_traces if self.sel_traces else 0.0
-
-    @property
-    def fp_rate(self) -> float:
-        return self.false_positives / self.clean_traces if self.clean_traces else 0.0
-
 
 @dataclass(frozen=True)
 class CalibrationResult:

@@ -330,15 +330,6 @@ class IldDetector:
                 self.obs.metrics.counter("ild.detections").inc()
         return detections
 
-    # ------------------------------------------------------------------
-    @property
-    def alarm_fraction(self) -> float:
-        """Fraction of evaluated quiescent windows in alarm (FP-rate
-        numerator when no SEL is active)."""
-        if not self.quiescent_ticks_seen:
-            return 0.0
-        return self.alarm_ticks / self.quiescent_ticks_seen
-
 
 def train_ild(
     model_trace: TelemetryTrace,

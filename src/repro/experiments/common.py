@@ -279,9 +279,9 @@ def _evaluate_episode(
     Top-level (picklable) worker for :meth:`SelTestbench.evaluate`;
     detectors arrive as pickled copies under the pool, so their
     streaming state never leaks between episodes or processes. The
-    optional ``tracer`` (wired by ``pmap_report(trace_path=...)``) records the
-    SEL truth and is handed to every detector that carries an ``obs``
-    attribute (the ILD pipeline instruments itself).
+    optional ``tracer`` (built by the campaign engine when the run
+    traces) records the SEL truth and is handed to every detector that
+    carries an ``obs`` attribute (the ILD pipeline instruments itself).
     """
     bench, detectors, with_sel, delta_amps = task
     cfg = bench.config

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.report import Table
-from ..campaign import Campaign, Trial, decode_report, encode_report, execute
+from ..campaign import Campaign, Trial, execute
 from ..core.emr import (
     EmrConfig,
     EmrRuntime,
@@ -33,16 +33,7 @@ from ..radiation.events import OutcomeClass, SeuTarget
 from ..radiation.injector import CampaignConfig, FaultInjectionCampaign
 from ..sim.machine import Machine
 from ..workloads import AesWorkload
-
-
-def _single_trial(name: str, build, params: dict, item) -> Campaign:
-    return Campaign(
-        name=name,
-        trial_fn=build,
-        trials=[Trial(params=params, item=item)],
-        encode=encode_report,
-        decode=decode_report,
-    )
+from .ablations import _single_trial
 
 
 def _checksum_trial(task, rng, tracer=None) -> Table:

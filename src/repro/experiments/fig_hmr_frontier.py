@@ -27,7 +27,7 @@ import json
 import numpy as np
 
 from ..analysis.report import Table
-from ..campaign import Campaign, Trial, execute, execute_batched
+from ..campaign import Campaign, Trial, execute
 from ..core.emr.runtime import EmrConfig, EmrRuntime
 from ..hmr import HMRScheduler, WorkloadPhase, mode_named
 from ..radiation.events import OutcomeClass
@@ -218,7 +218,7 @@ def run(
     store replay."""
     grid = campaign(scale=scale, seed=seed)
     if batched:
-        result = execute_batched(grid, _frontier_batch_fn, store=store)
+        result = execute(grid, store=store, batch_fn=_frontier_batch_fn)
     else:
         result = execute(grid, workers=workers, store=store)
     return grid.aggregate(list(result.values), metrics)

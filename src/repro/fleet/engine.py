@@ -56,7 +56,6 @@ from ..campaign import (
     Trial,
     TrialStore,
     execute,
-    execute_batched,
     status,
 )
 from ..errors import ConfigurationError
@@ -672,8 +671,8 @@ def run_fleet(
     flight_values = []
     if spec.flight_sample > 0:
         flight = flight_campaign(spec)
-        flight_result = execute_batched(
-            flight, _flight_batch_fn, store=store, metrics=metrics
+        flight_result = execute(
+            flight, store=store, metrics=metrics, batch_fn=_flight_batch_fn
         )
         executed += flight_result.executed
         store_hits += flight_result.store_hits

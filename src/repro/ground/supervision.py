@@ -7,11 +7,12 @@ ends the batch with an error. Passing a :class:`GroundPolicy`
 ``execute(supervision=policy)``) makes the same executor survive its
 host while keeping the determinism contract intact:
 
-* **Byte-identical retries.** Every attempt of task *i* receives the
-  same spawned seed the plain path would hand it; a retry that
-  succeeds produces exactly the bytes a first-try success would, so
-  supervised campaigns aggregate byte-identically to unsupervised
-  ones at any worker count.
+* **Byte-identical retries.** Every attempt of task *i* re-runs on the
+  same item, and a campaign trial rebuilds its generator there with
+  :func:`repro.campaign.trial_rng`, so every attempt draws the stream
+  the plain path would; a retry that succeeds produces exactly the
+  bytes a first-try success would, so supervised campaigns aggregate
+  byte-identically to unsupervised ones at any worker count.
 * **Timeouts and replacement.** Each attempt runs in a dedicated
   child process with an optional wall-clock deadline; a hung worker
   is killed and replaced, a crashed worker (hard exit, OOM-kill,

@@ -110,9 +110,6 @@ class AnomalyDataset:
     def outcome_counts(self) -> Counter:
         return Counter(r.outcome for r in self.records)
 
-    def action_counts(self) -> Counter:
-        return Counter(r.action for r in self.records)
-
     def summary(self) -> str:
         seus = self.by_type("seu")
         sels = self.by_type("sel")

@@ -48,7 +48,6 @@ __all__ = [
     "merge_task_records",
     "read_trace",
     "summarize_records",
-    "summarize_trace",
     "write_records",
 ]
 
@@ -84,13 +83,6 @@ class Observability:
 
 #: The disabled singleton every component defaults to.
 NULL_OBS = Observability(tracer=NULL_TRACER, metrics=MetricsRegistry(), enabled=False)
-
-
-def summarize_trace(path: "str | Path", max_tasks: "int | None" = None) -> str:
-    """Render a trace file as a human-readable incident timeline."""
-    from .summarize import summarize_records
-
-    return summarize_records(read_trace(path), source=str(path), max_tasks=max_tasks)
 
 
 from .summarize import summarize_records  # noqa: E402  (re-export)

@@ -6,15 +6,16 @@ figures) is an embarrassingly parallel Monte-Carlo loop. This module
 gives those drivers one primitive, :func:`pmap_report`, with a hard
 determinism contract:
 
-* **Randomness is split, never shared.** When a ``seed`` is given,
-  each task receives its own :class:`numpy.random.Generator` built
-  from ``numpy.random.SeedSequence(seed).spawn(n)[i]``. Task *i*'s
-  stream depends only on ``(seed, i)`` — not on how many workers ran,
-  which process picked the task up, or what any other task consumed —
-  so parallel results are bit-identical to serial results.
+* **Tasks carry their own randomness.** ``pmap_report`` calls
+  ``fn(item)`` and hands out no generators: a task that draws random
+  numbers builds its generator from its item. The campaign layer does
+  this with :func:`repro.campaign.trial_rng`, whose stream for trial
+  *i* depends only on ``(seed_root, i)`` — not on how many workers
+  ran, which process picked the task up, or what any other task
+  consumed — so parallel results are bit-identical to serial results.
 * **``workers=1`` is a pure fallback.** The serial path is a plain
-  in-process loop over the same spawned generators; no pool, no
-  pickling, no import-time side effects.
+  in-process loop over the same items; no pool, no pickling, no
+  import-time side effects.
 * **One executor.** A pooled call forks worker processes, each joined
   to the parent by a pipe, and hands one task at a time to whichever
   worker is idle. Without a ``supervision`` policy the batch fails
@@ -32,19 +33,12 @@ determinism contract:
   fires in completion order, so a callback must key on the index.
 
 Task functions must be *top-level* callables (picklable by qualified
-name) and pure in their arguments: ``fn(item, rng)`` when a seed is
-given, ``fn(item)`` otherwise. Per-task wall time and the executing
+name) and pure in their item. Per-task wall time and the executing
 PID are captured for every task and exposed on the
-:class:`ParallelReport`, so benchmarks can attribute cost.
-
-**Tracing.** When ``trace_path`` is given, every task additionally
-receives a fresh in-memory :class:`repro.obs.TraceRecorder` as its
-last argument (``fn(item, rng, tracer)``); the records each task
-emitted ride back with its result and are merged into one JSON-lines
-file *in task order*, each line stamped with its task index. Because
-record content carries only simulated time (never PIDs or wall
-clocks) and the merge order is the task order, the merged trace is
-byte-identical at any ``workers`` setting.
+:class:`ParallelReport`, so benchmarks can attribute cost. Trace
+records are the campaign layer's job (``docs/observability.md``):
+a supervised batch only reports its host incidents, per task, in
+``ParallelReport.ground_events``.
 """
 
 from __future__ import annotations
@@ -58,9 +52,7 @@ from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .errors import ConfigurationError, PoolTaskError
+from .errors import PoolTaskError
 from .obs.trace import KIND_EVENT, TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -71,7 +63,6 @@ __all__ = [
     "ParallelReport",
     "pmap_report",
     "resolve_workers",
-    "spawn_generators",
 ]
 
 
@@ -117,19 +108,6 @@ class ParallelReport:
         return sum(t.seconds for t in self.timings)
 
 
-def spawn_generators(seed, n: int) -> "list[np.random.Generator]":
-    """``n`` independent generators from one root seed.
-
-    The *i*-th generator depends only on ``(seed, i)``; this is the
-    primitive :func:`pmap_report` uses, exposed for drivers that manage
-    their own loops but want the same determinism contract.
-    """
-    if n < 0:
-        raise ConfigurationError(f"cannot spawn {n} generators")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in root.spawn(n)]
-
-
 def resolve_workers(workers: "int | None", n_items: "int | None" = None) -> int:
     """Effective worker count: explicit request, else one per CPU,
     never more than the number of items."""
@@ -147,39 +125,12 @@ def _pool_usable(min_cpus: int) -> bool:
     return (os.cpu_count() or 1) >= min_cpus
 
 
-def _invoke(payload):
-    """Run one task; returns (value, seconds, pid, trace_records).
+def _invoke(fn, item):
+    """Run one task; returns (value, seconds, pid).
     Top-level so a forked worker can run it."""
-    fn, item, child_seed, with_tracer = payload
-    tracer = None
-    extra = ()
-    if with_tracer:
-        from .obs import TraceRecorder
-
-        tracer = TraceRecorder(ring_size=None)
-        extra = (tracer,)
     started = time.perf_counter()
-    if child_seed is None:
-        value = fn(item, *extra)
-    else:
-        value = fn(item, np.random.default_rng(child_seed), *extra)
-    records = tracer.drain() if tracer is not None else None
-    return value, time.perf_counter() - started, os.getpid(), records
-
-
-def _payloads(fn, items, seed, with_tracer: bool) -> list:
-    """One ``_invoke`` payload per item: task *i* carries the child seed
-    spawned at index *i* (``None`` when unseeded)."""
-    items = list(items)
-    if seed is None:
-        child_seeds = [None] * len(items)
-    else:
-        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        child_seeds = root.spawn(len(items))
-    return [
-        (fn, item, child, with_tracer)
-        for item, child in zip(items, child_seeds)
-    ]
+    value = fn(item)
+    return value, time.perf_counter() - started, os.getpid()
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +146,7 @@ def _portable(exc: Exception) -> "Exception | None":
 
 
 def _worker_main(conn) -> None:
-    """Child loop: run payloads until the parent hangs up.
+    """Child loop: run tasks until the parent hangs up.
 
     Trial exceptions are caught and reported as messages — only a hard
     crash (``os._exit``, a segfault, the OOM killer) breaks the pipe,
@@ -208,9 +159,9 @@ def _worker_main(conn) -> None:
             break
         if message is None:
             break
-        index, payload = message
+        index, fn, item = message
         try:
-            reply = (index, "ok", _invoke(payload), "")
+            reply = (index, "ok", _invoke(fn, item), "")
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
             detail = f"{type(exc).__name__}: {exc}"
             reply = (index, "error", _portable(exc), detail)
@@ -240,12 +191,12 @@ class _Worker:
     def busy(self) -> bool:
         return self.index is not None
 
-    def assign(self, index: int, payload, timeout: "float | None") -> None:
+    def assign(self, index: int, fn, item, timeout: "float | None") -> None:
         self.index = index
         self.deadline = (
             None if timeout is None else time.monotonic() + timeout
         )
-        self.conn.send((index, payload))
+        self.conn.send((index, fn, item))
 
     def clear(self) -> None:
         self.index = None
@@ -288,8 +239,9 @@ class _Batch:
     fail fast: the first failed task ends the batch with its error.
     """
 
-    def __init__(self, payloads, policy, effective, on_result, metrics):
-        self.payloads = payloads
+    def __init__(self, fn, items, policy, effective, on_result, metrics):
+        self.fn = fn
+        self.items = items
         self.policy = policy
         self.effective = effective
         self.on_result = on_result
@@ -298,7 +250,7 @@ class _Batch:
         # Without a policy, the first worker lost while idle (or never
         # started) degrades the rest of the batch to serial.
         self.loss_budget = 0 if policy is None else policy.max_worker_losses
-        self.n = len(payloads)
+        self.n = len(items)
         self.results: "dict[int, tuple]" = {}
         self.failures: "dict[int, int]" = {i: 0 for i in range(self.n)}
         self.quarantined: "dict[int, QuarantinedTask]" = {}
@@ -399,7 +351,7 @@ class _Batch:
         for worker in list(self.workers):
             # An attempt that was in flight when the pool died is
             # aborted, not failed: requeue it at its current attempt
-            # count so the serial drain re-runs it with the same seed.
+            # count so the serial drain re-runs it on the same item.
             if worker.index is not None:
                 self.runnable.append(worker.index)
             worker.clear()
@@ -436,7 +388,7 @@ class _Batch:
                 continue
             index = self.runnable.popleft()
             try:
-                worker.assign(index, self.payloads[index], self.timeout)
+                worker.assign(index, self.fn, self.items[index], self.timeout)
             except Exception:  # noqa: BLE001 - worker died while idle
                 # The task never ran: requeue at the same attempt count
                 # and account the loss against the pool, not the task.
@@ -529,7 +481,7 @@ class _Batch:
                 break
             index = self.runnable.popleft()
             try:
-                outcome = _invoke(self.payloads[index])
+                outcome = _invoke(self.fn, self.items[index])
             except Exception as exc:  # noqa: BLE001 - retried/quarantined
                 if self.policy is None:
                     raise
@@ -539,26 +491,13 @@ class _Batch:
                 continue
             self._complete(index, outcome)
 
-    def report(self, *, workers, mode, wall_seconds, trace_path) -> ParallelReport:
-        """Assemble the :class:`ParallelReport` and, when tracing, merge
-        each task's ground events and own records into ``trace_path``
-        in task order."""
+    def report(self, *, workers, mode, wall_seconds) -> ParallelReport:
         outcomes = [self.results.get(i) for i in range(self.n)]
         ground_events = ()
         if self.policy is not None:
             ground_events = tuple(
                 tuple(self.ground_events.get(i, ())) for i in range(self.n)
             )
-        if trace_path is not None:
-            from .obs import merge_task_records
-
-            merged = []
-            for i, outcome in enumerate(outcomes):
-                records = list(ground_events[i]) if ground_events else []
-                if outcome is not None and outcome[3]:
-                    records.extend(outcome[3])
-                merged.append(records)
-            merge_task_records(merged, trace_path)
         return ParallelReport(
             values=[None if o is None else o[0] for o in outcomes],
             timings=tuple(
@@ -587,10 +526,8 @@ def pmap_report(
     fn,
     items,
     *,
-    seed=None,
     workers: "int | None" = None,
     force_pool: bool = False,
-    trace_path: "str | None" = None,
     on_result=None,
     supervision: "GroundPolicy | None" = None,
     metrics=None,
@@ -600,23 +537,17 @@ def pmap_report(
     Parameters
     ----------
     fn:
-        Top-level callable. Called as ``fn(item, rng)`` when ``seed``
-        is given, else ``fn(item)``. With ``trace_path`` set, a fresh
-        :class:`repro.obs.TraceRecorder` is appended to the argument
-        list (``fn(item, rng, tracer)``).
-    seed:
-        Root seed (int or :class:`numpy.random.SeedSequence`). Task
-        *i* gets the generator spawned at index *i* regardless of the
-        worker count, so results never depend on scheduling.
+        Top-level callable, called as ``fn(item)``. A task that needs
+        randomness derives it from its item (the campaign layer ships
+        ``(seed_root, seed_index)`` and builds
+        :func:`repro.campaign.trial_rng`), so results never depend on
+        scheduling.
     workers:
         Desired parallelism. ``None`` = one per CPU; ``1`` = the pure
         serial path. Small hosts / missing fork degrade to serial.
     force_pool:
         Start the pool even on a single-CPU host (used by the
         determinism tests so the pool path is always exercised).
-    trace_path:
-        Merge every task's trace records into this JSONL file, in
-        task order (byte-identical at any worker count).
     on_result:
         Optional ``on_result(index, value)`` callback, invoked in the
         *parent* process as each task's result arrives. This is the
@@ -628,16 +559,15 @@ def pmap_report(
         task, so a slow callback does not idle a worker.
     supervision:
         A :class:`repro.ground.GroundPolicy`. The batch then survives
-        its host: per-task wall-clock timeouts, bounded retry with
-        byte-identical reseeding, crashed/hung-worker replacement,
-        poison-task quarantine, serial fallback when the pool is
-        repeatedly lost. ``metrics`` (a
+        its host: per-task wall-clock timeouts, bounded retry on the
+        same item, crashed/hung-worker replacement, poison-task
+        quarantine, serial fallback when the pool is repeatedly lost. ``metrics`` (a
         :class:`repro.obs.MetricsRegistry`) then receives the
         ``ground.*`` counters. Without a policy the first failed task
         raises and ``metrics`` is ignored.
     """
-    payloads = _payloads(fn, items, seed, trace_path is not None)
-    n = len(payloads)
+    items = list(items)
+    n = len(items)
     effective = resolve_workers(workers, n)
     if supervision is None:
         pooled = n > 0 and effective > 1 and _pool_usable(1 if force_pool else 2)
@@ -652,7 +582,7 @@ def pmap_report(
         mode = "ground-pool" if pooled else "ground-serial"
         if metrics is not None:
             metrics.counter("ground.tasks").inc(n)
-    batch = _Batch(payloads, supervision, effective, on_result, metrics)
+    batch = _Batch(fn, items, supervision, effective, on_result, metrics)
     started = time.perf_counter()
     if pooled:
         batch.run_pool(multiprocessing.get_context("fork"))
@@ -662,5 +592,4 @@ def pmap_report(
         workers=effective,
         mode=mode,
         wall_seconds=time.perf_counter() - started,
-        trace_path=trace_path,
     )

@@ -92,9 +92,6 @@ class RadiationEnvironment:
             for t in np.sort(rng.uniform(0, duration_seconds, count))
         ]
 
-    def expected_seus(self, duration_seconds: float) -> float:
-        return self.seu_per_day * duration_seconds / 86400.0
-
 
 #: A Snapdragon-class device at sea level: §2.3's 2.3e-12 /bit/day over
 #: ~8 Gbit of sensitive state ≈ 0.02 upsets/day.

@@ -239,8 +239,8 @@ def run_campaign_trial(
 
     Pure in ``(task, rng)`` — no closure over campaign state — so it
     runs identically under the process pool and the serial path. With
-    ``tracer`` (supplied by :func:`repro.parallel.pmap_report` when the
-    campaign traces), the trial's injection, any corruption/fault/vote
+    ``tracer`` (built by the campaign engine when the campaign
+    traces), the trial's injection, any corruption/fault/vote
     records, and the final outcome ride back with the result.
     """
     obs = NULL_OBS

@@ -132,10 +132,6 @@ class RecoverySupervisor:
         """
         self._inflight = (label, replay_fn)
 
-    def clear_inflight(self) -> None:
-        """The in-flight work committed; nothing to replay on alarm."""
-        self._inflight = None
-
     # ------------------------------------------------------------------
     def _log(self, name: str, message: str, severity, **args) -> None:
         if self.eventlog is not None:

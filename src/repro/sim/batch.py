@@ -279,30 +279,6 @@ class TickProgram:
         override = None if freq is None else np.full(ticks, float(freq))
         return cls(base, freq_override=override, sels=sels, seus=seus)
 
-    @classmethod
-    def from_segments(cls, segments, dt: float, sels=(), seus=()) -> "TickProgram":
-        """Resample :class:`~repro.sim.telemetry.ActivitySegment` lists
-        onto the tick grid (each segment covers
-        ``max(1, round(duration / dt))`` ticks)."""
-        if not segments:
-            raise ConfigurationError("need at least one segment")
-        if dt <= 0:
-            raise ConfigurationError("dt must be positive")
-        rows, overrides, jitters = [], [], []
-        for seg in segments:
-            ticks = max(1, int(round(seg.duration / dt)))
-            rows.append(np.tile(np.asarray(seg.core_util, dtype=float), (ticks, 1)))
-            ov = float("nan") if seg.freq_override is None else float(seg.freq_override)
-            overrides.append(np.full(ticks, ov))
-            jitters.append(np.full(ticks, float(seg.util_jitter)))
-        return cls(
-            np.concatenate(rows),
-            freq_override=np.concatenate(overrides),
-            jitter=np.concatenate(jitters),
-            sels=sels,
-            seus=seus,
-        )
-
 
 @dataclass(frozen=True)
 class TickAlarm:
@@ -334,9 +310,6 @@ class TickRunReport:
 
     def lane_alarms(self, lane: int) -> tuple:
         return tuple(a for a in self.alarms if a.lane == lane)
-
-    def lane_deaths(self, lane: int) -> tuple:
-        return tuple(d for d in self.deaths if d.lane == lane)
 
 
 def merge_reports(reports) -> TickRunReport:

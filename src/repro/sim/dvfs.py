@@ -33,16 +33,6 @@ class OndemandGovernor:
         self.up_threshold = up_threshold
         self.down_threshold = down_threshold
 
-    def level_for_utilization(self, utilization: float, current_freq: float) -> float:
-        """One governor step: raise to max on load, step down when idle."""
-        levels = self.spec.freq_levels
-        if utilization >= self.up_threshold:
-            return levels[-1]
-        if utilization <= self.down_threshold:
-            index = max(0, levels.index(current_freq) - 1) if current_freq in levels else 0
-            return levels[index]
-        return current_freq if current_freq in levels else levels[0]
-
     def steady_state_freq(self, utilization: float) -> float:
         """Frequency the governor converges to under constant load."""
         levels = self.spec.freq_levels

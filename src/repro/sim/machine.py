@@ -385,14 +385,6 @@ class Machine:
     # ------------------------------------------------------------------
     # Power
     # ------------------------------------------------------------------
-    def instantaneous_current(self) -> float:
-        """True board current right now, from core state + SEL draw."""
-        util = np.array([1.0 if c.busy_seconds else 0.0 for c in self.cores])
-        freq = np.array([c.freq for c in self.cores])
-        return float(
-            self.power_model.board_current(util * 0.0, freq)
-        ) + self.extra_current_draw
-
     def quiescent_current(self) -> float:
         return self.power_model.quiescent_current(
             self.n_cores, self.spec.core_spec.min_freq

@@ -126,9 +126,6 @@ class FlashStorage:
     def file_size(self, filename: str) -> int:
         return self._entry(filename)[1]
 
-    def filenames(self) -> tuple[str, ...]:
-        return tuple(self._files)
-
     def _entry(self, filename: str) -> "tuple[int, int]":
         try:
             return self._files[filename]

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError, WorkloadError
-from ..sim.telemetry import ActivitySegment
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,17 +167,6 @@ class Workload(abc.ABC):
             self.run_job(spec.slice_inputs(ds), dict(ds.params))
             for ds in spec.datasets
         ]
-
-    def activity_segment(self, duration: float, n_cores: int = 4) -> ActivitySegment:
-        """Telemetry-mode profile of this workload under full drive."""
-        return ActivitySegment(
-            duration=duration,
-            core_util=(0.9,) * n_cores,
-            label=f"workload:{self.name}",
-            dram_gbs=0.6,
-            branch_miss_rate=0.035,
-            cache_hit_rate=0.95,
-        )
 
     def validate_output(self, output: bytes) -> None:
         """Hook for workloads with checkable output structure."""

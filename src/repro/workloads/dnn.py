@@ -86,13 +86,6 @@ class Mlp:
                 activation = _relu(activation)
         return _softmax(activation)
 
-    @property
-    def param_bytes(self) -> int:
-        total = 0
-        for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
-            total += (fan_in * fan_out + fan_out) * 4
-        return total
-
 
 class DnnWorkload(Workload):
     """Classify overlapping windows of a telemetry/sensor stream."""

@@ -4,7 +4,7 @@ The contract under test is byte-identity: `BatchMachines` advancing N
 lanes in lockstep must produce exactly the state — engine digests,
 full machine digests after sync-back, alarm/death reports — that N
 independent `FleetTicker`s produce, including RNG stream positions.
-Also covers the campaign batch executor (`execute_batched`) and the
+Also covers the campaign batch executor (`execute(..., batch_fn=)`) and the
 mission-layer satellites (sorted event indexing, memoized ILD ground
 training, `MissionSimulator.run_batch`).
 """
@@ -22,7 +22,6 @@ from repro.campaign import (
     Trial,
     TrialStore,
     execute,
-    execute_batched,
     trial_rng,
 )
 from repro.errors import ConfigurationError
@@ -311,8 +310,8 @@ class TestExecuteBatched:
                 tempfile.TemporaryDirectory() as d2:
             metrics = MetricsRegistry()
             scalar = execute(camp, store=d1, metrics=MetricsRegistry())
-            batched = execute_batched(
-                camp, _tick_batch_fn, store=d2, metrics=metrics
+            batched = execute(
+                camp, store=d2, metrics=metrics, batch_fn=_tick_batch_fn
             )
             assert batched.values == scalar.values
             s1, s2 = TrialStore.coerce(d1), TrialStore.coerce(d2)
@@ -328,28 +327,28 @@ class TestExecuteBatched:
     def test_resume_across_backends(self):
         camp = self._campaign()
         with tempfile.TemporaryDirectory() as store:
-            cold = execute_batched(camp, _tick_batch_fn, store=store)
+            cold = execute(camp, store=store, batch_fn=_tick_batch_fn)
             warm = execute(camp, store=store)
             assert warm.executed == 0
             assert warm.store_hits == len(camp.trials)
             assert warm.values == cold.values
-            rewarm = execute_batched(camp, _tick_batch_fn, store=store)
+            rewarm = execute(camp, store=store, batch_fn=_tick_batch_fn)
             assert rewarm.executed == 0 and rewarm.values == cold.values
 
     def test_lane_count_mismatch_raises(self):
         camp = self._campaign()
         with pytest.raises(ConfigurationError):
-            execute_batched(camp, lambda items, rngs: [])
+            execute(camp, batch_fn=lambda items, rngs: [])
 
     def test_corrupt_entry_is_counted_and_rerun(self, tmp_path):
         camp = self._campaign()
-        cold = execute_batched(camp, _tick_batch_fn, store=tmp_path)
+        cold = execute(camp, store=tmp_path, batch_fn=_tick_batch_fn)
         fp = camp.specs()[2].fingerprint
         (tmp_path / fp[:2] / f"{fp}.json").write_text("{garbage")
         metrics = MetricsRegistry()
         with pytest.warns(RuntimeWarning, match="corrupt entry"):
-            warm = execute_batched(
-                camp, _tick_batch_fn, store=tmp_path, metrics=metrics
+            warm = execute(
+                camp, store=tmp_path, metrics=metrics, batch_fn=_tick_batch_fn
             )
         counters = metrics.snapshot()["counters"]
         assert counters["campaign.store.corrupt"] == 1

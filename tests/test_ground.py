@@ -21,6 +21,7 @@ import os
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.campaign import (
@@ -71,10 +72,21 @@ def _faulty(item, rng, tracer=None):
     return _draw(item, rng)
 
 
-def _items(n, tmp_path, *, bad=-1, fail=0, kind="error"):
+def _seeded_draw(item):
+    """``_draw`` as a pool task: the item carries its own seed."""
+    return _draw(item, np.random.default_rng(item["seed"]))
+
+
+def _seeded_faulty(item):
+    """``_faulty`` as a pool task: the item carries its own seed."""
+    return _faulty(item, np.random.default_rng(item["seed"]))
+
+
+def _items(n, tmp_path, *, seed=0, bad=-1, fail=0, kind="error"):
     return [
         {
             "i": i,
+            "seed": (seed, i),
             "bad": bad,
             "fail": fail,
             "kind": kind,
@@ -82,6 +94,16 @@ def _items(n, tmp_path, *, bad=-1, fail=0, kind="error"):
         }
         for i in range(n)
     ]
+
+
+def _faulty_campaign(items):
+    """``_faulty`` over ``items`` as a campaign, one trial per item."""
+    return Campaign(
+        name="ground-trace",
+        trial_fn=_faulty,
+        trials=[Trial(params={"i": item["i"]}, item=item) for item in items],
+        seed=2,
+    )
 
 
 class TestGroundPolicy:
@@ -107,10 +129,10 @@ class TestGroundPolicy:
 
 class TestSupervisedPmap:
     def test_matches_plain_pmap_without_faults(self, tmp_path):
-        items = _items(5, tmp_path)
-        plain = pmap_report(_draw, items, seed=11, workers=1)
+        items = _items(5, tmp_path, seed=11)
+        plain = pmap_report(_seeded_draw, items, workers=1)
         supervised = pmap_report(
-            _draw, items, seed=11, workers=2,
+            _seeded_draw, items, workers=2,
             supervision=GroundPolicy(**FAST),
         )
         assert supervised.values == plain.values
@@ -118,11 +140,11 @@ class TestSupervisedPmap:
         assert not supervised.quarantined
 
     def test_crashed_worker_is_replaced_and_retried(self, tmp_path):
-        items = _items(4, tmp_path, bad=1, fail=1, kind="crash")
-        baseline = pmap_report(_draw, items, seed=3, workers=1)
+        items = _items(4, tmp_path, seed=3, bad=1, fail=1, kind="crash")
+        baseline = pmap_report(_seeded_draw, items, workers=1)
         metrics = MetricsRegistry()
         report = pmap_report(
-            _faulty, items, seed=3, workers=2,
+            _seeded_faulty, items, workers=2,
             supervision=GroundPolicy(**FAST), metrics=metrics,
         )
         # Byte-identical despite the crash: the retry reuses the seed.
@@ -133,31 +155,31 @@ class TestSupervisedPmap:
         assert counters["ground.retries"] == 1
 
     def test_transient_errors_retried_to_success(self, tmp_path):
-        items = _items(4, tmp_path, bad=2, fail=2, kind="error")
-        baseline = pmap_report(_draw, items, seed=5, workers=1)
+        items = _items(4, tmp_path, seed=5, bad=2, fail=2, kind="error")
+        baseline = pmap_report(_seeded_draw, items, workers=1)
         report = pmap_report(
-            _faulty, items, seed=5, workers=2,
+            _seeded_faulty, items, workers=2,
             supervision=GroundPolicy(max_attempts=3, **FAST),
         )
         assert report.values == baseline.values
         assert report.retries == 2 and not report.quarantined
 
     def test_hung_worker_killed_by_timeout(self, tmp_path):
-        items = _items(3, tmp_path, bad=0, fail=1, kind="hang")
-        baseline = pmap_report(_draw, items, seed=7, workers=1)
+        items = _items(3, tmp_path, seed=7, bad=0, fail=1, kind="hang")
+        baseline = pmap_report(_seeded_draw, items, workers=1)
         report = pmap_report(
-            _faulty, items, seed=7, workers=2,
+            _seeded_faulty, items, workers=2,
             supervision=GroundPolicy(timeout_seconds=0.5, **FAST),
         )
         assert report.values == baseline.values
         assert report.timeouts == 1 and report.worker_losses == 1
 
     def test_poison_task_quarantined_not_fatal(self, tmp_path):
-        items = _items(4, tmp_path, bad=3, fail=99, kind="error")
-        baseline = pmap_report(_draw, items, seed=9, workers=1)
+        items = _items(4, tmp_path, seed=9, bad=3, fail=99, kind="error")
+        baseline = pmap_report(_seeded_draw, items, workers=1)
         metrics = MetricsRegistry()
         report = pmap_report(
-            _faulty, items, seed=9, workers=2,
+            _seeded_faulty, items, workers=2,
             supervision=GroundPolicy(max_attempts=2, **FAST),
             metrics=metrics,
         )
@@ -174,10 +196,10 @@ class TestSupervisedPmap:
     def test_pool_loss_degrades_to_serial(self, tmp_path):
         # Three crashes against a budget of two: attempts 1-3 die in
         # the pool, the serial drain completes attempt 4 in-process.
-        items = _items(4, tmp_path, bad=1, fail=3, kind="crash")
-        baseline = pmap_report(_draw, items, seed=13, workers=1)
+        items = _items(4, tmp_path, seed=13, bad=1, fail=3, kind="crash")
+        baseline = pmap_report(_seeded_draw, items, workers=1)
         report = pmap_report(
-            _faulty, items, seed=13, workers=2,
+            _seeded_faulty, items, workers=2,
             supervision=GroundPolicy(
                 max_attempts=6, max_worker_losses=2, **FAST
             ),
@@ -188,9 +210,9 @@ class TestSupervisedPmap:
 
     def test_on_result_streams_by_index(self, tmp_path):
         landed = {}
-        items = _items(4, tmp_path, bad=0, fail=1, kind="error")
+        items = _items(4, tmp_path, seed=1, bad=0, fail=1, kind="error")
         pmap_report(
-            _faulty, items, seed=1, workers=2,
+            _seeded_faulty, items, workers=2,
             supervision=GroundPolicy(**FAST),
             on_result=lambda i, value: landed.__setitem__(i, value),
         )
@@ -199,10 +221,10 @@ class TestSupervisedPmap:
     def test_ground_events_ride_into_the_trace(self, tmp_path):
         items = _items(3, tmp_path, bad=1, fail=1, kind="error")
         trace = tmp_path / "ground.jsonl"
-        report = pmap_report(
-            _faulty, items, seed=2, workers=2,
+        report = execute(
+            _faulty_campaign(items), workers=2,
             supervision=GroundPolicy(**FAST), trace_path=str(trace),
-        )
+        ).report
         names = [r.name for r in report.ground_events[1]]
         assert names == ["ground.trial_error", "ground.retry"]
         recorded = [r for r in read_trace(str(trace)) if r.task == 1]
@@ -478,8 +500,8 @@ class TestGroundObservability:
     def test_ground_events_open_an_incident_chain(self, tmp_path):
         items = _items(3, tmp_path, bad=1, fail=1, kind="error")
         trace = tmp_path / "t.jsonl"
-        pmap_report(
-            _faulty, items, seed=2, workers=2,
+        execute(
+            _faulty_campaign(items), workers=2,
             supervision=GroundPolicy(**FAST), trace_path=str(trace),
         )
         records = [r for r in read_trace(str(trace)) if r.task == 1]

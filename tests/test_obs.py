@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.campaign import Campaign, Trial, execute
 from repro.errors import ConfigurationError
 from repro.obs import (
     NULL_OBS,
@@ -16,7 +17,6 @@ from repro.obs import (
 )
 from repro.obs.metrics import Histogram
 from repro.obs.summarize import has_incident_chain
-from repro.parallel import pmap_report
 
 
 class _Clock:
@@ -282,12 +282,17 @@ class TestMergeDeterminism:
         assert [(r.name, r.task) for r in loaded] == [("a", 0), ("b", 2)]
 
     def test_trace_bytes_identical_across_workers(self, tmp_path):
+        camp = Campaign(
+            name="obs-trace",
+            trial_fn=_traced_task,
+            trials=[Trial(params={"i": i}, item=i) for i in range(12)],
+            seed=5,
+        )
         serial_path = tmp_path / "serial.jsonl"
         pooled_path = tmp_path / "pooled.jsonl"
-        serial = pmap_report(_traced_task, range(12), seed=5, workers=1,
-                             trace_path=str(serial_path))
-        pooled = pmap_report(_traced_task, range(12), seed=5, workers=4,
-                             force_pool=True, trace_path=str(pooled_path))
+        serial = execute(camp, workers=1, trace_path=str(serial_path))
+        pooled = execute(camp, workers=2, force_pool=True,
+                         trace_path=str(pooled_path))
         assert serial.values == pooled.values
         assert serial_path.read_bytes() == pooled_path.read_bytes()
         assert {r.task for r in read_trace(serial_path)} == set(range(12))

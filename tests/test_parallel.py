@@ -14,20 +14,20 @@ import pytest
 
 from repro.errors import ConfigurationError, PoolTaskError
 from repro.ground import GroundPolicy
-from repro.parallel import (
-    ParallelReport,
-    pmap_report,
-    resolve_workers,
-    spawn_generators,
-)
+from repro.parallel import ParallelReport, pmap_report, resolve_workers
 
 
 def _square(x):
     return x * x
 
 
-def _draw(item, rng):
-    return item + float(rng.random())
+def _draw(seed):
+    """A task that carries its own seed: ``seed`` is ``(root, i)``."""
+    return seed[1] + float(np.random.default_rng(seed).random())
+
+
+def _seeds(root, n):
+    return [(root, i) for i in range(n)]
 
 
 def _reject(x):
@@ -63,21 +63,6 @@ needs_fork = pytest.mark.skipif(
 
 
 class TestPrimitives:
-    def test_spawn_generators_prefix_stable(self):
-        # Task i's stream depends only on (seed, i), not on how many
-        # tasks the batch holds.
-        few = [g.random() for g in spawn_generators(42, 3)]
-        many = [g.random() for g in spawn_generators(42, 8)][:3]
-        assert few == many
-
-    def test_spawn_generators_distinct(self):
-        draws = [g.random() for g in spawn_generators(0, 16)]
-        assert len(set(draws)) == 16
-
-    def test_spawn_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            spawn_generators(0, -1)
-
     def test_resolve_workers(self):
         assert resolve_workers(4) == 4
         assert resolve_workers(4, n_items=2) == 2
@@ -95,16 +80,16 @@ class TestPmap:
         assert report.timings == ()
 
     def test_seeded_runs_repeat(self):
-        first = pmap_report(_draw, range(6), seed=7).values
-        second = pmap_report(_draw, range(6), seed=7).values
+        first = pmap_report(_draw, _seeds(7, 6)).values
+        second = pmap_report(_draw, _seeds(7, 6)).values
         assert first == second
 
     def test_seed_changes_values(self):
-        first = pmap_report(_draw, range(6), seed=7).values
-        assert first != pmap_report(_draw, range(6), seed=8).values
+        first = pmap_report(_draw, _seeds(7, 6)).values
+        assert first != pmap_report(_draw, _seeds(8, 6)).values
 
     def test_report_accounting(self):
-        report = pmap_report(_draw, range(5), seed=1, workers=1)
+        report = pmap_report(_draw, _seeds(1, 5), workers=1)
         assert isinstance(report, ParallelReport)
         assert report.mode == "serial"
         assert report.workers == 1
@@ -114,9 +99,9 @@ class TestPmap:
 
     def test_forced_pool_matches_serial(self):
         # force_pool exercises the fork-pool path even on one CPU.
-        serial = pmap_report(_draw, range(12), seed=3, workers=1)
+        serial = pmap_report(_draw, _seeds(3, 12), workers=1)
         pooled = pmap_report(
-            _draw, range(12), seed=3, workers=4, force_pool=True
+            _draw, _seeds(3, 12), workers=4, force_pool=True
         )
         assert pooled.values == serial.values
         if pooled.mode == "fork-pool":  # may degrade where fork is absent
@@ -228,7 +213,6 @@ class TestCampaignDeterminism:
         from repro.radiation.injector import (
             CampaignConfig,
             FaultInjectionCampaign,
-            run_campaign_trial,
         )
         from repro.workloads.imageproc import ImageProcessingWorkload
 
@@ -250,9 +234,13 @@ class TestCampaignDeterminism:
 
         # Force the fork-pool path regardless of host CPU count.
         forced = pmap_report(
-            run_campaign_trial,
-            _campaign_tasks(serial_campaign, ("none", "emr")),
-            seed=11,
+            _seeded_injection_trial,
+            [
+                (task, 11, i)
+                for i, task in enumerate(
+                    _campaign_tasks(serial_campaign, ("none", "emr"))
+                )
+            ],
             workers=4,
             force_pool=True,
         )
@@ -271,6 +259,15 @@ class TestCampaignDeterminism:
         parallel = sweep_thresholds(factory, labelled, workers=4)
         assert serial.scores == parallel.scores
         assert serial.chosen == parallel.chosen
+
+
+def _seeded_injection_trial(payload):
+    """One injection trial with the generator its campaign trial gets."""
+    from repro.campaign import trial_rng
+    from repro.radiation.injector import run_campaign_trial
+
+    task, root, index = payload
+    return run_campaign_trial(task, trial_rng(root, index))
 
 
 def _campaign_tasks(campaign, schemes):
