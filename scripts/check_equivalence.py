@@ -146,10 +146,10 @@ def fleet_row() -> Row:
 
     def run(*, store, workers=1, metrics=None, force_pool=False,
             supervision=None, switch_batch=False):
-        # run_fleet takes no force_pool: its pool cell needs 2 CPUs.
         result = run_fleet(
             spec, store=store, workers=workers, metrics=metrics,
             use_batch=not switch_batch, supervision=supervision,
+            force_pool=force_pool,
         )
         total = sum(st.total for st in fleet_status(spec, store).values())
         return Outcome(json.loads(report_json(result.report)), result.report, total)

@@ -9,8 +9,8 @@ group's lanes in lockstep — one :class:`~repro.sim.batch.BatchMachines`
 sweep instead of N scalar tick loops. Without a
 ``batch_fn.lockstep_key`` the round's pending trials are one group,
 run in-process; with one (a top-level ``key(item)``), they are grouped
-by key and the groups run as fail-fast pool tasks, largest first.
-Both go through the one round executor,
+by key and the groups are the first tasks of the round's pool batch,
+largest first. Both go through the one round executor,
 :func:`repro.campaign.engine.run_round`.
 
 The determinism contract is unchanged. Each lane receives exactly the
@@ -29,8 +29,9 @@ power-cycle, a reboot, any per-lane control flow the SoA engine cannot
 express) are *peeled* — the batch function returns the
 :class:`Diverged` sentinel for that lane and the executor re-runs the
 whole trial through the scalar ``campaign.trial_fn`` with a fresh
-``trial_rng``, in the same ``pmap_report`` call as any other scalar trial (so
-``workers`` and ``supervision`` apply to it). Because a trial's stream
+``trial_rng``, as a task that joins the round's running ``pmap_report``
+batch when its group lands (so ``workers`` and ``supervision`` apply to
+it, as they do to the group). Because a trial's stream
 depends only on ``(seed_root, seed_index)``, the scalar re-run is the
 same trial the scalar engine would have produced, not an
 approximation.

@@ -12,23 +12,25 @@ runs through :func:`run_round`, the one round executor, which:
 1. resolves the round's trial fingerprints (:meth:`Campaign.specs`);
 2. consults the :class:`~repro.campaign.store.TrialStore` (if given)
    and **skips** trials whose fingerprint is already stored;
-3. with a ``batch_fn``, advances the missing trials as lockstep groups
-   (:mod:`repro.campaign.batch`): one in-process group, or — when the
-   batch function declares a ``lockstep_key`` — one pool task per key,
-   largest group first, through one ``pmap_report`` call;
-4. runs every other missing trial (all of them without ``batch_fn``,
-   else the lanes that diverged) through one ``pmap_report`` call — each in a
-   worker with its own :func:`~repro.campaign.spec.trial_rng`
-   generator and (when tracing) a fresh per-trial
-   :class:`~repro.obs.TraceRecorder`;
+3. runs the missing trials as one ``pmap_report`` batch on the run's
+   :class:`~repro.parallel.WorkerPool` — each trial in a worker with
+   its own :func:`~repro.campaign.spec.trial_rng` generator and (when
+   tracing) a fresh per-trial :class:`~repro.obs.TraceRecorder`;
+4. with a ``batch_fn``, advances them as lockstep groups first
+   (:mod:`repro.campaign.batch`): one in-process group before the
+   batch, or — when the batch function declares a ``lockstep_key`` —
+   one batch task per key, largest first, whose lanes that return
+   :class:`~repro.campaign.batch.Diverged` join the running batch as
+   scalar trials when their group lands;
 5. canonicalises every result — stored hit or fresh execution alike —
    through an ``encode -> JSON -> decode`` round-trip, so resumed and
    cold runs aggregate **byte-identically**;
 6. persists each fresh result (with its trace records) *as it lands*
    — not after the batch — so a run killed mid-grid keeps every
-   completed trial, and ends the round with one
+   completed trial; while a pooled batch computes, it syncs the landed
+   entries on the pool's I/O thread, and it ends the round with one
    :meth:`~repro.campaign.store.TrialStore.barrier` (also when the
-   round raises) that makes those entries durable; finally the stream
+   round raises) that makes the rest durable; finally the stream
    merges all trace records, in round-major grid order, into one JSONL
    file.
 
@@ -42,11 +44,13 @@ actually skipped completed work.
 from __future__ import annotations
 
 import json
+from concurrent.futures import Future
+from concurrent.futures import wait as wait_futures
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..errors import ConfigurationError, StoreWriteError
-from ..parallel import ParallelReport, pmap_report
+from ..parallel import ParallelReport, WorkerPool, pmap_report
 from .batch import Diverged
 from .spec import Campaign, TrialSpec, jsonify, trial_rng
 from .store import STORE_SCHEMA, TrialStore
@@ -74,6 +78,13 @@ def _execute_trial(payload):
         tracer = TraceRecorder(ring_size=None)
     value = fn(item, trial_rng(seed_root, seed_index), tracer)
     return value, (tracer.drain() if tracer is not None else None)
+
+
+def _execute_task(task):
+    """Run one round task, ``(runner, payload)``, in a worker: a trial
+    (:func:`_execute_trial`) or a lockstep group (:func:`_execute_group`)."""
+    runner, payload = task
+    return runner(payload)
 
 
 def _execute_group(payload):
@@ -160,29 +171,34 @@ def _defects(store: "TrialStore | None") -> int:
 def run_round(
     campaign: Campaign,
     *,
-    workers: "int | None" = 1,
+    pool: WorkerPool,
     store: "TrialStore | None" = None,
     with_tracer: bool = False,
     metrics=None,
-    force_pool: bool = False,
     supervision=None,
     batch_fn=None,
 ) -> RoundExecution:
     """Execute one round (a fully resolved grid): the one round executor.
 
-    Stored trials are replayed; with ``batch_fn`` the pending trials
-    first advance as lockstep groups (:mod:`repro.campaign.batch`).
-    Without a ``batch_fn.lockstep_key`` they form one group, run
-    in-process. With one — a top-level ``lockstep_key(item)`` function
-    attribute — the lanes are grouped by key, no group is ever split,
-    and the groups run largest first as fail-fast pool tasks, each
-    absorbed the moment it lands. Every trial left over — all of them
-    without ``batch_fn``, else the lanes that returned
-    :class:`~repro.campaign.batch.Diverged` — runs through one
-    ``pmap_report`` call, so those lanes get ``workers``,
-    ``supervision`` and quarantine; ``CampaignResult.report`` is that
-    call's report. The round ends with one store barrier, also when it
-    raises. Records are *returned* (``RoundExecution.records``) so the
+    Stored trials are replayed; the rest run as **one** ``pmap_report``
+    batch on ``pool`` under ``supervision`` (its report is
+    ``CampaignResult.report``), each absorbed — canonicalised and put
+    into the store — the moment it lands. With a ``batch_fn`` the
+    pending trials advance as lockstep groups
+    (:mod:`repro.campaign.batch`): a keyless one (often a closure, which
+    no worker could unpickle) as one in-process group before the batch;
+    one with a top-level ``lockstep_key(item)`` attribute as one batch
+    task per key (never split), largest first. Lanes that return
+    :class:`~repro.campaign.batch.Diverged` run as scalar trials that
+    join the running batch when their group lands, so group tasks and
+    diverged lanes alike get timeouts, retries and quarantine (a poison
+    group under every one of its lanes' grid indices).
+
+    While a pooled batch computes, each landing defers a store
+    :meth:`~repro.campaign.store.TrialStore.barrier` to the pool's I/O
+    thread, one at a time; the round-end barrier (run also when the
+    round raises) then syncs only the tail, and a serial round runs it
+    alone. Records are *returned* (``RoundExecution.records``) so the
     stream can merge every round into one file. Callers outside the
     stream machinery want :func:`execute` /
     :func:`~repro.campaign.stream.execute_stream`.
@@ -226,70 +242,86 @@ def run_round(
                 },
             )
 
+    def _task(is_group: bool, lanes: "list[int]"):
+        if is_group:
+            return _execute_group, (
+                batch_fn,
+                [campaign.trials[i].item for i in lanes],
+                [(specs[i].seed_root, specs[i].seed_index) for i in lanes],
+            )
+        i = lanes[0]
+        return _execute_trial, (
+            campaign.trial_fn,
+            campaign.trials[i].item,
+            specs[i].seed_root,
+            specs[i].seed_index,
+            with_tracer,
+        )
+
+    def _absorb_group(lanes: "list[int]", outcomes) -> "list[int]":
+        """Absorb a group's lanes; the lanes that diverged."""
+        if len(outcomes) != len(lanes):
+            raise ConfigurationError(
+                f"batch_fn returned {len(outcomes)} results for a "
+                f"{len(lanes)}-lane group"
+            )
+        peeled = []
+        for i, value in zip(lanes, outcomes):
+            if isinstance(value, Diverged):
+                peeled.append(i)
+            else:
+                _absorb(i, value)
+        return peeled
+
+    # The batch's tasks by position: (is_group, grid lanes).
+    tasks: "list[tuple[bool, list[int]]]" = []
+    synced: "Future | None" = None  # the early barrier in flight
+
+    def _land(position: int, value):
+        nonlocal synced
+        is_group, lanes = tasks[position]
+        if is_group:
+            follow = _absorb_group(lanes, value)
+        else:
+            _absorb(lanes[0], *value)
+            follow = []
+        if store is not None and pool.active and (synced is None or synced.done()):
+            if synced is not None:
+                synced.result()  # a failed early barrier ends the round
+            synced = pool.defer(store.barrier)
+        tasks.extend((False, [i]) for i in follow)
+        return [_task(False, [i]) for i in follow]
+
     try:
-        scalar = pending
-        if batch_fn is not None and pending:
-            key = getattr(batch_fn, "lockstep_key", None) or (lambda item: None)
+        key = getattr(batch_fn, "lockstep_key", None)
+        if batch_fn is None or not pending:
+            tasks.extend((False, [i]) for i in pending)
+        elif key is None:
+            peeled = _absorb_group(pending, _execute_task(_task(True, pending)))
+            tasks.extend((False, [i]) for i in peeled)
+        else:
             by_key: dict = {}
             for i in pending:
                 by_key.setdefault(key(campaign.trials[i].item), []).append(i)
             groups = sorted(by_key.values(), key=len, reverse=True)
-            diverged: "list[int]" = []
-
-            def _absorb_group(position: int, outcomes) -> None:
-                lanes = groups[position]
-                if len(outcomes) != len(lanes):
-                    raise ConfigurationError(
-                        f"batch_fn returned {len(outcomes)} results for a "
-                        f"{len(lanes)}-lane group"
-                    )
-                for i, value in zip(lanes, outcomes):
-                    if isinstance(value, Diverged):
-                        diverged.append(i)
-                    else:
-                        _absorb(i, value)
-
-            # A keyless batch_fn makes one group, which pmap_report runs
-            # in-process (one task never starts a pool).
-            pmap_report(
-                _execute_group,
-                [
-                    (
-                        batch_fn,
-                        [campaign.trials[i].item for i in lanes],
-                        [(specs[i].seed_root, specs[i].seed_index) for i in lanes],
-                    )
-                    for lanes in groups
-                ],
-                workers=workers,
-                force_pool=force_pool,
-                on_result=_absorb_group,
-            )
-            scalar = sorted(diverged)
-
+            tasks.extend((True, lanes) for lanes in groups)
         report = pmap_report(
-            _execute_trial,
-            [
-                (
-                    campaign.trial_fn,
-                    campaign.trials[i].item,
-                    specs[i].seed_root,
-                    specs[i].seed_index,
-                    with_tracer,
-                )
-                for i in scalar
-            ],
-            workers=workers,
-            force_pool=force_pool,
-            on_result=lambda position, outcome: _absorb(scalar[position], *outcome),
+            _execute_task,
+            [_task(*task) for task in tasks],
+            pool=pool,
+            on_result=_land,
             supervision=supervision,
             metrics=metrics,
         )
+        if synced is not None:
+            synced.result()
     except BaseException:
         # Keep what the round finished, but never let a failing barrier
         # replace the round's own exception.
         if store is not None:
             try:
+                if synced is not None:
+                    wait_futures([synced])
                 store.barrier()
             except (OSError, StoreWriteError):
                 pass
@@ -297,33 +329,33 @@ def run_round(
     if store is not None:
         store.barrier()
 
-    # Resolve pmap-level quarantines (positions in `scalar`) to their
-    # campaign identities, and splice ground events into trial traces.
+    # Resolve pmap-level quarantines (task positions) to the campaign
+    # identities of their lanes, and splice ground events into trial
+    # traces.
     quarantined: "list[QuarantinedTrial]" = []
     if report.quarantined:
         from ..ground.supervision import QuarantinedTrial
 
         for q in report.quarantined:
-            i = scalar[q.index]
-            canonical[i] = None
-            record_dicts[i] = None
-            quarantined.append(
-                QuarantinedTrial(
-                    index=i,
-                    fingerprint=specs[i].fingerprint,
-                    params=specs[i].params,
-                    attempts=q.attempts,
-                    error=q.error,
+            for i in tasks[q.index][1]:
+                canonical[i] = None
+                record_dicts[i] = None
+                quarantined.append(
+                    QuarantinedTrial(
+                        index=i,
+                        fingerprint=specs[i].fingerprint,
+                        params=specs[i].params,
+                        attempts=q.attempts,
+                        error=q.error,
+                    )
                 )
-            )
+        quarantined.sort(key=lambda q: q.index)
     if with_tracer and report.ground_events:
         for position, events in enumerate(report.ground_events):
-            if not events:
-                continue
-            i = scalar[position]
-            record_dicts[i] = [r.to_dict() for r in events] + (
-                record_dicts[i] or []
-            )
+            for i in tasks[position][1] if events else ():
+                record_dicts[i] = [r.to_dict() for r in events] + (
+                    record_dicts[i] or []
+                )
 
     trace_missing = 0
     for i, entry in hits.items():
@@ -364,8 +396,9 @@ def run_round(
             metrics.counter("campaign.trace.missing").inc(trace_missing)
         if batch_fn is not None and pending:
             metrics.counter("campaign.batch.lanes").inc(len(pending))
-            if scalar:
-                metrics.counter("campaign.batch.diverged").inc(len(scalar))
+            diverged = sum(not is_group for is_group, _ in tasks)
+            if diverged:
+                metrics.counter("campaign.batch.diverged").inc(diverged)
 
     result = CampaignResult(
         name=campaign.name,
@@ -393,6 +426,7 @@ def execute(
     force_pool: bool = False,
     supervision=None,
     batch_fn=None,
+    pool: "WorkerPool | None" = None,
 ) -> CampaignResult:
     """Run ``campaign``, skipping trials the store already holds.
 
@@ -409,8 +443,10 @@ def execute(
     then *completes* with ``result.quarantined`` naming the survivors'
     missing peers instead of the whole run dying. ``batch_fn`` runs
     the missing trials as lockstep groups first (:func:`run_round`,
-    :mod:`repro.campaign.batch`); supervision then covers the lanes
-    that diverged.
+    :mod:`repro.campaign.batch`); supervision then covers the group
+    tasks and the lanes that diverged. ``pool`` (a
+    :class:`~repro.parallel.WorkerPool`) runs the campaign on a caller's
+    pool, whose ``workers`` and ``force_pool`` then apply.
     """
     from .stream import GridSource, execute_stream
 
@@ -423,6 +459,7 @@ def execute(
         force_pool=force_pool,
         supervision=supervision,
         batch_fn=batch_fn,
+        pool=pool,
     )
     return stream.rounds[0].result
 

@@ -8,13 +8,16 @@ campaigns.
 Durability and integrity are first-class (the ground-segment analog of
 the flight stack's no-silent-escape invariant):
 
-* **Atomic writes, one durability barrier per round.**
+* **Atomic writes, durable by the end of each round.**
   :meth:`TrialStore.put` writes a temp file and ``os.replace``\\ s it
   into place, so a reader never sees a partial entry; it does not
-  ``fsync``. :meth:`TrialStore.barrier` makes every entry written since
-  the last barrier durable: it ``fsync``\\ s each of those files, then
-  each of their directories once. The round executor calls it at the
-  end of every round, also when the round raises, and ``put`` calls it
+  ``fsync``. :meth:`TrialStore.barrier` makes every entry written
+  before it started durable: it ``fsync``\\ s each of those files, then
+  each of their directories once; an entry ``put`` meanwhile (a
+  barrier may run on a worker pool's I/O thread) stays pending. The
+  round executor calls it at the end of every round, also when the
+  round raises, and while a pooled round's workers compute, after each
+  landing, one barrier at a time; ``put`` calls it
   once 256 entries are pending, so a long round (a static grid is one
   round) has a durability point every 256 trials. An entry a power cut
   tears or loses before its barrier fails its checksum (or is absent)
@@ -43,6 +46,7 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -144,8 +148,13 @@ class TrialStore:
         #: (well-formed, wrong schema), ``quarantined`` (files moved
         #: aside), ``unreadable`` (I/O errors other than absence).
         self.counters: "Counter[str]" = Counter()
-        #: Entries written since the last :meth:`barrier`, in write order.
-        self._unsynced: "dict[Path, None]" = {}
+        #: Entries written and not yet synced, in write order, each
+        #: mapped to its write's ordinal. A barrier may run on another
+        #: thread (an early barrier on a worker pool's I/O thread), so
+        #: both sides touch this map only under ``_lock``.
+        self._unsynced: "dict[Path, int]" = {}
+        self._writes = 0
+        self._lock = threading.Lock()
 
     @classmethod
     def coerce(cls, store) -> "TrialStore | None":
@@ -282,30 +291,39 @@ class TrialStore:
                 exc, f"cannot persist trial {fingerprint[:12]}…"
             )
             raise
-        self._unsynced[path] = None
-        if len(self._unsynced) >= _BARRIER_EVERY:
+        with self._lock:
+            self._writes += 1
+            self._unsynced[path] = self._writes
+            full = len(self._unsynced) >= _BARRIER_EVERY
+        if full:
             self.barrier()
 
     def barrier(self) -> None:
-        """Make every entry written since the last barrier durable.
+        """Make every entry written before the call durable.
 
         ``fsync``\\ s each of those files, then each of their
-        directories once. A failed ``fsync`` leaves them all pending
-        for the next barrier and raises (as
-        :class:`~repro.errors.StoreWriteError` for the disk faults
-        :meth:`put` maps).
+        directories once, and then marks synced only those writes: an
+        entry ``put`` (or rewritten) while the barrier runs stays
+        pending for the next one. A failed ``fsync`` leaves them all
+        pending and raises (as :class:`~repro.errors.StoreWriteError`
+        for the disk faults :meth:`put` maps).
         """
+        with self._lock:
+            pending = dict(self._unsynced)
         try:
-            for path in self._unsynced:
+            for path in pending:
                 _fsync_path(path)
-            for directory in dict.fromkeys(p.parent for p in self._unsynced):
+            for directory in dict.fromkeys(p.parent for p in pending):
                 _fsync_path(directory)
         except OSError as exc:
             self._raise_disk_fault(
-                exc, f"cannot make {len(self._unsynced)} entries durable"
+                exc, f"cannot make {len(pending)} entries durable"
             )
             raise
-        self._unsynced.clear()
+        with self._lock:
+            for path, write in pending.items():
+                if self._unsynced.get(path) == write:
+                    del self._unsynced[path]
 
     # ------------------------------------------------------------------
     # audit tooling (the `repro store` CLI)

@@ -38,10 +38,12 @@ historical one-shot executors.
 from __future__ import annotations
 
 import hashlib
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from ..errors import ConfigurationError
+from ..parallel import WorkerPool
 from .engine import CampaignStatus, RoundExecution, run_round, status
 from .spec import Campaign, canonical_json
 from .store import TrialStore
@@ -251,14 +253,19 @@ def execute_stream(
     batch_fn=None,
     max_rounds: "int | None" = None,
     on_round=None,
+    pool: "WorkerPool | None" = None,
 ) -> StreamResult:
     """Drain ``source`` round by round until it declines to continue.
 
     Each round runs through the one round executor
     (:func:`~repro.campaign.engine.run_round`): store skip/persist per
-    trial, the ``batch_fn`` lockstep group when given, supervision/
-    quarantine for every trial that runs in ``pmap_report``, per-round
-    metrics. Trace records are accumulated across rounds and merged
+    trial, the ``batch_fn`` lockstep groups when given, supervision/
+    quarantine for every task of the round's ``pmap_report`` batch,
+    per-round metrics. Every round runs on one
+    :class:`~repro.parallel.WorkerPool`: ``pool`` when given (its
+    ``workers`` and ``force_pool`` then apply), else one the stream
+    opens from ``workers`` and ``force_pool`` and closes at its end, so
+    a pooled stream forks each worker once. Trace records are accumulated across rounds and merged
     into **one** file at the end, in round-major grid order — for a
     one-round stream that is byte-identical to the pre-stream trace
     output.
@@ -282,36 +289,35 @@ def execute_stream(
     all_records: "list[list]" = []
     exhausted = False
 
-    while True:
-        if max_rounds is not None and len(rounds) >= max_rounds:
-            break
-        campaign = source.next_round(history)
-        if campaign is None:
-            exhausted = True
-            break
-        execution: RoundExecution = run_round(
-            campaign,
-            workers=workers,
-            store=store,
-            with_tracer=trace_path is not None,
-            metrics=metrics,
-            force_pool=force_pool,
-            supervision=supervision,
-            batch_fn=batch_fn,
-        )
-        round_result = RoundResult(
-            index=len(rounds),
-            result=execution.result,
-            digest=values_digest(execution.canonical),
-        )
-        rounds.append(round_result)
-        history.rounds.append(round_result)
-        if execution.records is not None:
-            all_records.extend(execution.records)
-        if metrics is not None:
-            metrics.counter("campaign.rounds").inc()
-        if on_round is not None:
-            on_round(round_result)
+    scope = WorkerPool(workers, force_pool=force_pool) if pool is None else nullcontext(pool)
+    with scope as pool:
+        while max_rounds is None or len(rounds) < max_rounds:
+            campaign = source.next_round(history)
+            if campaign is None:
+                exhausted = True
+                break
+            execution: RoundExecution = run_round(
+                campaign,
+                pool=pool,
+                store=store,
+                with_tracer=trace_path is not None,
+                metrics=metrics,
+                supervision=supervision,
+                batch_fn=batch_fn,
+            )
+            round_result = RoundResult(
+                index=len(rounds),
+                result=execution.result,
+                digest=values_digest(execution.canonical),
+            )
+            rounds.append(round_result)
+            history.rounds.append(round_result)
+            if execution.records is not None:
+                all_records.extend(execution.records)
+            if metrics is not None:
+                metrics.counter("campaign.rounds").inc()
+            if on_round is not None:
+                on_round(round_result)
 
     if trace_path is not None:
         from ..obs import merge_task_records

@@ -124,13 +124,15 @@ def calibration_table(values) -> dict:
 
 
 def calibrate_fleet(
-    spec: FleetSpec, *, store=None, workers=None, metrics=None
+    spec: FleetSpec, *, store=None, workers=None, metrics=None, pool=None
 ) -> dict:
-    """Run (or replay) the calibration campaign and build the table."""
+    """Run (or replay) the calibration campaign and build the table;
+    on ``pool`` (a :class:`~repro.parallel.WorkerPool`) when given."""
     result = execute(
         calibration_campaign(spec),
         workers=workers,
         store=store,
         metrics=metrics,
+        pool=pool,
     )
     return calibration_table(result.values)

@@ -14,8 +14,9 @@ per-craft trials and a fleet-level report, in four moves:
    ``(preset, profile, days, dt)`` program), and craft whose pinned
    trial stream samples latchups return
    :class:`~repro.campaign.Diverged` — they leave lockstep (power
-   cycles, fine-tick detection episodes, deaths) and re-run through
-   the process pool (:func:`repro.parallel.pmap_report`). Both routes share
+   cycles, fine-tick detection episodes, deaths) and re-run as scalar
+   trials in the same :func:`repro.parallel.pmap_report` batch as the
+   groups, on the run's one worker pool. Both routes share
    one campaign identity — same fingerprints, same
    :class:`TrialStore` entries — so the aggregate report is
    byte-identical at any worker count, batched or not, cold or
@@ -60,6 +61,7 @@ from ..campaign import (
 )
 from ..errors import ConfigurationError
 from ..missions.simulator import MissionConfig, MissionSimulator
+from ..parallel import WorkerPool
 from ..radiation.thermal import time_to_damage
 from ..sim.batch import (
     BatchMachines,
@@ -638,45 +640,47 @@ def run_fleet(
     metrics=None,
     use_batch: bool = True,
     supervision=None,
+    force_pool: bool = False,
 ) -> FleetRunResult:
     """Simulate (or resume) the whole constellation.
 
-    The craft campaign runs through one executor call. With
-    ``use_batch`` every pending craft first rides its band program's
-    SoA lockstep group (:func:`_fleet_batch_fn`, one pool task per
-    :func:`_fleet_lockstep_key`); craft that sample latchups come
-    back :class:`~repro.campaign.Diverged` and re-run through
-    :func:`_craft_trial` in the process pool, beside every craft when
-    ``use_batch`` is off. ``supervision`` (a
-    :class:`repro.ground.GroundPolicy`) hardens those pool trials
-    against host faults — crashed or hung workers are replaced and
-    poison craft quarantined (under their grid index) instead of
-    killing a million-machine-hour run.
+    The calibration, craft and flight campaigns run on one
+    :class:`~repro.parallel.WorkerPool` (``workers``, ``force_pool``),
+    so each worker is forked once per run. With ``use_batch`` every
+    pending craft first rides its band program's SoA lockstep group
+    (:func:`_fleet_batch_fn`, one pool task per
+    :func:`_fleet_lockstep_key`); craft that sample latchups come back
+    :class:`~repro.campaign.Diverged` and re-run through
+    :func:`_craft_trial` in the same pooled batch, beside every craft
+    when ``use_batch`` is off. ``supervision`` (a
+    :class:`repro.ground.GroundPolicy`) hardens the craft batch against
+    host faults — crashed or hung workers are replaced and poison craft
+    quarantined (under their grid index) instead of killing a
+    million-machine-hour run.
     """
     store = TrialStore.coerce(store)
-    calib = calibrate_fleet(
-        spec, store=store, workers=workers, metrics=metrics
-    )
-    craft = execute(
-        fleet_campaign(spec, calib),
-        batch_fn=_fleet_batch_fn if use_batch else None,
-        workers=workers,
-        store=store,
-        metrics=metrics,
-        supervision=supervision,
-    )
-    executed = craft.executed
-    store_hits = craft.store_hits
-
-    flight_values = []
-    if spec.flight_sample > 0:
-        flight = flight_campaign(spec)
-        flight_result = execute(
-            flight, store=store, metrics=metrics, batch_fn=_flight_batch_fn
+    with WorkerPool(workers, force_pool=force_pool) as pool:
+        calib = calibrate_fleet(spec, store=store, metrics=metrics, pool=pool)
+        craft = execute(
+            fleet_campaign(spec, calib),
+            batch_fn=_fleet_batch_fn if use_batch else None,
+            store=store,
+            metrics=metrics,
+            supervision=supervision,
+            pool=pool,
         )
-        executed += flight_result.executed
-        store_hits += flight_result.store_hits
-        flight_values = list(flight_result.values)
+        executed = craft.executed
+        store_hits = craft.store_hits
+
+        flight_values = []
+        if spec.flight_sample > 0:
+            flight_result = execute(
+                flight_campaign(spec), store=store, metrics=metrics,
+                batch_fn=_flight_batch_fn, pool=pool,
+            )
+            executed += flight_result.executed
+            store_hits += flight_result.store_hits
+            flight_values = list(flight_result.values)
 
     # Quarantined craft leave None in their grid slots; the aggregate
     # report covers the survivors (the quarantine manifest names the

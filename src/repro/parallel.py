@@ -16,15 +16,26 @@ determinism contract:
 * **``workers=1`` is a pure fallback.** The serial path is a plain
   in-process loop over the same items; no pool, no pickling, no
   import-time side effects.
-* **One executor.** A pooled call forks worker processes, each joined
-  to the parent by a pipe, and hands one task at a time to whichever
-  worker is idle. Without a ``supervision`` policy the batch fails
-  fast: a trial exception re-raises in the parent as the trial's own
-  exception, and a worker that dies mid-task raises
-  :class:`~repro.errors.PoolTaskError` naming the task. With a
-  :class:`repro.ground.GroundPolicy` the same executor enforces
-  timeouts, retries, quarantines poison tasks and falls back to serial
-  instead (``docs/ground.md``).
+* **One executor, one pool per run.** A :class:`WorkerPool` forks its
+  worker processes lazily, on the first batch that needs a pool, joins
+  each to the parent by a pipe, and keeps them until it closes, so a
+  run that maps many batches (a campaign's rounds, a fleet's three
+  campaigns) forks each worker once. ``pmap_report(..., pool=)`` runs
+  one batch on such a pool; without ``pool=`` it opens a pool for the
+  one batch and closes it. A batch hands one task at a time to
+  whichever of its workers is idle, and ``on_result`` may return
+  follow-up items that join the running batch as new tasks. Without a
+  ``supervision`` policy the batch fails fast: a trial exception
+  re-raises in the parent as the trial's own exception, and a worker
+  that dies mid-task raises :class:`~repro.errors.PoolTaskError`
+  naming the task. With a :class:`repro.ground.GroundPolicy` the same
+  executor enforces timeouts, retries, quarantines poison tasks and
+  falls back to serial instead (``docs/ground.md``).
+* **One I/O thread.** :meth:`WorkerPool.defer` runs parent-side I/O
+  (the campaign layer's early store barriers) on the pool's one
+  thread while the workers compute. The pool never forks while that
+  thread is busy: a fork copies only the forking thread, so a child
+  forked mid-``fsync`` could inherit a lock no thread will release.
 * **Graceful degradation.** If the host has too few CPUs, fork is
   unavailable (e.g. Windows), or workers cannot be started, the call
   degrades to the in-process loop and still returns the same values.
@@ -48,6 +59,8 @@ import os
 import pickle
 import time
 from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import wait as wait_futures
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import TYPE_CHECKING
@@ -61,6 +74,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "TaskTiming",
     "ParallelReport",
+    "WorkerPool",
     "pmap_report",
     "resolve_workers",
 ]
@@ -146,7 +160,7 @@ def _portable(exc: Exception) -> "Exception | None":
 
 
 def _worker_main(conn) -> None:
-    """Child loop: run tasks until the parent hangs up.
+    """Child loop: run tasks until the parent hangs up (or kills it).
 
     Trial exceptions are caught and reported as messages — only a hard
     crash (``os._exit``, a segfault, the OOM killer) breaks the pipe,
@@ -156,8 +170,6 @@ def _worker_main(conn) -> None:
         try:
             message = conn.recv()
         except (EOFError, OSError):
-            break
-        if message is None:
             break
         index, fn, item = message
         try:
@@ -213,25 +225,74 @@ class _Worker:
         except OSError:
             pass
 
-    def release(self) -> None:
-        """Graceful shutdown; escalates to kill if the child lingers."""
-        try:
-            self.conn.send(None)
-        except Exception:  # noqa: BLE001 - pipe already broken
-            pass
-        self.proc.join(timeout=2.0)
-        if self.proc.is_alive():
-            self.kill()
-        else:
-            try:
-                self.conn.close()
-            except OSError:
-                pass
-
 
 # ----------------------------------------------------------------------
 # parent side
 # ----------------------------------------------------------------------
+class WorkerPool:
+    """The worker processes of one run, forked lazily, kept until
+    :meth:`close` (or the end of a ``with`` block).
+
+    ``workers`` and ``force_pool`` mean what they mean to
+    :func:`pmap_report`; each batch run with ``pmap_report(...,
+    pool=self)`` decides from them and its own size whether to run
+    pooled, and borrows that many workers, forking only the ones the
+    pool does not hold yet. A batch returns its healthy idle workers;
+    a worker that died, timed out or still holds a task of a batch
+    that raised is killed instead, so the next batch that needs it
+    forks a replacement. ``started`` counts every fork.
+    """
+
+    def __init__(self, workers: "int | None" = None, *, force_pool: bool = False):
+        self.workers = workers
+        self.force_pool = force_pool
+        self.started = 0
+        #: Whether a pooled batch is running: its workers compute while
+        #: the parent absorbs results, so deferred I/O overlaps them.
+        self.active = False
+        self._idle: "list[_Worker]" = []
+        self._io: "ThreadPoolExecutor | None" = None
+        self._deferred: "Future | None" = None
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def defer(self, fn) -> Future:
+        """Run ``fn()`` on the pool's one I/O thread; its future.
+
+        Jobs run one at a time, in submission order. Until the last
+        one finishes, the pool forks no worker.
+        """
+        if self._io is None:
+            self._io = ThreadPoolExecutor(max_workers=1, thread_name_prefix="pool-io")
+        self._deferred = self._io.submit(fn)
+        return self._deferred
+
+    def _borrow(self) -> _Worker:
+        """An idle worker, forked now if the pool holds none."""
+        if self._idle:
+            return self._idle.pop()
+        if self._deferred is not None:
+            wait_futures([self._deferred])
+        worker = _Worker(multiprocessing.get_context("fork"))
+        self.started += 1
+        return worker
+
+    def close(self) -> None:
+        """Kill the workers and stop the I/O thread after its last job."""
+        for worker in self._idle:
+            worker.proc.kill()  # signal all first, so their exits overlap
+        for worker in self._idle:
+            worker.kill()
+        self._idle.clear()
+        if self._io is not None:
+            self._io.shutdown(wait=True)
+            self._io = None
+
+
 class _Batch:
     """State machine for one batch, pooled or serial.
 
@@ -241,7 +302,7 @@ class _Batch:
 
     def __init__(self, fn, items, policy, effective, on_result, metrics):
         self.fn = fn
-        self.items = items
+        self.items = []
         self.policy = policy
         self.effective = effective
         self.on_result = on_result
@@ -250,18 +311,19 @@ class _Batch:
         # Without a policy, the first worker lost while idle (or never
         # started) degrades the rest of the batch to serial.
         self.loss_budget = 0 if policy is None else policy.max_worker_losses
-        self.n = len(items)
         self.results: "dict[int, tuple]" = {}
-        self.failures: "dict[int, int]" = {i: 0 for i in range(self.n)}
+        self.failures: "dict[int, int]" = {}
         self.quarantined: "dict[int, QuarantinedTask]" = {}
         self.ground_events: "dict[int, list[TraceRecord]]" = {}
-        self.runnable: "deque[int]" = deque(range(self.n))
+        self.runnable: "deque[int]" = deque()
         self.delayed: "list[tuple[float, int]]" = []
         self.workers: "list[_Worker]" = []
         self.losses = 0
         self.retries = 0
         self.timeouts = 0
         self.serial_fallback = False
+        for item in items:
+            self._submit(item)
 
     # -- accounting ----------------------------------------------------
     def _count(self, name: str, amount: int = 1) -> None:
@@ -282,14 +344,26 @@ class _Batch:
         )
 
     @property
+    def n(self) -> int:
+        return len(self.items)
+
+    @property
     def done(self) -> bool:
         return len(self.results) + len(self.quarantined) >= self.n
 
     # -- task lifecycle ------------------------------------------------
+    def _submit(self, item) -> None:
+        index = self.n
+        self.items.append(item)
+        self.failures[index] = 0
+        self.runnable.append(index)
+
     def _complete(self, index: int, outcome) -> None:
         self.results[index] = outcome
         if self.on_result is not None:
-            self.on_result(index, outcome[0])
+            for item in self.on_result(index, outcome[0]) or ():
+                self._submit(item)
+                self._count("ground.tasks")
 
     _FAIL_COUNTERS = {
         "worker_crash": "ground.worker_crashes",
@@ -367,12 +441,12 @@ class _Batch:
         while self.delayed and self.delayed[0][0] <= now:
             self.runnable.append(self.delayed.pop(0)[1])
 
-    def _spawn_workers(self, ctx) -> None:
+    def _spawn_workers(self, pool: WorkerPool) -> None:
         outstanding = self.n - len(self.results) - len(self.quarantined)
         want = min(self.effective, outstanding)
         while len(self.workers) < want:
             try:
-                self.workers.append(_Worker(ctx))
+                self.workers.append(pool._borrow())
             except OSError:
                 self.losses += 1
                 self._count("ground.worker_losses")
@@ -449,11 +523,12 @@ class _Batch:
                     worker, "timeout", f"attempt exceeded {self.timeout:g}s"
                 )
 
-    def run_pool(self, ctx) -> None:
+    def run_pool(self, pool: WorkerPool) -> None:
+        pool.active = True
         try:
             while not self.done and not self.serial_fallback:
                 self._promote_delayed()
-                self._spawn_workers(ctx)
+                self._spawn_workers(pool)
                 if not self.workers:
                     self._enter_serial_fallback()
                     break
@@ -461,11 +536,14 @@ class _Batch:
                 self._reap_ready()
                 self._reap_timeouts()
         finally:
+            pool.active = False
+            # A worker still holding a task (the batch raised) would
+            # answer the next batch with this one's result.
             for worker in self.workers:
-                if self.policy is None:
+                if worker.busy:
                     worker.kill()
                 else:
-                    worker.release()
+                    pool._idle.append(worker)
             self.workers.clear()
 
     # -- serial path ---------------------------------------------------
@@ -531,6 +609,7 @@ def pmap_report(
     on_result=None,
     supervision: "GroundPolicy | None" = None,
     metrics=None,
+    pool: "WorkerPool | None" = None,
 ) -> ParallelReport:
     """Map ``fn`` over ``items``, deterministically, maybe in parallel.
 
@@ -556,7 +635,12 @@ def pmap_report(
         calls it in ascending task order; every pool path calls it in
         *completion* order, so the callback must key on the index, and
         only after the worker that returned the result has its next
-        task, so a slow callback does not idle a worker.
+        task, so a slow callback does not idle a worker. It may return
+        an iterable of follow-up items: each joins the running batch
+        as a new task of ``fn``, indexed after every task submitted
+        before it, and gets the batch's supervision. The batch's
+        pooled-or-serial choice and worker count are made once, from
+        ``items``.
     supervision:
         A :class:`repro.ground.GroundPolicy`. The batch then survives
         its host: per-task wall-clock timeouts, bounded retry on the
@@ -565,12 +649,24 @@ def pmap_report(
         :class:`repro.obs.MetricsRegistry`) then receives the
         ``ground.*`` counters. Without a policy the first failed task
         raises and ``metrics`` is ignored.
+    pool:
+        A :class:`WorkerPool` to run on, whose ``workers`` and
+        ``force_pool`` then replace the arguments of those names.
+        Without one the call opens a pool for this batch alone.
     """
+    if pool is None:
+        with WorkerPool(workers, force_pool=force_pool) as own:
+            return _map(fn, items, own, on_result, supervision, metrics)
+    return _map(fn, items, pool, on_result, supervision, metrics)
+
+
+def _map(fn, items, pool: WorkerPool, on_result, supervision, metrics) -> ParallelReport:
+    """One batch on ``pool``: :func:`pmap_report`'s body."""
     items = list(items)
     n = len(items)
-    effective = resolve_workers(workers, n)
+    effective = resolve_workers(pool.workers, n)
     if supervision is None:
-        pooled = n > 0 and effective > 1 and _pool_usable(1 if force_pool else 2)
+        pooled = n > 0 and effective > 1 and _pool_usable(1 if pool.force_pool else 2)
         mode = "fork-pool" if pooled else "serial"
         effective = effective if pooled else 1
         metrics = None
@@ -585,7 +681,7 @@ def pmap_report(
     batch = _Batch(fn, items, supervision, effective, on_result, metrics)
     started = time.perf_counter()
     if pooled:
-        batch.run_pool(multiprocessing.get_context("fork"))
+        batch.run_pool(pool)
     if not batch.done:
         batch.run_serial()
     return batch.report(

@@ -1,4 +1,5 @@
-"""Project-wide pytest configuration: the global per-test timeout.
+"""Project-wide pytest configuration: the global per-test timeout, and
+fixtures that watch the worker pool (forks and round reports).
 
 The ground-segment layer exists because workers hang; its tests (and
 any future regression) must not be able to hang CI with them. The
@@ -53,3 +54,36 @@ if not _HAVE_PYTEST_TIMEOUT:
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def worker_starts(monkeypatch):
+    """PIDs of the pool workers forked during the test, in fork order."""
+    from repro import parallel
+
+    pids = []
+    original = parallel._Worker.__init__
+
+    def counting(self, ctx):
+        original(self, ctx)
+        pids.append(self.proc.pid)
+
+    monkeypatch.setattr(parallel._Worker, "__init__", counting)
+    return pids
+
+
+@pytest.fixture
+def round_reports(monkeypatch):
+    """Every :class:`~repro.parallel.ParallelReport` a campaign round
+    returns during the test, in call order."""
+    from repro.campaign import engine
+
+    reports = []
+    original = engine.pmap_report
+
+    def capture(*args, **kwargs):
+        reports.append(original(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(engine, "pmap_report", capture)
+    return reports

@@ -225,6 +225,18 @@ class TestAdaptiveLoop:
         _, pooled, _, _ = _drain(2, max_rounds=2, target_width=0, workers=2)
         assert pooled.digest == serial.digest
 
+    def test_pooled_stream_forks_each_worker_once(
+        self, worker_starts, round_reports
+    ):
+        source, _ = build_source("smoke", seed=0)
+        result = execute_stream(source, workers=2, force_pool=True)
+        assert len(result.rounds) == len(round_reports) > 1
+        assert all(report.mode == "fork-pool" for report in round_reports)
+        assert len(worker_starts) == 2
+        assert {
+            t.pid for report in round_reports for t in report.timings
+        } == set(worker_starts)
+
     def test_estimate_from_replayed_specs_alone(self, tmp_path):
         # The estimator reads f/q from stored params, so a pure store
         # replay reproduces the estimate without any re-planning.

@@ -207,6 +207,16 @@ def _group_probe(items, rngs):
 _group_probe.lockstep_key = _util_key
 
 
+def _poison_low_util(items, rngs):
+    """:func:`_keyed_tick_batch_fn`, but the 0.3 group always raises."""
+    if items[0]["util"] == 0.3:
+        raise RuntimeError("poisoned group")
+    return _keyed_tick_batch_fn(items, rngs)
+
+
+_poison_low_util.lockstep_key = _util_key
+
+
 def _keyed_campaign(name="batch-keyed"):
     """Nine lanes under three keys (sizes 4, 3, 2); lane 1 diverges."""
     utils = [0.6, 0.3, 0.6, 0.9, 0.3, 0.6, 0.9, 0.3, 0.6]
@@ -264,8 +274,10 @@ class TestLockstepGroups:
         counters = metrics.snapshot()["counters"]
         assert counters["campaign.batch.lanes"] == 9
         assert counters["campaign.batch.diverged"] == 1
-        # The round's report is the scalar call's: the one diverged lane.
-        assert len(result.report.timings) == 1
+        # The round is one batch: the three group tasks, then the
+        # diverged lane, which joined it when its group landed.
+        assert len(result.report.timings) == 4
+        assert result.report.values[3] == (result.values[1], None)
         assert result.values[1] == _tick_trial(
             camp.trials[1].item, trial_rng(78, 1), None
         )
@@ -281,6 +293,42 @@ class TestLockstepGroups:
         result = execute(camp, batch_fn=batch_fn, workers=2, force_pool=True)
         assert calls == [(4, os.getpid())]
         assert result.values == execute(camp).values
+
+    def test_supervised_poison_group_quarantined_under_every_lane(
+        self, tmp_path
+    ):
+        from repro.ground import GroundPolicy
+
+        camp = _keyed_campaign()
+        plain = execute(
+            camp, batch_fn=_keyed_tick_batch_fn, store=tmp_path / "plain"
+        )
+        supervised = execute(
+            camp, batch_fn=_poison_low_util, store=tmp_path / "supervised",
+            workers=2, force_pool=True,
+            supervision=GroundPolicy(max_attempts=2, backoff_base_seconds=0.0),
+        )
+        assert supervised.report.mode == "ground-pool"
+        poisoned = [1, 4, 7]  # the 0.3 group, diverging lane 1 included
+        specs = camp.specs()
+        assert [
+            (q.index, q.fingerprint, q.attempts) for q in supervised.quarantined
+        ] == [(i, specs[i].fingerprint, 2) for i in poisoned]
+        assert all("poisoned group" in q.error for q in supervised.quarantined)
+        assert supervised.executed == 6
+        assert supervised.values == [
+            None if i in poisoned else value
+            for i, value in enumerate(plain.values)
+        ]
+        lost = {
+            f"{specs[i].fingerprint[:2]}/{specs[i].fingerprint}.json"
+            for i in poisoned
+        }
+        assert _store_bytes(tmp_path / "supervised") == {
+            name: data
+            for name, data in _store_bytes(tmp_path / "plain").items()
+            if name not in lost
+        }
 
     @staticmethod
     def _uniform_campaign():

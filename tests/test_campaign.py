@@ -13,6 +13,9 @@ import hashlib
 import json
 import os
 import pickle
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +68,28 @@ def _raise_on_two(item, rng, tracer=None):
     if item == 2:
         raise ConfigurationError("trial 2 failed")
     return item
+
+
+def _late_raise(item, rng, tracer=None):
+    """Trial 1 fails after trial 0 has landed and been synced ahead."""
+    if item == 1:
+        time.sleep(0.5)
+        raise ConfigurationError("trial 1 failed")
+    return item
+
+
+def _crash_once(item, rng, tracer=None):
+    """Trial 1's first attempt kills its worker; trials 2+ take long
+    enough that the lost worker needs a replacement."""
+    index, marker_dir = item
+    marker = Path(marker_dir) / "crashed"
+    if index == 1 and not marker.exists():
+        marker.write_text("once")
+        time.sleep(0.1)
+        os._exit(1)
+    if index >= 2:
+        time.sleep(0.2)
+    return index
 
 
 def _store_bytes(store: TrialStore) -> "dict[str, bytes]":
@@ -509,6 +534,127 @@ class TestDurabilityBarrier:
         assert resumed.store_hits == 16 - len(damaged)
         assert resumed.values == cold.values
         assert _store_bytes(resumed_store) == _store_bytes(cold_store)
+
+
+class TestEarlyBarrier:
+    """A pooled round syncs landed entries on the pool's I/O thread
+    while the workers compute."""
+
+    def test_entry_put_during_a_barrier_stays_pending(
+        self, tmp_path, monkeypatch
+    ):
+        entered, release = threading.Event(), threading.Event()
+        synced = []
+
+        def blocking(path):
+            entered.set()
+            release.wait(10.0)
+            synced.append(path)
+
+        monkeypatch.setattr(store_module, "_fsync_path", blocking)
+        store = TrialStore(tmp_path)
+        first, second = "ab" + "0" * 62, "cd" + "1" * 62
+        store.put(first, {"schema": STORE_SCHEMA, "result": 1})
+        barrier = threading.Thread(target=store.barrier)
+        barrier.start()
+        assert entered.wait(10.0)
+        store.put(second, {"schema": STORE_SCHEMA, "result": 2})
+        store.put(first, {"schema": STORE_SCHEMA, "result": 3})  # rewritten
+        release.set()
+        barrier.join(10.0)
+        assert synced == [store.path(first), tmp_path / "ab"]
+        assert list(store._unsynced) == [store.path(first), store.path(second)]
+        synced.clear()
+        store.barrier()
+        assert synced == [
+            store.path(first), store.path(second), tmp_path / "ab", tmp_path / "cd",
+        ]
+        assert not store._unsynced
+
+    @staticmethod
+    def _full_disk(monkeypatch) -> "list[str]":
+        """Every ``fsync`` fails with ENOSPC; the names of the threads
+        that tried."""
+        threads = []
+
+        def full_disk(fd):
+            threads.append(threading.current_thread().name)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", full_disk)
+        return threads
+
+    def test_enospc_from_an_early_barrier_is_store_write_error(
+        self, tmp_path, monkeypatch
+    ):
+        threads = self._full_disk(monkeypatch)
+        store = TrialStore(tmp_path)
+        with pytest.raises(StoreWriteError, match="durable.*resume"):
+            execute(_grid(n=6), store=store, workers=2, force_pool=True)
+        assert any(name.startswith("pool-io") for name in threads)
+        # Nothing was synced: every entry the round wrote stays pending.
+        assert store._unsynced
+        assert set(store._unsynced) == set(store.root.glob("??/*.json"))
+
+    def test_failing_early_barrier_keeps_the_rounds_own_exception(
+        self, tmp_path, monkeypatch
+    ):
+        threads = self._full_disk(monkeypatch)
+        camp = Campaign(
+            name="late-raise",
+            trial_fn=_late_raise,
+            trials=[Trial(params={"i": i}, item=i) for i in range(2)],
+        )
+        store = TrialStore(tmp_path)
+        with pytest.raises(ConfigurationError, match="trial 1 failed"):
+            execute(camp, store=store, workers=2, force_pool=True)
+        assert any(name.startswith("pool-io") for name in threads)
+        assert list(store._unsynced) == [store.path(camp.specs()[0].fingerprint)]
+
+    def test_lost_worker_is_not_replaced_during_an_early_barrier(
+        self, tmp_path, monkeypatch
+    ):
+        from repro import parallel
+        from repro.ground import GroundPolicy
+
+        busy = []
+        forks = []
+        barrier = TrialStore.barrier
+        spawn = parallel._Worker.__init__
+
+        def slow_fsync(path):
+            time.sleep(0.2)
+
+        def recording_barrier(self):
+            busy.append(True)
+            try:
+                barrier(self)
+            finally:
+                busy.pop()
+
+        def recording_spawn(self, ctx):
+            forks.append(bool(busy))
+            spawn(self, ctx)
+
+        monkeypatch.setattr(store_module, "_fsync_path", slow_fsync)
+        monkeypatch.setattr(TrialStore, "barrier", recording_barrier)
+        monkeypatch.setattr(parallel._Worker, "__init__", recording_spawn)
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        camp = Campaign(
+            name="crash-once",
+            trial_fn=_crash_once,
+            trials=[
+                Trial(params={"i": i}, item=(i, str(markers))) for i in range(5)
+            ],
+        )
+        result = execute(
+            camp, store=tmp_path / "store", workers=2,
+            supervision=GroundPolicy(backoff_base_seconds=0.0),
+        )
+        assert result.values == [0, 1, 2, 3, 4]
+        assert result.report.worker_losses == 1
+        assert forks == [False, False, False]  # two workers, one replacement
 
 
 class TestReportCodec:

@@ -424,6 +424,24 @@ class TestFleetDeterminism:
         )
 
 
+class TestOneWorkerPool:
+    def test_pooled_cold_run_forks_each_worker_once(
+        self, cold_result, tmp_path, worker_starts, round_reports
+    ):
+        # A cold store, so the calibration campaign runs pooled too.
+        pooled = run_fleet(
+            tiny_spec(), store=tmp_path, workers=2, force_pool=True
+        )
+        assert report_json(pooled.report) == report_json(cold_result.report)
+        calibration, craft = round_reports
+        assert calibration.mode == craft.mode == "fork-pool"
+        assert len(calibration.timings) == 42
+        assert len(worker_starts) == 2
+        assert {
+            t.pid for report in round_reports for t in report.timings
+        } == set(worker_starts)
+
+
 class TestFlightTier:
     def test_flight_samples_ride_the_same_store(self, cold_result,
                                                 fleet_store):

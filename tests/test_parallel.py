@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import ConfigurationError, PoolTaskError
 from repro.ground import GroundPolicy
-from repro.parallel import ParallelReport, pmap_report, resolve_workers
+from repro.parallel import ParallelReport, WorkerPool, pmap_report, resolve_workers
 
 
 def _square(x):
@@ -131,6 +131,62 @@ class TestPmap:
         assert report.mode == "fork-pool"
         assert report.values == [None, None, str(marker)]
         assert seen == [True]
+
+
+class TestWorkerPool:
+    @needs_fork
+    def test_batches_share_workers_forked_once(self, worker_starts):
+        with WorkerPool(2, force_pool=True) as pool:
+            first = pmap_report(_square, range(6), pool=pool)
+            second = pmap_report(_draw, _seeds(5, 6), pool=pool)
+            assert pool.started == 2
+        assert first.mode == second.mode == "fork-pool"
+        assert second.values == pmap_report(_draw, _seeds(5, 6), workers=1).values
+        pids = {t.pid for report in (first, second) for t in report.timings}
+        assert pids == set(worker_starts) and len(worker_starts) == 2
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize(
+        "pool", [{"workers": 1}, {"workers": 2, "force_pool": True}]
+    )
+    def test_follow_up_items_join_the_batch(self, pool):
+        # An even square asks for its successor's square: 0 -> 1 and
+        # 4 -> 25 join the batch after every task submitted before them.
+        def on_result(index, value):
+            return [value + 1] if value % 2 == 0 else None
+
+        report = pmap_report(_square, [0, 2, 3], on_result=on_result, **pool)
+        assert report.values[:3] == [0, 4, 9]
+        assert sorted(report.values[3:]) == [1, 25]
+        assert [t.index for t in report.timings] == [0, 1, 2, 3, 4]
+
+    @needs_fork
+    def test_never_forks_while_deferred_io_runs(self, worker_starts, monkeypatch):
+        from repro import parallel
+
+        busy = []
+        seen = []
+        original = parallel._Worker.__init__
+
+        def spawn(self, ctx):
+            seen.append(bool(busy))
+            original(self, ctx)
+
+        monkeypatch.setattr(parallel._Worker, "__init__", spawn)
+
+        def slow_io():
+            busy.append(True)
+            time.sleep(0.3)
+            busy.clear()
+
+        with WorkerPool(2, force_pool=True) as pool:
+            job = pool.defer(slow_io)
+            while not busy:
+                time.sleep(0.001)
+            report = pmap_report(_square, range(4), pool=pool)
+            assert job.done()
+        assert report.mode == "fork-pool"
+        assert seen == [False, False]
 
 
 class TestFailures:
