@@ -32,7 +32,7 @@ from ..errors import (
     InvalidAddressError,
     SimulationError,
 )
-from ..radiation.events import OutcomeClass
+from ..radiation.events import OutcomeClass, classify_outcome
 from ..sim.machine import Machine
 from ..workloads.base import Workload, WorkloadSpec
 from .features import SurfaceCell, cells_from_census
@@ -132,17 +132,10 @@ def run_pinned_strike(
     except DetectedFaultError as exc:
         error = str(exc)
 
-    if error is not None:
-        outcome = OutcomeClass.ERROR
-    elif result.stats.detected_faults:
-        outcome = OutcomeClass.ERROR
-    elif not result.matches(list(task.golden)):
-        outcome = OutcomeClass.SDC
-    elif result.stats.vote_corrections > 0:
-        outcome = OutcomeClass.CORRECTED
-    else:
-        outcome = OutcomeClass.NO_EFFECT
-    return StrikeOutcome(outcome=outcome, detail=error or hooks.detail)
+    return StrikeOutcome(
+        outcome=classify_outcome(result, task.golden, error),
+        detail=error or hooks.detail,
+    )
 
 
 def encode_strike(outcome: StrikeOutcome) -> dict:

@@ -9,173 +9,60 @@
   corrupt all three the same way (~25 % of die area unprotected,
   Table 4). Fig 11/14 normalize against this scheme.
 * ``single_run`` — no redundancy at all (Table 7's "None" row).
+
+Each is a job loop on :class:`~repro.core.emr.runtime.SchemeRun`,
+which owns the run's set-up, vote, commit and closing accounting.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ...errors import VotingInconclusiveError
-from ...obs import NULL_OBS, Observability
-from ...sim.clock import Stopwatch
+from ...obs import Observability
 from ...sim.machine import Machine
 from ...workloads.base import Workload, WorkloadSpec
-from .frontier import Frontier, FrontierCosts
-from .jobs import Job, JobResult
-from .materialize import MaterializedWorkload
-from .replication import plan_replication
-from .runtime import EmrConfig, EmrHooks, JobEngine, RunResult, RunStats, record_vote
-from .voting import VoteStatus, vote
-
-_NO_REPLICATION_THRESHOLD = 1.5  # > 1: nothing is frequent enough
-
-
-def _no_replication_plan(spec: WorkloadSpec):
-    return plan_replication(spec.datasets, _NO_REPLICATION_THRESHOLD)
-
-
-def _finalize(
-    machine: Machine,
-    workload: Workload,
-    materialized: MaterializedWorkload,
-    scheme: str,
-    frontier: Frontier,
-    stats: RunStats,
-    stopwatch: Stopwatch,
-    start_time: float,
-    executor_busy: "list[float]",
-    mem_bytes_before: int,
-    obs: Observability = NULL_OBS,
-) -> RunResult:
-    wall_seconds = machine.clock.now - start_time
-    dram_bytes = (
-        machine.memory.stats.bytes_read
-        + machine.memory.stats.bytes_written
-        - mem_bytes_before
-    )
-    energy = machine.energy_meter.measure(
-        wall_seconds, executor_busy, dram_bytes=dram_bytes, disk_ios=stats.disk_ios
-    )
-    if obs.enabled:
-        obs.tracer.span(
-            "emr.run", t=start_time, dur=wall_seconds,
-            scheme=scheme, workload=workload.name,
-            jobs=stats.jobs, corrections=stats.vote_corrections,
-        )
-        obs.metrics.counter(f"scheme.{scheme}.runs").inc()
-    return RunResult(
-        scheme=scheme,
-        workload=workload.name,
-        outputs=materialized.final_outputs(),
-        wall_seconds=wall_seconds,
-        breakdown=stopwatch.breakdown(),
-        energy=energy,
-        stats=stats,
-        frontier=frontier,
-    )
-
-
-def _vote_all(
-    materialized: MaterializedWorkload,
-    spec: WorkloadSpec,
-    replica_results: "dict[int, list]",
-    stats: RunStats,
-    costs: FrontierCosts,
-    machine: Machine,
-    stopwatch: Stopwatch,
-    raise_on_inconclusive: bool,
-    obs: Observability = NULL_OBS,
-) -> None:
-    for ds in spec.datasets:
-        results = replica_results[ds.index]
-        refreshed = []
-        for result in results:
-            if result.ok:
-                stored = materialized.load_replica_output(ds.index, result.executor_id)
-                refreshed.append(JobResult(ds.index, result.executor_id, stored))
-            else:
-                refreshed.append(result)
-        outcome = vote(refreshed)
-        compare_bytes = sum(len(r.output) for r in refreshed if r.output is not None)
-        seconds = compare_bytes * costs.vote_seconds_per_byte
-        machine.clock.advance(seconds)
-        stopwatch.add("orchestration", seconds)
-        record_vote(obs, machine.clock.now, outcome)
-        if outcome.status is VoteStatus.INCONCLUSIVE:
-            stats.detected_faults.append(f"ds={ds.index}: inconclusive vote")
-            if raise_on_inconclusive:
-                raise VotingInconclusiveError(f"dataset {ds.index}: no majority")
-            materialized.commit_output(ds.index, b"")
-        else:
-            if outcome.status is VoteStatus.CORRECTED:
-                stats.vote_corrections += 1
-            else:
-                stats.unanimous_votes += 1
-            materialized.commit_output(ds.index, outcome.output)
+from .jobs import Job
+from .runtime import EmrConfig, EmrHooks, RunResult, SchemeRun
 
 
 def sequential_3mr(
     machine: Machine,
     workload: Workload,
     spec: "WorkloadSpec | None" = None,
-    frontier: "Frontier | None" = None,
     config: "EmrConfig | None" = None,
     hooks: "EmrHooks | None" = None,
     seed: int = 0,
     obs: "Observability | None" = None,
 ) -> RunResult:
     """Three sequential full passes on one core, vote at the end."""
-    obs = obs if obs is not None else NULL_OBS
     cfg = config or EmrConfig()
-    rng = np.random.default_rng(seed)
-    spec = spec or workload.build(rng)
-    frontier = frontier or Frontier.for_machine(machine)
-    stats = RunStats()
-    stopwatch = Stopwatch(machine.clock)
-    start_time = machine.clock.now
-    mem_before = machine.memory.stats.bytes_read + machine.memory.stats.bytes_written
     core = machine.cores[0]
     core.set_freq(machine.spec.core_spec.max_freq)
-
-    materialized = MaterializedWorkload(
-        machine, spec, frontier, _no_replication_plan(spec),
-        cfg.n_executors, stopwatch, cfg.costs,
+    run = SchemeRun(
+        machine, workload, cfg, hooks, obs, np.random.default_rng(seed), spec,
+        cfg.n_executors,
     )
-    stats.memory_bytes = materialized.allocated_input_bytes
-    engine = JobEngine(
-        machine, workload, materialized, hooks, rng,
-        cfg.flush_cycles_per_line, stats, obs=obs,
-    )
-    replica_results: "dict[int, list]" = {ds.index: [] for ds in spec.datasets}
+    datasets = run.spec.datasets
+    replica_results: "dict[int, list]" = {ds.index: [] for ds in datasets}
     busy = 0.0
     for replica in range(cfg.n_executors):
         if replica > 0:
             # Fresh process: cold caches, cold page cache, re-read inputs.
             flushed = machine.caches.flush_all()
-            stats.flushed_lines += flushed
-            flush_seconds = flushed * cfg.flush_cycles_per_line / core.freq
-            machine.clock.advance(flush_seconds)
-            stopwatch.add("cache_clear", flush_seconds)
-            materialized.restage()
-            materialized.end_of_jobset()
-        for ds in spec.datasets:
+            run.stats.flushed_lines += flushed
+            run.charge(
+                {"cache_clear": flushed * cfg.flush_cycles_per_line / core.freq}
+            )
+            run.materialized.restage()
+            run.materialized.end_of_jobset()
+        for ds in datasets:
             job = Job(dataset=ds, executor_id=replica, cache_group=0)
-            result, timings = engine.run_job(job, core_id=0, flush_after=False)
+            result, timings = run.engine.run_job(job, core_id=0, flush_after=False)
             replica_results[ds.index].append(result)
-            for bucket, seconds in timings.items():
-                stopwatch.add(bucket, seconds)
-            elapsed = sum(timings.values())
-            machine.clock.advance(elapsed)
-            busy += elapsed
-    _vote_all(
-        materialized, spec, replica_results, stats, cfg.costs, machine,
-        stopwatch, cfg.raise_on_inconclusive, obs=obs,
-    )
-    result = _finalize(
-        machine, workload, materialized, "sequential-3mr", frontier,
-        stats, stopwatch, start_time, [busy], mem_before, obs=obs,
-    )
-    return result
+            busy += run.charge(timings)
+    for ds in datasets:
+        run.vote(ds.index, replica_results[ds.index])
+    return run.finish("sequential-3mr", [busy])
 
 
 def unprotected_parallel_3mr(
@@ -190,29 +77,16 @@ def unprotected_parallel_3mr(
     """Three parallel executors, zero cache hygiene. The replicas read
     shared inputs back to back, so replicas 2 and 3 ride replica 1's
     warm L2 lines — fast, and exactly the unprotected surface."""
-    obs = obs if obs is not None else NULL_OBS
     cfg = config or EmrConfig()
-    rng = np.random.default_rng(seed)
-    spec = spec or workload.build(rng)
-    frontier = Frontier.DRAM if machine.memory.has_ecc else Frontier.STORAGE
-    stats = RunStats()
-    stopwatch = Stopwatch(machine.clock)
-    start_time = machine.clock.now
-    mem_before = machine.memory.stats.bytes_read + machine.memory.stats.bytes_written
     groups = machine.default_core_groups(cfg.n_executors)
     for group in groups:
         machine.cores[group.core_ids[0]].set_freq(machine.spec.core_spec.max_freq)
-
-    materialized = MaterializedWorkload(
-        machine, spec, frontier, _no_replication_plan(spec),
-        cfg.n_executors, stopwatch, cfg.costs,
+    run = SchemeRun(
+        machine, workload, cfg, hooks, obs, np.random.default_rng(seed), spec,
+        cfg.n_executors,
     )
-    stats.memory_bytes = materialized.allocated_input_bytes
-    engine = JobEngine(
-        machine, workload, materialized, hooks, rng,
-        cfg.flush_cycles_per_line, stats, obs=obs,
-    )
-    replica_results: "dict[int, list]" = {ds.index: [] for ds in spec.datasets}
+    datasets = run.spec.datasets
+    replica_results: "dict[int, list]" = {ds.index: [] for ds in datasets}
     executor_busy = [0.0] * cfg.n_executors
     executor_buckets = [
         {"compute": 0.0, "cache_clear": 0.0, "disk_read": 0.0}
@@ -221,10 +95,10 @@ def unprotected_parallel_3mr(
     # Interleave replicas per dataset: approximates the concurrent
     # access pattern (all three replicas touch a line within one
     # residency window).
-    for ds in spec.datasets:
+    for ds in datasets:
         for executor in range(cfg.n_executors):
             job = Job(dataset=ds, executor_id=executor)
-            result, timings = engine.run_job(
+            result, timings = run.engine.run_job(
                 job, core_id=groups[executor].core_ids[0], flush_after=False
             )
             replica_results[ds.index].append(result)
@@ -233,17 +107,10 @@ def unprotected_parallel_3mr(
                 executor_buckets[executor][bucket] += seconds
     # Wall time: the slowest executor (they ran concurrently).
     straggler = int(np.argmax(executor_busy))
-    machine.clock.advance(executor_busy[straggler])
-    for bucket, seconds in executor_buckets[straggler].items():
-        stopwatch.add(bucket, seconds)
-    _vote_all(
-        materialized, spec, replica_results, stats, cfg.costs, machine,
-        stopwatch, cfg.raise_on_inconclusive, obs=obs,
-    )
-    return _finalize(
-        machine, workload, materialized, "unprotected-parallel-3mr", frontier,
-        stats, stopwatch, start_time, executor_busy, mem_before, obs=obs,
-    )
+    run.charge(executor_buckets[straggler], elapsed=executor_busy[straggler])
+    for ds in datasets:
+        run.vote(ds.index, replica_results[ds.index])
+    return run.finish("unprotected-parallel-3mr", executor_busy)
 
 
 def single_run(
@@ -256,42 +123,18 @@ def single_run(
     obs: "Observability | None" = None,
 ) -> RunResult:
     """No redundancy: one pass, outputs committed unverified."""
-    obs = obs if obs is not None else NULL_OBS
     cfg = config or EmrConfig()
-    rng = np.random.default_rng(seed)
-    spec = spec or workload.build(rng)
-    frontier = Frontier.DRAM if machine.memory.has_ecc else Frontier.STORAGE
-    stats = RunStats()
-    stopwatch = Stopwatch(machine.clock)
-    start_time = machine.clock.now
-    mem_before = machine.memory.stats.bytes_read + machine.memory.stats.bytes_written
-    core = machine.cores[0]
-    core.set_freq(machine.spec.core_spec.max_freq)
-    materialized = MaterializedWorkload(
-        machine, spec, frontier, _no_replication_plan(spec),
-        n_executors=1, stopwatch=stopwatch, costs=cfg.costs,
-    )
-    stats.memory_bytes = materialized.allocated_input_bytes
-    engine = JobEngine(
-        machine, workload, materialized, hooks, rng,
-        cfg.flush_cycles_per_line, stats, obs=obs,
+    machine.cores[0].set_freq(machine.spec.core_spec.max_freq)
+    run = SchemeRun(
+        machine, workload, cfg, hooks, obs, np.random.default_rng(seed), spec, 1
     )
     busy = 0.0
-    for ds in spec.datasets:
+    for ds in run.spec.datasets:
         job = Job(dataset=ds, executor_id=0)
-        result, timings = engine.run_job(job, core_id=0, flush_after=False)
-        elapsed = sum(timings.values())
-        machine.clock.advance(elapsed)
-        busy += elapsed
-        for bucket, seconds in timings.items():
-            stopwatch.add(bucket, seconds)
-        if result.ok:
-            stored = materialized.load_replica_output(ds.index, 0)
-            materialized.commit_output(ds.index, stored)
-        else:
-            # An unprotected run surfaces the fault directly.
-            materialized.commit_output(ds.index, b"")
-    return _finalize(
-        machine, workload, materialized, "none", frontier,
-        stats, stopwatch, start_time, [busy], mem_before, obs=obs,
-    )
+        result, timings = run.engine.run_job(job, core_id=0, flush_after=False)
+        busy += run.charge(timings)
+        # Commit before the next job: a later strike on this output
+        # slot must not reach the committed output. An unprotected run
+        # surfaces a fault directly, as an empty output.
+        run.commit_unverified(ds.index, 0, result.ok)
+    return run.finish("none", [busy])

@@ -29,15 +29,14 @@ import numpy as np
 
 from ...errors import DetectedFaultError, UncorrectableMemoryError
 from ...obs import NULL_OBS, Observability
-from ...sim.clock import Stopwatch
+from ...radiation.seu import corrupt_bytes
 from ...sim.machine import Machine
 from ...sim.memory import MemoryRegion
 from ...workloads.base import Workload, WorkloadSpec
-from .baselines import _finalize, _no_replication_plan
 from .frontier import Frontier
 from .jobs import Job
 from .materialize import MaterializedWorkload
-from .runtime import EmrConfig, EmrHooks, RunResult, RunStats
+from .runtime import EmrConfig, EmrHooks, RunResult, SchemeRun
 
 _CRC_POLY = 0xEDB88320
 
@@ -162,35 +161,21 @@ def checksum_protected_run(
     obs: "Observability | None" = None,
 ) -> RunResult:
     """One verified-read pass on a single core (scheme ``checksum``)."""
-    obs = obs if obs is not None else NULL_OBS
     cfg = config or EmrConfig()
-    rng = np.random.default_rng(seed)
-    spec = spec or workload.build(rng)
-    frontier = Frontier.for_machine(machine)
-    stats = RunStats()
-    stopwatch = Stopwatch(machine.clock)
-    start_time = machine.clock.now
-    mem_before = machine.memory.stats.bytes_read + machine.memory.stats.bytes_written
     core = machine.cores[0]
     core.set_freq(machine.spec.core_spec.max_freq)
-
-    materialized = MaterializedWorkload(
-        machine, spec, frontier, _no_replication_plan(spec),
-        n_executors=1, stopwatch=stopwatch, costs=cfg.costs,
+    run = SchemeRun(
+        machine, workload, cfg, hooks, obs, np.random.default_rng(seed), spec, 1
     )
-    stats.memory_bytes = materialized.allocated_input_bytes
-    guard = ChecksumGuard(machine, materialized, obs=obs)
-    hashed = guard.register_all(spec)
+    materialized, stats = run.materialized, run.stats
+    guard = ChecksumGuard(machine, materialized, obs=run.obs)
+    hashed = guard.register_all(run.spec)
     setup_seconds = hashed * CRC_INSTRUCTIONS_PER_BYTE / (
         core.spec.base_ipc * core.freq
     )
-    machine.clock.advance(setup_seconds)
-    stopwatch.add("checksum", setup_seconds)
+    busy = run.charge({"checksum": setup_seconds})
 
-    busy = setup_seconds
-    from ...radiation.seu import corrupt_bytes
-
-    for ds in spec.datasets:
+    for ds in run.spec.datasets:
         job = Job(dataset=ds, executor_id=0)
         if hooks is not None:
             hooks.before_job(None, job)
@@ -219,7 +204,7 @@ def checksum_protected_run(
             output = b""
         if failed is None:
             if core.poisoned:
-                output = corrupt_bytes(output, rng, bits=1)
+                output = corrupt_bytes(output, run.rng, bits=1)
                 core.poisoned = False
             if hooks is not None:
                 output = hooks.after_job_output(None, job, output)
@@ -229,20 +214,10 @@ def checksum_protected_run(
             )
             timings["compute"] += cost.seconds
             timings["compute"] += materialized.store_replica_output(job, output)
-            stored = materialized.load_replica_output(ds.index, 0)
-            materialized.commit_output(ds.index, stored)
-        else:
-            materialized.commit_output(ds.index, b"")
-        elapsed = sum(timings.values())
-        machine.clock.advance(elapsed)
-        busy += elapsed
-        for bucket, seconds in timings.items():
-            stopwatch.add(bucket, seconds)
+        # Commit before the next job: a later strike on this output
+        # slot must not reach the committed output.
+        run.commit_unverified(ds.index, 0, failed is None)
+        busy += run.charge(timings)
         stats.jobs += 1
     stats.vote_corrections = guard.stats.mismatches_corrected
-    result = _finalize(
-        machine, workload, materialized, "checksum", frontier,
-        stats, stopwatch, start_time, [busy], mem_before, obs=obs,
-    )
-    result.breakdown.setdefault("checksum", 0.0)
-    return result
+    return run.finish("checksum", [busy])

@@ -27,6 +27,7 @@ import numpy as np
 from ...errors import (
     ConfigurationError,
     DetectedFaultError,
+    VotingInconclusiveError,
 )
 from ...obs import NULL_OBS, Observability
 from ...radiation.seu import corrupt_bytes
@@ -266,20 +267,175 @@ class JobEngine:
         )
 
 
-def record_vote(obs: Observability, t: float, outcome) -> None:
-    """Shared vote instrumentation (EMR runtime + 3-MR baselines)."""
-    if not obs.enabled:
-        return
-    status = outcome.status.value
-    obs.tracer.event(
-        "emr.vote", t=t, ds=outcome.dataset_index, status=status,
-        dissenting=list(outcome.dissenting_executors),
-    )
-    obs.metrics.counter("emr.votes").inc()
-    if status == "corrected":
-        obs.metrics.counter("emr.vote_corrections").inc()
-    elif status == "inconclusive":
-        obs.metrics.counter("emr.votes_inconclusive").inc()
+#: A replication threshold above 1: no region is frequent enough, so
+#: every scheme but EMR on unprotected caches stages single copies.
+_NO_REPLICATION_THRESHOLD = 1.5
+
+
+class SchemeRun:
+    """The scaffold every protection scheme runs on.
+
+    Built once per run, it stages the workload at the configured
+    frontier and owns the run's generator, spec, ``RunStats``,
+    stopwatch, clock and DRAM baselines, ``MaterializedWorkload`` and
+    ``JobEngine``. A scheme adds only its own job loop, and goes
+    through :meth:`charge`, :meth:`commit_unverified`, :meth:`vote`
+    and :meth:`finish` for everything else.
+    """
+
+    def __init__(
+        self,
+        machine: Machine,
+        workload: Workload,
+        config: EmrConfig,
+        hooks: "EmrHooks | None",
+        obs: "Observability | None",
+        rng: np.random.Generator,
+        spec: "WorkloadSpec | None",
+        n_executors: int,
+        plan: "ReplicationPlan | None" = None,
+        runtime: "EmrRuntime | None" = None,
+    ) -> None:
+        self.machine = machine
+        self.workload = workload
+        self.config = config
+        self.hooks = hooks
+        self.obs = obs if obs is not None else NULL_OBS
+        self.runtime = runtime
+        self.rng = rng
+        self.spec = spec or workload.build(rng)
+        self.frontier = config.frontier or Frontier.for_machine(machine)
+        validate_frontier(machine, self.frontier)
+        if plan is None:
+            plan = plan_replication(self.spec.datasets, _NO_REPLICATION_THRESHOLD)
+        self.stats = RunStats(replicated_bytes=plan.replicated_bytes)
+        self.stopwatch = Stopwatch(machine.clock)
+        self.start_time = machine.clock.now
+        self.dram_bytes_before = self._dram_bytes()
+        self.materialized = MaterializedWorkload(
+            machine, self.spec, self.frontier, plan,
+            n_executors, self.stopwatch, config.costs,
+        )
+        self.stats.memory_bytes = self.materialized.allocated_input_bytes
+        self.engine = JobEngine(
+            machine, workload, self.materialized, hooks, rng,
+            config.flush_cycles_per_line, self.stats, obs=self.obs,
+        )
+
+    def _dram_bytes(self) -> int:
+        stats = self.machine.memory.stats
+        return stats.bytes_read + stats.bytes_written
+
+    def charge(
+        self, timings: "dict[str, float]", elapsed: "float | None" = None
+    ) -> float:
+        """Credit each time bucket to the stopwatch and advance the
+        clock by ``elapsed`` (default: the buckets' sum), returned."""
+        for bucket, seconds in timings.items():
+            self.stopwatch.add(bucket, seconds)
+        if elapsed is None:
+            elapsed = sum(timings.values())
+        self.machine.clock.advance(elapsed)
+        return elapsed
+
+    def commit_unverified(self, ds: int, executor: int, ok: bool) -> None:
+        """Commit one replica's stored output with nothing to compare it
+        against; a faulted replica commits an empty output."""
+        materialized = self.materialized
+        output = materialized.load_replica_output(ds, executor) if ok else b""
+        materialized.commit_output(ds, output)
+
+    def vote(self, ds: int, results: "list[JobResult]") -> None:
+        """Vote one dataset's replicas and commit the majority output.
+
+        The orchestrator reads replica outputs back from inside the
+        frontier — the authoritative copies, not the python objects
+        (a DRAM SEU on a slot shows up here)."""
+        load = self.materialized.load_replica_output
+        refreshed = [
+            JobResult(ds, r.executor_id, load(ds, r.executor_id)) if r.ok else r
+            for r in results
+        ]
+        if self.hooks is not None:
+            refreshed = self.hooks.before_vote(self.runtime, ds, refreshed)
+        outcome = vote(refreshed)
+        compare_bytes = sum(
+            len(r.output) for r in refreshed if r.output is not None
+        )
+        self.charge(
+            {"orchestration": compare_bytes * self.config.costs.vote_seconds_per_byte}
+        )
+        status = outcome.status
+        if self.obs.enabled:
+            self.obs.tracer.event(
+                "emr.vote", t=self.machine.clock.now,
+                ds=outcome.dataset_index, status=status.value,
+                dissenting=list(outcome.dissenting_executors),
+            )
+            metrics = self.obs.metrics
+            metrics.counter("emr.votes").inc()
+            if status is VoteStatus.CORRECTED:
+                metrics.counter("emr.vote_corrections").inc()
+            elif status is VoteStatus.INCONCLUSIVE:
+                metrics.counter("emr.votes_inconclusive").inc()
+        stats = self.stats
+        if status is VoteStatus.INCONCLUSIVE:
+            stats.detected_faults.append(f"ds={ds}: inconclusive vote")
+            if self.config.raise_on_inconclusive:
+                raise VotingInconclusiveError(f"dataset {ds}: no majority")
+            self.materialized.commit_output(ds, b"")
+            return
+        if status is VoteStatus.CORRECTED:
+            stats.vote_corrections += 1
+        else:
+            stats.unanimous_votes += 1
+        self.materialized.commit_output(ds, outcome.output)
+
+    def finish(self, scheme: str, executor_busy: "list[float]") -> RunResult:
+        """Measure the run's energy, emit its ``emr.run`` span and run
+        counter, and return its result."""
+        machine = self.machine
+        stats = self.stats
+        wall_seconds = machine.clock.now - self.start_time
+        energy = machine.energy_meter.measure(
+            wall_seconds, executor_busy,
+            dram_bytes=self._dram_bytes() - self.dram_bytes_before,
+            disk_ios=stats.disk_ios,
+        )
+        outputs = self.materialized.final_outputs()
+        if self.obs.enabled:
+            # Only EMR's span counts jobsets, and only EMR reports the
+            # workload's output rate; the baselines count their runs
+            # per scheme.
+            is_emr = scheme == "emr"
+            name = self.workload.name
+            self.obs.tracer.span(
+                "emr.run", t=self.start_time, dur=wall_seconds,
+                scheme=scheme, workload=name, jobs=stats.jobs,
+                **({"jobsets": stats.jobsets} if is_emr else {}),
+                corrections=stats.vote_corrections,
+            )
+            metrics = self.obs.metrics
+            if is_emr:
+                metrics.counter("emr.runs").inc()
+                output_bytes = sum(len(o) for o in outputs)
+                metrics.counter(f"workload.{name}.output_bytes").inc(output_bytes)
+                if wall_seconds > 0:
+                    metrics.gauge(f"workload.{name}.bytes_per_sim_s").set(
+                        output_bytes / wall_seconds
+                    )
+            else:
+                metrics.counter(f"scheme.{scheme}.runs").inc()
+        return RunResult(
+            scheme=scheme,
+            workload=self.workload.name,
+            outputs=outputs,
+            wall_seconds=wall_seconds,
+            breakdown=self.stopwatch.breakdown(),
+            energy=energy,
+            stats=stats,
+            frontier=self.frontier,
+        )
 
 
 class EmrRuntime:
@@ -346,7 +502,9 @@ class EmrRuntime:
                 )
             return self._plan_schedule(mode_schedule)
         if self.cache_protected:
-            self.plan_ = plan_replication(self.spec.datasets, threshold=1.5)
+            self.plan_ = plan_replication(
+                self.spec.datasets, _NO_REPLICATION_THRESHOLD
+            )
             self.conflicts_ = ConflictGraph(neighbours={})
             jobs = order_jobs(
                 self.spec.datasets, self.config.n_executors, self.config.ordering
@@ -451,15 +609,6 @@ class EmrRuntime:
             self.plan(spec, rng, mode_schedule=mode_schedule)
         machine = self.machine
         cfg = self.config
-        stats = RunStats(
-            conflict_edges=self.conflicts_.edge_count,
-            replicated_bytes=self.plan_.replicated_bytes,
-        )
-        stopwatch = Stopwatch(machine.clock)
-        start_time = machine.clock.now
-        mem_stats_before = (
-            machine.memory.stats.bytes_read + machine.memory.stats.bytes_written
-        )
         # Executor width: the widest jobset (mode schedules mix widths;
         # without one, every jobset inherits the config and this is
         # exactly the historical cfg.n_executors).
@@ -474,16 +623,11 @@ class EmrRuntime:
                 machine.cores[core_id].set_freq(core_spec.max_freq)
         applied_freq = core_spec.max_freq
 
-        materialized = MaterializedWorkload(
-            machine, self.spec, self.frontier, self.plan_,
-            width, stopwatch, cfg.costs,
+        run = SchemeRun(
+            machine, self.workload, cfg, self.hooks, self.obs, rng, self.spec,
+            width, plan=self.plan_, runtime=self,
         )
-        stats.memory_bytes = materialized.allocated_input_bytes
-        engine = JobEngine(
-            machine, self.workload, materialized, self.hooks, rng,
-            cfg.flush_cycles_per_line, stats, obs=self.obs,
-        )
-
+        run.stats.conflict_edges = self.conflicts_.edge_count
         executor_busy = [0.0] * width
         replica_results: "dict[int, list]" = {}
         pending_votes: "set[int]" = set()
@@ -510,7 +654,7 @@ class EmrRuntime:
                     expected = self._expected_replicas.get(
                         job.dataset_index, cfg.n_executors
                     )
-                    result, timings = engine.run_job(
+                    result, timings = run.engine.run_job(
                         job, core_id, runtime=self,
                         # Unprotected (single-replica) segments accept
                         # aliasing risk instead of paying cache hygiene.
@@ -530,122 +674,32 @@ class EmrRuntime:
             total_disk = sum(b["disk_read"] for b in per_executor.values())
             wall = max(max(executor_totals), total_disk)
             straggler = int(np.argmax(executor_totals))
-            for bucket in ("compute", "cache_clear", "disk_read"):
-                stopwatch.add(bucket, per_executor[straggler][bucket])
+            run.charge(per_executor[straggler], elapsed=wall)
             if wall > executor_totals[straggler]:
-                stopwatch.add("disk_read", wall - executor_totals[straggler])
-            machine.clock.advance(wall)
+                run.stopwatch.add("disk_read", wall - executor_totals[straggler])
             for executor in range(n_executors):
                 executor_busy[executor] += sum(per_executor[executor].values())
             # Barrier + votes.
-            machine.clock.advance(cfg.costs.barrier_seconds)
-            stopwatch.add("orchestration", cfg.costs.barrier_seconds)
-            self._vote_pending(
-                pending_votes, replica_results, materialized, stats, stopwatch
-            )
-            materialized.end_of_jobset()
+            run.charge({"orchestration": cfg.costs.barrier_seconds})
+            for dataset_index in sorted(pending_votes):
+                results = replica_results.pop(dataset_index)
+                if self._expected_replicas.get(dataset_index, 2) == 1:
+                    # Unreplicated segment (independent mode): nothing
+                    # to compare, so the single output commits the way
+                    # the unprotected baseline's does. A replica fault
+                    # is already a recorded detected fault.
+                    run.commit_unverified(
+                        dataset_index, results[0].executor_id, results[0].ok
+                    )
+                else:
+                    run.vote(dataset_index, results)
+            pending_votes.clear()
+            run.materialized.end_of_jobset()
             if self.hooks is not None:
                 self.hooks.after_jobset(self, jobset)
 
-        stats.jobsets = len(self.jobsets_)
-        wall_seconds = machine.clock.now - start_time
-        dram_bytes = (
-            machine.memory.stats.bytes_read + machine.memory.stats.bytes_written
-            - mem_stats_before
-        )
-        energy = machine.energy_meter.measure(
-            wall_seconds, executor_busy, dram_bytes=dram_bytes,
-            disk_ios=stats.disk_ios,
-        )
-        outputs = materialized.final_outputs()
-        if self.obs.enabled:
-            self.obs.tracer.span(
-                "emr.run", t=start_time, dur=wall_seconds,
-                scheme="emr", workload=self.workload.name,
-                jobs=stats.jobs, jobsets=stats.jobsets,
-                corrections=stats.vote_corrections,
-            )
-            metrics = self.obs.metrics
-            metrics.counter("emr.runs").inc()
-            output_bytes = sum(len(o) for o in outputs)
-            metrics.counter(f"workload.{self.workload.name}.output_bytes").inc(
-                output_bytes
-            )
-            if wall_seconds > 0:
-                metrics.gauge(
-                    f"workload.{self.workload.name}.bytes_per_sim_s"
-                ).set(output_bytes / wall_seconds)
-        return RunResult(
-            scheme="emr",
-            workload=self.workload.name,
-            outputs=outputs,
-            wall_seconds=wall_seconds,
-            breakdown=stopwatch.breakdown(),
-            energy=energy,
-            stats=stats,
-            frontier=self.frontier,
-        )
-
-    def _vote_pending(self, pending, replica_results, materialized, stats,
-                      stopwatch) -> None:
-        from ...errors import VotingInconclusiveError
-
-        for dataset_index in sorted(pending):
-            results = replica_results.pop(dataset_index)
-            if self._expected_replicas.get(dataset_index, 2) == 1:
-                # Unreplicated segment (independent mode): nothing to
-                # compare — commit the single output unverified, the
-                # way the unprotected baseline does. A replica fault is
-                # already a recorded detected fault.
-                result = results[0]
-                if result.ok:
-                    stored = materialized.load_replica_output(
-                        dataset_index, result.executor_id
-                    )
-                    materialized.commit_output(dataset_index, stored)
-                else:
-                    materialized.commit_output(dataset_index, b"")
-                continue
-            # The orchestrator reads replica outputs back from inside
-            # the frontier — the authoritative copies, not the python
-            # objects (a DRAM SEU on a slot shows up here).
-            refreshed = []
-            for result in results:
-                if result.ok:
-                    stored = materialized.load_replica_output(
-                        dataset_index, result.executor_id
-                    )
-                    refreshed.append(
-                        JobResult(dataset_index, result.executor_id, stored)
-                    )
-                else:
-                    refreshed.append(result)
-            if self.hooks is not None:
-                refreshed = self.hooks.before_vote(self, dataset_index, refreshed)
-            outcome = vote(refreshed)
-            compare_bytes = sum(
-                len(r.output) for r in refreshed if r.output is not None
-            )
-            vote_seconds = compare_bytes * self.config.costs.vote_seconds_per_byte
-            self.machine.clock.advance(vote_seconds)
-            stopwatch.add("orchestration", vote_seconds)
-            record_vote(self.obs, self.machine.clock.now, outcome)
-            if outcome.status is VoteStatus.INCONCLUSIVE:
-                stats.detected_faults.append(
-                    f"ds={dataset_index}: inconclusive vote"
-                )
-                if self.config.raise_on_inconclusive:
-                    raise VotingInconclusiveError(
-                        f"dataset {dataset_index}: no majority"
-                    )
-                materialized.commit_output(dataset_index, b"")
-            else:
-                if outcome.status is VoteStatus.CORRECTED:
-                    stats.vote_corrections += 1
-                else:
-                    stats.unanimous_votes += 1
-                materialized.commit_output(dataset_index, outcome.output)
-        pending.clear()
+        run.stats.jobsets = len(self.jobsets_)
+        return run.finish("emr", executor_busy)
 
 
 def emr_protect(

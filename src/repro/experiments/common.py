@@ -412,9 +412,7 @@ def run_schemes(
     config = EmrConfig(replication_threshold=threshold, frontier=frontier)
     provision = SnapshotFactory(machine_factory)
     emr = EmrRuntime(provision(), workload, config=config).run(spec=spec)
-    sequential = sequential_3mr(
-        provision(), workload, spec=spec, frontier=frontier, config=config
-    )
+    sequential = sequential_3mr(provision(), workload, spec=spec, config=config)
     unprotected = unprotected_parallel_3mr(
         provision(), workload, spec=spec, config=config
     )

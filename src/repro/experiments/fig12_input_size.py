@@ -29,9 +29,7 @@ def _size_trial(task, rng, tracer=None) -> dict:
             frontier=frontier,
         )
         emr = EmrRuntime(provision(), workload, config=config).run(spec=spec)
-        seq = sequential_3mr(
-            provision(), workload, spec=spec, frontier=frontier, config=config,
-        )
+        seq = sequential_3mr(provision(), workload, spec=spec, config=config)
         out[f"emr_{tag}"] = emr.wall_seconds
         out[f"seq_{tag}"] = seq.wall_seconds
     return out

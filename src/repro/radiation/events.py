@@ -15,8 +15,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from collections.abc import Sequence
+
+    from ..core.emr.runtime import RunResult
 
 
 class SeuTarget(enum.Enum):
@@ -74,3 +80,22 @@ class OutcomeClass(enum.Enum):
     NO_EFFECT = "no_effect"  # fault landed somewhere dead
     ERROR = "error"  # observable failure (crash, vote tie, ECC detect)
     SDC = "sdc"  # wrong answer, nobody noticed
+
+
+def classify_outcome(
+    result: "RunResult | None",
+    golden: "Sequence[bytes]",
+    error: "str | None" = None,
+) -> OutcomeClass:
+    """Table 7's outcome of one injected run: ``error`` is the detected
+    fault that aborted it (``result`` is then ``None``), ``golden`` the
+    fault-free outputs."""
+    if error is not None or result.stats.detected_faults:
+        # A replica crash that redundancy recovered was still
+        # *observed*: the paper counts it as an error too.
+        return OutcomeClass.ERROR
+    if not result.matches(list(golden)):
+        return OutcomeClass.SDC
+    if result.stats.vote_corrections > 0:
+        return OutcomeClass.CORRECTED
+    return OutcomeClass.NO_EFFECT

@@ -39,7 +39,7 @@ from ..obs import NULL_OBS, MetricsRegistry, Observability
 from ..parallel import ParallelReport
 from ..sim.machine import Machine
 from ..workloads.base import Workload, WorkloadSpec
-from .events import OutcomeClass, SeuTarget
+from .events import OutcomeClass, SeuTarget, classify_outcome
 from .seu import flip_dram, flip_l1, flip_l2, poison_pipeline
 
 #: Injection-site weights ≈ (component die share × live time share).
@@ -290,18 +290,7 @@ def run_campaign_trial(
     except DetectedFaultError as exc:
         error = str(exc)
 
-    if error is not None:
-        outcome = OutcomeClass.ERROR
-    elif result.stats.detected_faults:
-        # A replica crashed but redundancy recovered: the fault was
-        # still *observed* — the paper counts this as an error.
-        outcome = OutcomeClass.ERROR
-    elif not result.matches(list(task.golden)):
-        outcome = OutcomeClass.SDC
-    elif result.stats.vote_corrections > 0:
-        outcome = OutcomeClass.CORRECTED
-    else:
-        outcome = OutcomeClass.NO_EFFECT
+    outcome = classify_outcome(result, task.golden, error)
     if obs.enabled:
         obs.tracer.event(
             "campaign.outcome", t=machine.clock.now,

@@ -9,6 +9,7 @@ from repro.core.emr import (
     Frontier,
     JobResult,
     VoteStatus,
+    checksum_protected_run,
     emr_protect,
     sequential_3mr,
     single_run,
@@ -40,6 +41,18 @@ def golden(workload, spec):
 def _config(**kw):
     kw.setdefault("replication_threshold", 0.5)
     return EmrConfig(**kw)
+
+
+#: Every scheme's entry point, each called as ``runner(machine,
+#: workload, config=...)`` (``emr_protect`` builds an ``EmrRuntime``).
+RUNNERS = [
+    emr_protect,
+    sequential_3mr,
+    unprotected_parallel_3mr,
+    single_run,
+    checksum_protected_run,
+]
+RUNNER_IDS = ["emr", "3mr", "unprotected", "none", "checksum"]
 
 
 class TestVoting:
@@ -119,10 +132,23 @@ class TestEmrCorrectness:
         result = runtime.run(spec=spec)
         assert result.matches(golden)
 
-    def test_dram_frontier_rejected_without_ecc(self, workload):
+    @pytest.mark.parametrize("runner", RUNNERS, ids=RUNNER_IDS)
+    def test_dram_frontier_rejected_without_ecc(self, workload, runner):
         machine = Machine.snapdragon801()
         with pytest.raises(ConfigurationError):
-            EmrRuntime(machine, workload, config=_config(frontier=Frontier.DRAM))
+            runner(machine, workload, config=_config(frontier=Frontier.DRAM))
+
+    @pytest.mark.parametrize("runner", RUNNERS, ids=RUNNER_IDS)
+    def test_configured_storage_frontier_used_on_ecc_machine(
+        self, workload, golden, runner
+    ):
+        result = runner(
+            Machine.rpi_zero2w(), workload,
+            config=_config(frontier=Frontier.STORAGE),
+        )
+        assert result.frontier is Frontier.STORAGE
+        assert result.stats.disk_ios > 0
+        assert result.matches(golden)
 
 
 class TestEmrTiming:

@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.core.emr import Frontier, RunResult, RunStats
 from repro.errors import ConfigurationError
 from repro.radiation import OutcomeClass, SeuTarget
+from repro.radiation.events import classify_outcome
 from repro.radiation.injector import (
     CampaignConfig,
     FaultInjectionCampaign,
 )
+from repro.sim.power import EnergyReport
 from repro.workloads import AesWorkload, ImageProcessingWorkload
 
 
@@ -19,6 +22,34 @@ def campaign_table():
     )
     table = campaign.run(schemes=("none", "3mr", "emr"))
     return campaign, table
+
+
+GOLDEN = (b"ok", b"ok")
+
+
+def _result(outputs=GOLDEN, faults=(), corrections=0):
+    return RunResult(
+        scheme="3mr", workload="w", outputs=list(outputs), wall_seconds=1.0,
+        breakdown={}, energy=EnergyReport(0.0, 0.0, 0.0, 0.0),
+        stats=RunStats(detected_faults=list(faults), vote_corrections=corrections),
+        frontier=Frontier.DRAM,
+    )
+
+
+@pytest.mark.parametrize(
+    "result,error,expected",
+    [
+        (None, "dataset 0: no majority", OutcomeClass.ERROR),
+        # An observed fault wins over a wrong output and a correction.
+        (_result([b"ok", b"no"], ["ds=1: crash"], 1), None, OutcomeClass.ERROR),
+        (_result([b"ok", b"no"], corrections=1), None, OutcomeClass.SDC),
+        (_result(corrections=1), None, OutcomeClass.CORRECTED),
+        (_result(), None, OutcomeClass.NO_EFFECT),
+    ],
+    ids=["aborted", "observed-fault", "sdc", "corrected", "no-effect"],
+)
+def test_classify_outcome(result, error, expected):
+    assert classify_outcome(result, GOLDEN, error) is expected
 
 
 class TestCampaign:
