@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...errors import DetectedFaultError, UncorrectableMemoryError
+from ...errors import UncorrectableMemoryError
 from ...obs import NULL_OBS, Observability
 from ...radiation.seu import corrupt_bytes
 from ...sim.machine import Machine
@@ -36,7 +36,7 @@ from ...workloads.base import Workload, WorkloadSpec
 from .frontier import Frontier
 from .jobs import Job
 from .materialize import MaterializedWorkload
-from .runtime import EmrConfig, EmrHooks, RunResult, SchemeRun
+from .runtime import EmrConfig, EmrHooks, RunResult, SchemeRun, fault_description
 
 _CRC_POLY = 0xEDB88320
 
@@ -198,10 +198,9 @@ def checksum_protected_run(
                     / (core.spec.base_ipc * core.freq)
                 )
             output = workload.run_job(inputs, dict(ds.params))
-        except DetectedFaultError as exc:
-            stats.detected_faults.append(f"ds={ds.index}: {exc}")
-            failed = str(exc)
-            output = b""
+        except Exception as exc:  # noqa: BLE001 - crash containment, as in JobEngine.run_job
+            failed = fault_description(exc)
+            stats.detected_faults.append(f"ds={ds.index}: {failed}")
         if failed is None:
             if core.poisoned:
                 output = corrupt_bytes(output, run.rng, bits=1)

@@ -71,6 +71,15 @@ class JobSet:
         job.jobset_id = self.jobset_id
         self.jobs.append(job)
 
+    def fresh_copy(self) -> "JobSet":
+        """This jobset over new jobs with their own copy of the pointers
+        (a run may corrupt its jobs' pointers, never a planned jobset's)."""
+        jobs = [
+            Job(job.dataset, job.executor_id, self.jobset_id, job.cache_group, dict(job.pointers))
+            for job in self.jobs
+        ]
+        return JobSet(self.jobset_id, jobs, self.n_executors, self.mode_name, self.freq_level)
+
     def jobs_for_executor(self, executor_id: int) -> "list[Job]":
         return [job for job in self.jobs if job.executor_id == executor_id]
 

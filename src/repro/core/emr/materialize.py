@@ -72,15 +72,26 @@ class MaterializedWorkload:
         self.disk_read_seconds = 0.0
         self.disk_ios = 0
         self._stage_all()
-        # Per dataset, worked out once: each role's ref and whether it
-        # is replicated, and the lines flush_job_regions drops.
-        self._fetch_plans: "dict[int, dict[str, tuple[RegionRef, bool]]]" = {}
-        self._flush_plans: "dict[int, tuple[int, ...]]" = {}
-        for ds in spec.datasets:
-            roles = {role: (ref, ref in plan.replicated) for role, ref in ds.regions.items()}
-            self._fetch_plans[ds.index] = roles
-            if frontier is Frontier.DRAM:
-                self._flush_plans[ds.index] = self._lines_to_flush(roles.values())
+        # Per dataset, derived once per spec: each role's ref and whether
+        # it is replicated, and the lines flush_job_regions drops (which
+        # depend on where this machine staged the blobs).
+        replicated = plan.replicated
+        self._fetch_plans: "dict[int, dict[str, tuple[RegionRef, bool]]]" = spec.memo(
+            ("fetch", replicated),
+            lambda: {
+                ds.index: {role: (ref, ref in replicated) for role, ref in ds.regions.items()}
+                for ds in spec.datasets
+            },
+        )
+        if frontier is Frontier.DRAM:
+            bases = tuple(region.addr for region in self._blob_regions.values())
+            self._flush_plans: "dict[int, tuple[int, ...]]" = spec.memo(
+                ("flush", replicated, self._line, bases),
+                lambda: {
+                    index: self._lines_to_flush(roles.values())
+                    for index, roles in self._fetch_plans.items()
+                },
+            )
 
     # ------------------------------------------------------------------
     # Staging
@@ -191,7 +202,7 @@ class MaterializedWorkload:
         frontier dictates. Raises :class:`SegmentationFault` when the
         job's (possibly corrupted) pointer leaves the blob."""
         result = FetchResult(data=b"")
-        result.data = self._fetch_into(job, role, result)
+        (result.data,) = self._read(job, (role,), result)
         return result
 
     def fetch_job(self, job: Job, counts: FetchResult) -> "dict[str, bytes]":
@@ -200,38 +211,58 @@ class MaterializedWorkload:
         disk charges of each region that read successfully accumulate
         in ``counts``, so a pass that raises leaves the counts of the
         regions before the failing one."""
-        return {role: self._fetch_into(job, role, counts) for role in job.dataset.regions}
+        roles = job.dataset.regions
+        return dict(zip(roles, self._read(job, roles, counts)))
 
-    def _fetch_into(self, job: Job, role: str, counts: FetchResult) -> bytes:
-        ref, replicated = self._fetch_plans[job.dataset.index][role]
-        offset, length = job.pointers[role]
+    def _read(self, job: Job, roles, counts: FetchResult) -> "list[bytes]":
+        plan = self._fetch_plans[job.dataset.index]
+        pointers = job.pointers
         if self.frontier is Frontier.DRAM:
-            if replicated:
-                # Pointer into the copy is copy-relative.
-                copy = self._replica_copies[(ref, job.executor_id)]
-                addr = copy.addr + offset - ref.offset
-            else:
+            # Every role's address first, then one cache pass; a bad
+            # pointer ends the pass after the spans before its role.
+            spans: "list[tuple[int, int]]" = []
+            bad = None  # the first out-of-bounds pointer, as the fault names it
+            for role in roles:
+                ref, replicated = plan[role]
+                offset, length = pointers[role]
+                if replicated:
+                    # Pointer into the copy is copy-relative.
+                    copy = self._replica_copies[(ref, job.executor_id)]
+                    spans.append((copy.addr + offset - ref.offset, length))
+                    continue
                 base = self._blob_regions[ref.blob]
                 if offset < 0 or offset + length > base.size:
-                    raise self._segfault(job, f"{role}=({offset}, {length})")
-                addr = base.addr + offset
+                    bad = f"{role}=({offset}, {length})"
+                    break
+                spans.append((base.addr + offset, length))
             try:
-                return self.machine.caches.read(addr, length, job.group, counts.trace)[0]
+                data = self.machine.caches.read_spans(spans, job.group, counts.trace)
             except InvalidAddressError as exc:
                 raise SegmentationFault(str(exc)) from exc
-        if replicated:
-            data = self._replica_blob_bytes[(ref, job.executor_id)]
-            seconds = ios = 0
-        else:
-            data, seconds, ios = self._staged_copy(job, ref)
-        rel = offset - ref.offset
-        if rel < 0 or rel + length > len(data):
-            # A fault on a staged region names no role.
-            where = f"{role}=" if replicated else ""
-            raise self._segfault(job, f"{where}({offset}, {length})")
-        counts.disk_seconds += seconds
-        counts.disk_ios += ios
-        return data[rel : rel + length]
+            if bad is not None:
+                # Built here, not kept in a local: a raised exception held by
+                # its own frame is a reference cycle that keeps the machine
+                # alive until the cyclic collector runs.
+                raise self._segfault(job, bad)
+            return data
+        out = []
+        for role in roles:
+            ref, replicated = plan[role]
+            offset, length = pointers[role]
+            if replicated:
+                data = self._replica_blob_bytes[(ref, job.executor_id)]
+                seconds = ios = 0
+            else:
+                data, seconds, ios = self._staged_copy(job, ref)
+            rel = offset - ref.offset
+            if rel < 0 or rel + length > len(data):
+                # A fault on a staged region names no role.
+                where = f"{role}=" if replicated else ""
+                raise self._segfault(job, f"{where}({offset}, {length})")
+            counts.disk_seconds += seconds
+            counts.disk_ios += ios
+            out.append(data[rel : rel + length])
+        return out
 
     @staticmethod
     def _segfault(job: Job, pointer: str) -> SegmentationFault:

@@ -140,6 +140,14 @@ class RunResult:
         return self.outputs == golden
 
 
+def fault_description(exc: Exception) -> str:
+    """How a contained replica failure is recorded: a detected fault by
+    its message, any other crash by its type and message."""
+    if isinstance(exc, DetectedFaultError):
+        return str(exc)
+    return f"replica crash: {type(exc).__name__}: {exc}"
+
+
 class JobEngine:
     """Executes individual jobs with full fault semantics. Shared by
     the EMR runtime and the 3-MR baselines so every scheme sees the
@@ -195,10 +203,7 @@ class JobEngine:
             # and arbitrary replica crashes are both *contained*: one
             # replica failing must never abort the protected run — it
             # becomes a recorded fault the other replicas out-vote.
-            if isinstance(exc, DetectedFaultError):
-                fault = str(exc)
-            else:
-                fault = f"replica crash: {type(exc).__name__}: {exc}"
+            fault = fault_description(exc)
             self.stats.detected_faults.append(
                 f"ds={job.dataset_index} exec={job.executor_id}: {fault}"
             )
@@ -272,6 +277,14 @@ class JobEngine:
 _NO_REPLICATION_THRESHOLD = 1.5
 
 
+def _replication_plan(spec: WorkloadSpec, threshold: float) -> ReplicationPlan:
+    """:func:`plan_replication` over all of ``spec``'s datasets, planned
+    once per spec and threshold."""
+    return spec.memo(
+        ("plan", threshold), lambda: plan_replication(spec.datasets, threshold)
+    )
+
+
 class SchemeRun:
     """The scaffold every protection scheme runs on.
 
@@ -307,7 +320,7 @@ class SchemeRun:
         self.frontier = config.frontier or Frontier.for_machine(machine)
         validate_frontier(machine, self.frontier)
         if plan is None:
-            plan = plan_replication(self.spec.datasets, _NO_REPLICATION_THRESHOLD)
+            plan = _replication_plan(self.spec, _NO_REPLICATION_THRESHOLD)
         self.stats = RunStats(replicated_bytes=plan.replicated_bytes)
         self.stopwatch = Stopwatch(machine.clock)
         self.start_time = machine.clock.now
@@ -501,33 +514,28 @@ class EmrRuntime:
                     "an ECC-cached machine already reverts EMR to 3-MR"
                 )
             return self._plan_schedule(mode_schedule)
+        # The plan, conflict graph and jobsets depend only on the spec's
+        # layout: derived once per spec, and each run gets its own jobs.
+        spec, cfg = self.spec, self.config
+        threshold, line_size = cfg.replication_threshold, self.machine.spec.line_size
         if self.cache_protected:
-            self.plan_ = plan_replication(
-                self.spec.datasets, _NO_REPLICATION_THRESHOLD
-            )
-            self.conflicts_ = ConflictGraph(neighbours={})
-            jobs = order_jobs(
-                self.spec.datasets, self.config.n_executors, self.config.ordering
-            )
-            jobset = JobSet(jobset_id=0)
-            for job in jobs:
-                jobset.add(job)
-            self.jobsets_ = [jobset]
-            return self.jobsets_
-        self.plan_ = plan_replication(
-            self.spec.datasets, self.config.replication_threshold
+            threshold, line_size = _NO_REPLICATION_THRESHOLD, None
+        plan = self.plan_ = _replication_plan(spec, threshold)
+        conflicts = self.conflicts_ = spec.memo(
+            ("conflicts", threshold, line_size),
+            lambda: ConflictGraph(neighbours={}) if line_size is None
+            else detect_conflicts(spec.datasets, set(plan.replicated), line_size=line_size),
         )
-        self.conflicts_ = detect_conflicts(
-            self.spec.datasets,
-            set(self.plan_.replicated),
-            line_size=self.machine.spec.line_size,
-        )
-        jobs = order_jobs(
-            self.spec.datasets, self.config.n_executors, self.config.ordering
-        )
-        self.jobsets_ = build_jobsets(jobs, self.conflicts_)
-        if self.config.validate_schedule:
-            validate_jobsets(self.jobsets_, self.conflicts_)
+
+        def schedule() -> "list[JobSet]":
+            jobs = order_jobs(spec.datasets, cfg.n_executors, cfg.ordering)
+            # Without isolation (ECC caches) every job runs in one jobset.
+            return [JobSet(0, jobs)] if line_size is None else build_jobsets(jobs, conflicts)
+
+        key = ("jobsets", threshold, line_size, cfg.n_executors, cfg.ordering)
+        self.jobsets_ = [jobset.fresh_copy() for jobset in spec.memo(key, schedule)]
+        if cfg.validate_schedule and line_size is not None:
+            validate_jobsets(self.jobsets_, conflicts)
         return self.jobsets_
 
     def _plan_schedule(

@@ -313,61 +313,71 @@ class CacheHierarchy:
     def read(
         self, addr: int, n: int, group: int, trace: "AccessTrace | None" = None
     ) -> tuple[bytes, AccessTrace]:
-        """Read ``n`` bytes at ``addr`` through the group's cache path.
-
-        Where each line was served from is added to ``trace`` (a fresh
-        one by default), and only once the whole read succeeded, so a
-        caller can pass one accumulator to a series of reads.
-
-        Each level is probed inline, as :meth:`Cache.lookup` would:
-        stats count per line, so a read that raises partway leaves the
-        counts of the lines before the failing one.
-        """
+        """Read ``n`` bytes at ``addr``: :meth:`read_spans` of one span."""
         if trace is None:
             trace = AccessTrace()
-        if n == 0:
-            return b"", trace
+        return self.read_spans(((addr, n),), group, trace)[0], trace
+
+    def read_spans(self, spans, group: int, trace: AccessTrace) -> "list[bytes]":
+        """Read each ``(addr, n)`` span through the group's cache path,
+        in order, exactly as that series of :meth:`read` calls would.
+
+        Where a span's lines were served from is added to ``trace`` only
+        once that span succeeded, so a pass that raises leaves the
+        counts of the spans before the failing one.
+
+        Each level is probed inline, as :meth:`Cache.lookup` would:
+        stats count per line, so a span that raises partway leaves the
+        counts of the lines before the failing one.
+        """
         l1, l2, memory, ecc = self.l1[group], self.l2, self.memory, self.has_ecc
         l1_lines, l2_lines = l1._lines, l2._lines
         line_size = self.line_size
-        first = addr // line_size
-        last = (addr + n - 1) // line_size
-        l1_hits = l2_hits = fills = 0
-        parts: "list[bytearray]" = []
-        for line_index in range(first, last + 1):
-            data = l1_lines.get(line_index)
-            if data is not None:
-                l1_lines.move_to_end(line_index)
-                l1.stats.hits += 1
-                if ecc and line_index in l1._dirty:
-                    l1._correct_line(line_index, data)
-                l1_hits += 1
-            else:
-                l1.stats.misses += 1
-                data = l2_lines.get(line_index)
+        out: "list[bytes]" = []
+        for addr, n in spans:
+            if n == 0:
+                out.append(b"")
+                continue
+            first = addr // line_size
+            last = (addr + n - 1) // line_size
+            l1_hits = l2_hits = fills = 0
+            parts: "list[bytearray]" = []
+            for line_index in range(first, last + 1):
+                data = l1_lines.get(line_index)
                 if data is not None:
-                    l2_lines.move_to_end(line_index)
-                    l2.stats.hits += 1
-                    if ecc and line_index in l2._dirty:
-                        l2._correct_line(line_index, data)
-                    l2_hits += 1
+                    l1_lines.move_to_end(line_index)
+                    l1.stats.hits += 1
+                    if ecc and line_index in l1._dirty:
+                        l1._correct_line(line_index, data)
+                    l1_hits += 1
                 else:
-                    l2.stats.misses += 1
-                    line_addr = line_index * line_size
-                    fresh = memory.read(line_addr, min(line_size, memory.size - line_addr))
-                    data = l2.fill(line_index, fresh)
-                    fills += 1
-                # L1 copies the (possibly corrupted) L2 line: corruption
-                # in the shared level propagates to private levels.
-                data = l1.fill(line_index, data)
-            parts.append(data)
-        trace.l1_hits += l1_hits
-        trace.l2_hits += l2_hits
-        trace.memory_fills += fills
-        start = addr - first * line_size
-        if first == last:
-            return bytes(memoryview(parts[0])[start : start + n]), trace
-        return b"".join(parts)[start : start + n], trace
+                    l1.stats.misses += 1
+                    data = l2_lines.get(line_index)
+                    if data is not None:
+                        l2_lines.move_to_end(line_index)
+                        l2.stats.hits += 1
+                        if ecc and line_index in l2._dirty:
+                            l2._correct_line(line_index, data)
+                        l2_hits += 1
+                    else:
+                        l2.stats.misses += 1
+                        line_addr = line_index * line_size
+                        fresh = memory.read(line_addr, min(line_size, memory.size - line_addr))
+                        data = l2.fill(line_index, fresh)
+                        fills += 1
+                    # L1 copies the (possibly corrupted) L2 line: corruption
+                    # in the shared level propagates to private levels.
+                    data = l1.fill(line_index, data)
+                parts.append(data)
+            trace.l1_hits += l1_hits
+            trace.l2_hits += l2_hits
+            trace.memory_fills += fills
+            start = addr - first * line_size
+            if first == last:
+                out.append(bytes(memoryview(parts[0])[start : start + n]))
+            else:
+                out.append(b"".join(parts)[start : start + n])
+        return out
 
     def write(self, addr: int, data: bytes, group: int) -> AccessTrace:
         """Write-through: memory first, then refresh resident copies."""

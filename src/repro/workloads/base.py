@@ -117,6 +117,19 @@ class WorkloadSpec:
                         f"overruns blob {ref.blob!r} ({ref.end} > {len(blob)})"
                     )
 
+    def memo(self, key, build):
+        """``build()``, called once per ``key`` for this spec. A spec is
+        never mutated after :meth:`Workload.build`, so what EMR derives
+        from its layout can be kept. The memo is not a field: ``==``,
+        ``repr`` and pickles leave it out, and a copy starts empty."""
+        memo = self.__dict__.setdefault("_memo", {})
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+    def __getstate__(self):
+        return {key: value for key, value in self.__dict__.items() if key != "_memo"}
+
     def slice_inputs(self, dataset: DatasetSpec) -> "dict[str, bytes]":
         """Read a dataset's inputs straight from the spec (no machine):
         the golden path used for reference outputs."""

@@ -11,6 +11,9 @@ returned bytes (or the exception raised), the caller's
 lines in LRU order, check bytes, dirty set and ``CacheStats``. Reads
 that run off the end of the device, or hit an uncorrectable line,
 raise partway and so pin the partial counts they leave behind.
+
+``read_spans`` is checked the same way against a series of reads
+(``CacheHierarchy.read`` and the per-line loop) that share one trace.
 """
 
 import pytest
@@ -90,6 +93,23 @@ dram_flips = st.tuples(
 )
 ops = st.one_of(reads, reads, reads, writes, flushes, cache_flips, dram_flips,
                 st.just(("flush_all",)))
+# Spans may start up to two lines past the device end.
+span_reads = st.tuples(
+    st.just("spans"),
+    st.lists(st.tuples(st.integers(0, SIZE + LINE), st.integers(0, 3 * LINE)), max_size=5),
+    groups,
+)
+span_ops = st.one_of(span_reads, span_reads, span_reads, writes, flushes, cache_flips,
+                     dram_flips, st.just(("flush_all",)))
+
+
+def series_of_reads(read):
+    """``read_spans`` as one ``read`` per span, sharing the trace."""
+
+    def read_spans(caches, spans, group, trace):
+        return [read(caches, addr, n, group, trace)[0] for addr, n in spans]
+
+    return read_spans
 
 
 def _apply(caches, op, trace, read):
@@ -105,6 +125,9 @@ def _run(caches, op, trace, read):
     if kind == "read":
         _, addr, n, group, shared = op
         return read(caches, addr, n, group, trace if shared else None)
+    if kind == "spans":
+        _, spans, group = op
+        return read(caches, spans, group, trace)
     if kind == "write":
         caches.write(op[1], op[2], op[3])
     elif kind == "flush":
@@ -137,11 +160,29 @@ def _run(caches, op, trace, read):
     program=st.lists(ops, min_size=1, max_size=40),
 )
 def test_read_matches_the_per_line_loop(cache_ecc, dram_ecc, image, program):
+    _check_same_runs(cache_ecc, dram_ecc, image, program, CacheHierarchy.read, reference_read)
+
+
+@pytest.mark.parametrize("read", [CacheHierarchy.read, reference_read], ids=["read", "loop"])
+@settings(max_examples=200, deadline=None)
+@given(
+    cache_ecc=st.booleans(),
+    dram_ecc=st.booleans(),
+    image=st.binary(min_size=SIZE, max_size=SIZE),
+    program=st.lists(span_ops, min_size=1, max_size=40),
+)
+def test_read_spans_matches_a_series_of_reads(read, cache_ecc, dram_ecc, image, program):
+    _check_same_runs(
+        cache_ecc, dram_ecc, image, program, CacheHierarchy.read_spans, series_of_reads(read)
+    )
+
+
+def _check_same_runs(cache_ecc, dram_ecc, image, program, read, reference_read):
     inline = _hierarchy(cache_ecc, dram_ecc, image)
     reference = _hierarchy(cache_ecc, dram_ecc, image)
     inline_trace, reference_trace = AccessTrace(), AccessTrace()
     for step, op in enumerate(program):
-        got = _apply(inline, op, inline_trace, CacheHierarchy.read)
+        got = _apply(inline, op, inline_trace, read)
         want = _apply(reference, op, reference_trace, reference_read)
         assert got == want, (step, op)
         assert inline_trace == reference_trace, (step, op)
@@ -166,3 +207,15 @@ def test_failing_read_keeps_counts_of_the_lines_before_it():
     assert (caches.l2.stats.hits, caches.l2.stats.misses) == (0, 3)
     assert caches.l1[0].resident_lines == (0, 1)
     assert caches.l2.resident_lines == (0, 1)
+
+
+def test_failing_span_keeps_counts_of_the_spans_before_it():
+    memory = SimMemory(SIZE, ecc=True)
+    caches = CacheHierarchy(memory, n_groups=1, l1_lines=4, l2_lines=8, line_size=LINE)
+    memory.flip_bit(2 * LINE, 0)
+    memory.flip_bit(2 * LINE + 1, 0)  # line 2: a double error
+    trace = AccessTrace()
+    with pytest.raises(UncorrectableMemoryError):
+        caches.read_spans([(0, LINE), (LINE, 2 * LINE), (0, 1)], 0, trace)
+    assert trace == AccessTrace(memory_fills=1)  # the first span only
+    assert caches.l1[0].resident_lines == (0, 1)

@@ -86,6 +86,29 @@ class TestChecksumScheme:
         # outputs must match and no silent corruption happened.
         assert result.outputs == golden
 
+    def test_replica_crash_is_contained(self, workload, spec):
+        """A job that raises something other than a detected fault is
+        recorded as a replica crash and commits an empty output; the
+        run goes on."""
+
+        class CrashOnSecondJob(AesWorkload):
+            calls = 0
+
+            def run_job(self, inputs, params):
+                self.calls += 1
+                if self.calls == 2:
+                    raise ValueError("bad block")
+                return super().run_job(inputs, params)
+
+        crashing = CrashOnSecondJob(chunk_bytes=64, chunks=8)
+        golden = workload.reference_outputs(spec)
+        result = checksum_protected_run(Machine.rpi_zero2w(), crashing, spec=spec)
+        assert result.stats.detected_faults == [
+            "ds=1: replica crash: ValueError: bad block"
+        ]
+        assert result.outputs == [golden[0], b"", *golden[2:]]
+        assert result.stats.jobs == len(spec.datasets)
+
     def test_campaign_checksum_catches_memory_misses_pipeline(self):
         """Checksums verify inputs but cannot catch compute faults —
         the reason the paper builds EMR instead."""

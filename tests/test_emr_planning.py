@@ -1,17 +1,27 @@
 """Tests for EMR's planning layers: replication, conflicts, scheduling."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core.emr import (
+    EmrConfig,
+    EmrRuntime,
     build_jobsets,
+    checksum_protected_run,
     detect_conflicts,
     order_jobs,
     plan_replication,
     schedule_summary,
+    sequential_3mr,
+    single_run,
     validate_jobsets,
 )
+from repro.core.emr.runtime import EmrHooks
 from repro.errors import ConfigurationError
+from repro.sim import Machine
 from repro.workloads import (
     AesWorkload,
     DeflateWorkload,
@@ -204,3 +214,97 @@ class TestScheduler:
         jobset.add(Job(dataset=spec.datasets[0], executor_id=1))
         with pytest.raises(ConfigurationError):
             validate_jobsets([jobset], ConflictGraph(neighbours={}))
+
+
+def _image_workload():
+    return ImageProcessingWorkload(map_size=64, template_size=16, stride=8)
+
+
+def _emr(machine, workload, spec, hooks=None):
+    config = EmrConfig(replication_threshold=workload.default_replication_threshold)
+    return EmrRuntime(machine, workload, config=config, hooks=hooks).run(spec=spec)
+
+
+class TestPlanningOncePerSpec:
+    """EMR derives its plans once per workload spec; every run of the
+    spec must behave exactly as a run on a fresh copy of it."""
+
+    @pytest.mark.parametrize(
+        "workload", [_image_workload(), AesWorkload(chunk_bytes=64, chunks=9)],
+        ids=["image", "aes"],
+    )
+    def test_cached_plans_equal_fresh_ones(self, workload):
+        spec = workload.build(np.random.default_rng(0))
+        machine = Machine.rpi_zero2w()
+        threshold = workload.default_replication_threshold
+        runtime = EmrRuntime(
+            machine, workload, config=EmrConfig(replication_threshold=threshold)
+        )
+        first = runtime.plan(spec)
+        plan, conflicts = runtime.plan_, runtime.conflicts_
+        second = runtime.plan(spec)
+        assert runtime.plan_ is plan and runtime.conflicts_ is conflicts
+        fresh_plan = plan_replication(spec.datasets, threshold)
+        fresh_conflicts = detect_conflicts(
+            spec.datasets, set(fresh_plan.replicated), line_size=machine.spec.line_size
+        )
+        assert plan == fresh_plan
+        assert conflicts == fresh_conflicts
+        fresh_jobsets = build_jobsets(order_jobs(spec.datasets, 3), fresh_conflicts)
+        assert first == second == fresh_jobsets
+        # Each plan() hands out its own jobs.
+        assert first[0].jobs[0] is not second[0].jobs[0]
+        assert first[0].jobs[0].pointers is not second[0].jobs[0].pointers
+
+    def test_a_run_leaves_the_spec_pickle_unchanged(self):
+        workload = _image_workload()
+        spec = workload.build(np.random.default_rng(0))
+        before = pickle.dumps(spec)
+        _emr(Machine.rpi_zero2w(), workload, spec)
+        single_run(Machine.rpi_zero2w(), workload, spec=spec)
+        assert pickle.dumps(spec) == before
+
+    def test_pointer_strike_does_not_leak_into_the_next_run(self):
+        workload = _image_workload()
+        spec = workload.build(np.random.default_rng(0))
+        golden = workload.reference_outputs(spec)
+
+        class BreakPointers(EmrHooks):
+            def before_job(self, runtime, job):
+                if job.dataset_index == 1 and job.executor_id == 0:
+                    for role, (offset, length) in job.pointers.items():
+                        job.pointers[role] = (offset ^ (1 << 24), length)
+
+        struck = _emr(Machine.rpi_zero2w(), workload, spec, hooks=BreakPointers())
+        assert struck.matches(golden)
+        assert struck.stats.detected_faults == [
+            "ds=1 exec=0: job ds=1 exec=0: corrupted pointer row0=(16777224, 16)"
+        ]
+        clean = _emr(Machine.rpi_zero2w(), workload, spec)
+        assert clean.matches(golden)
+        assert clean.stats.detected_faults == []
+
+    @pytest.mark.parametrize(
+        "runner",
+        [_emr, sequential_3mr, single_run, checksum_protected_run],
+        ids=["emr", "3mr", "none", "checksum"],
+    )
+    def test_runs_on_one_spec_equal_runs_on_copies(self, runner):
+        workload = _image_workload()
+        spec = workload.build(np.random.default_rng(0))
+        copies = [copy.deepcopy(spec) for _ in range(2)]
+
+        def fingerprint(result):
+            return (
+                result.outputs, result.stats, list(result.breakdown.items()),
+                result.wall_seconds, result.energy,
+            )
+
+        def run(on):
+            if runner is _emr:
+                return _emr(Machine.rpi_zero2w(), workload, on)
+            return runner(Machine.rpi_zero2w(), workload, spec=on)
+
+        shared = [fingerprint(run(spec)) for _ in range(2)]
+        copied = [fingerprint(run(on)) for on in copies]
+        assert shared == copied
