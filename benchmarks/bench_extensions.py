@@ -5,7 +5,8 @@ from repro.experiments import extensions
 
 def test_extension_checksum_comparison(record_experiment):
     table = record_experiment(
-        "extension_checksum", lambda: extensions.checksum_comparison(injection_runs=6)
+        "extension_checksum",
+        lambda: extensions.checksum_comparison_campaign(injection_runs=6),
     )
     rows = {row[0]: row for row in table.rows}
     # The checksum guard's blind spot: every pipeline strike is an SDC.
@@ -18,7 +19,7 @@ def test_extension_checksum_comparison(record_experiment):
 
 def test_extension_physics_rates(record_experiment):
     table = record_experiment(
-        "extension_physics", extensions.physics_rates, rounds=2
+        "extension_physics", extensions.physics_rates_campaign, rounds=2
     )
     rates = dict(zip(table.column("Environment"),
                      (float(v) for v in table.column("Upsets/day (device)"))))
@@ -29,7 +30,7 @@ def test_extension_physics_rates(record_experiment):
 
 def test_extension_flightsw_ild(record_experiment):
     table = record_experiment(
-        "extension_flightsw", extensions.flightsw_ild_accuracy
+        "extension_flightsw", extensions.flightsw_ild_campaign
     )
     rows = dict((row[0], row[1]) for row in table.rows)
     assert rows["False negative rate"] == "0.0%"
@@ -38,7 +39,7 @@ def test_extension_flightsw_ild(record_experiment):
 
 def test_extension_feature_selection(record_experiment):
     table = record_experiment(
-        "extension_features", extensions.feature_selection
+        "extension_features", extensions.feature_selection_campaign
     )
     importances = dict(zip(table.column("Table 1 metric"),
                            table.column("summed importance")))
@@ -55,7 +56,7 @@ def test_extension_feature_selection(record_experiment):
 def test_extension_mission_survival(record_experiment):
     table = record_experiment(
         "extension_missions",
-        lambda: extensions.mission_survival(n_seeds=2, duration_days=0.4),
+        lambda: extensions.mission_survival_campaign(n_seeds=2, duration_days=0.4),
     )
     assert all(v == "yes" for v in table.column("protected survives"))
     assert all(v == 0 for v in table.column("protected SDCs"))

@@ -4,7 +4,7 @@ from repro.experiments import fig02_sel_current_trace
 
 
 def test_fig02_sel_current_trace(record_experiment):
-    figure = record_experiment("fig02", fig02_sel_current_trace.run)
+    figure = record_experiment("fig02", fig02_sel_current_trace.campaign)
     # The SEL trace's quiescent draw never reaches the threshold, while
     # nominal compute exceeds it: static thresholds cannot win.
     assert "never reaches" in figure.notes

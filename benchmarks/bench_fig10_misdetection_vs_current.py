@@ -4,7 +4,7 @@ from repro.experiments import fig10_misdetection
 
 
 def test_fig10_misdetection(record_experiment):
-    figure = record_experiment("fig10", fig10_misdetection.run)
+    figure = record_experiment("fig10", fig10_misdetection.campaign)
     deltas, fn_rates = figure.series["false_negative_rate"]
     by_delta = dict(zip(deltas, fn_rates))
     assert by_delta[0.01] == 1.0  # invisible below the threshold

@@ -4,7 +4,7 @@ from repro.experiments import fig11_emr_runtime
 
 
 def test_fig11_emr_runtime(record_experiment):
-    figure = record_experiment("fig11", fig11_emr_runtime.run)
+    figure = record_experiment("fig11", fig11_emr_runtime.campaign)
     _, emr = figure.series["EMR"]
     _, seq = figure.series["serial_3MR"]
     # EMR beats serial 3-MR on every workload; both pay for safety.

@@ -4,7 +4,7 @@ from repro.experiments import fig12_input_size
 
 
 def test_fig12_input_size(record_experiment):
-    figure = record_experiment("fig12", fig12_input_size.run)
+    figure = record_experiment("fig12", fig12_input_size.campaign)
     emr_dram = figure.series["EMR (DRAM)"][1]
     seq_dram = figure.series["3MR (DRAM)"][1]
     emr_disk = figure.series["EMR (disk)"][1]

@@ -4,7 +4,7 @@ from repro.experiments import fig13_replication_sweep
 
 
 def test_fig13_replication_sweep(record_experiment):
-    figure = record_experiment("fig13", fig13_replication_sweep.run)
+    figure = record_experiment("fig13", fig13_replication_sweep.campaign)
     fractions, runtimes = figure.series["encryption.runtime"]
     # 0 % replication serializes: far slower than the key-only point.
     assert runtimes[0] > 2 * min(runtimes)

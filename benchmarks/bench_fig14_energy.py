@@ -4,7 +4,7 @@ from repro.experiments import fig14_energy
 
 
 def test_fig14_energy(record_experiment):
-    figure = record_experiment("fig14", fig14_energy.run)
+    figure = record_experiment("fig14", fig14_energy.campaign)
     names, seq = figure.series["serial_3MR"]
     _, emr = figure.series["EMR"]
     _, shield = figure.series["Radshield (EMR+ILD)"]

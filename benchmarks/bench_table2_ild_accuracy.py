@@ -4,7 +4,7 @@ from repro.experiments import table2_ild_accuracy
 
 
 def test_table2_ild_accuracy(record_experiment):
-    table = record_experiment("table2", table2_ild_accuracy.run)
+    table = record_experiment("table2", table2_ild_accuracy.campaign)
     fn_row = table.rows[0]
     fp_row = table.rows[1]
     # Column 1 is ILD: zero missed latchups, near-zero false alarms.

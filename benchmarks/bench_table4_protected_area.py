@@ -4,7 +4,7 @@ from repro.experiments import table4_protected_area
 
 
 def test_table4_protected_area(record_experiment):
-    table = record_experiment("table4", table4_protected_area.run, rounds=3)
+    table = record_experiment("table4", table4_protected_area.campaign, rounds=3)
     areas = dict(zip(table.column("Reliability Scheme"),
                      table.column("Relative Area Protected")))
     assert areas["None"] == "0%"

@@ -4,7 +4,7 @@ from repro.experiments import table6_breakdown
 
 
 def test_table6_breakdown(record_experiment):
-    table = record_experiment("table6", table6_breakdown.run)
+    table = record_experiment("table6", table6_breakdown.campaign)
     rows = {row[0]: (row[1], row[2]) for row in table.rows}
     seq_disk, emr_disk = rows["Disk Read"]
     # Sequential 3-MR re-reads inputs every pass: ~3x the disk time.

@@ -5,7 +5,7 @@ from repro.experiments import table7_fault_injection
 
 def test_table7_fault_injection(record_experiment):
     table = record_experiment(
-        "table7", lambda: table7_fault_injection.run(runs_per_scheme=15)
+        "table7", lambda: table7_fault_injection.campaign(runs_per_scheme=15)
     )
     rows = {row[0]: row[1:] for row in table.rows}
     # Unprotected runs suffer silent corruption and/or visible errors.

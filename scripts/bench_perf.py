@@ -487,19 +487,22 @@ def bench_hmr_frontier(smoke: bool) -> dict:
     on the canonical frontier JSON."""
     import tempfile
 
+    from repro.experiments import run_experiment
     from repro.experiments.fig_hmr_frontier import (
+        _frontier_batch_fn,
         campaign,
         frontier_json,
-        run,
     )
 
     scale = 1 if smoke else 2
+
+    def sweep(**kwargs):
+        return run_experiment(campaign(scale=scale, seed=7), **kwargs)[1]
+
     with tempfile.TemporaryDirectory() as root:
-        cold, cold_s = _timed(
-            run, scale=scale, seed=7, workers=1, store=root
-        )
-        replay, replay_s = _timed(run, scale=scale, seed=7, store=root)
-    batched = run(scale=scale, seed=7, batched=True)
+        cold, cold_s = _timed(sweep, workers=1, store=root)
+        replay, replay_s = _timed(sweep, store=root)
+    batched = sweep(batch_fn=_frontier_batch_fn)
     canonical = frontier_json(cold)
     identical = bool(
         frontier_json(replay) == canonical

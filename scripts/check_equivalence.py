@@ -1,8 +1,9 @@
 """Equivalence matrix: every registered campaign through every execution
 path, one digest per cell.
 
-Rows are the subjects: each entry of ``repro.experiments.CAMPAIGNS``,
-the ``smoke`` fleet, the adaptive ``smoke`` stream, the chaos matrix
+Rows are the subjects: each entry of ``repro.experiments.CAMPAIGNS``
+(run by ``run_experiment``, as every entry point runs it), the
+``smoke`` fleet, the adaptive ``smoke`` stream, the chaos matrix
 and the host-fault matrix (whose scenarios are the ground tier's
 host-fault modifiers of the supervised path). Columns are the paths:
 
@@ -69,6 +70,7 @@ from perfbench.workloads import (  # noqa: E402
 )
 from repro.campaign import TrialStore  # noqa: E402
 from repro.campaign.stream import GridSource, execute_stream  # noqa: E402
+from repro.experiments import run_experiment  # noqa: E402
 from repro.ground import GroundPolicy  # noqa: E402
 from repro.obs import MetricsRegistry  # noqa: E402
 
@@ -115,25 +117,28 @@ class Row:
 # rows
 # ----------------------------------------------------------------------
 
-def stream_row(name, make_source, command, *, batch_fn=None, check=None) -> Row:
-    """A row that drains a :class:`~repro.campaign.stream.TrialSource`.
-    Its canonical values are the per-round values digests, plus the
-    rendered aggregate of a grid that has one."""
+def stream_row(name, make_source, command, *, batch_fn=None, check=None,
+               registered=False) -> Row:
+    """A row that drains a :class:`~repro.campaign.stream.TrialSource`,
+    or a ``registered`` experiment through ``run_experiment``. Its
+    canonical values are the per-round values digests, plus a
+    registered experiment's rendered report."""
 
     def run(*, store, workers=1, metrics=None, force_pool=False,
             supervision=None, switch_batch=False):
-        source = make_source()
-        result = execute_stream(
-            source, store=store, workers=workers, metrics=metrics,
+        kwargs = dict(
+            store=store, workers=workers, metrics=metrics,
             force_pool=force_pool, supervision=supervision,
             batch_fn=batch_fn if switch_batch else None,
         )
-        values = [v for rnd in result.rounds for v in rnd.result.values]
-        canonical = [rnd.digest for rnd in result.rounds]
-        if isinstance(source, GridSource) and source.campaign.aggregate:
-            canonical.append(source.campaign.aggregate(values).render())
-        total = sum(len(rnd.result.specs) for rnd in result.rounds)
-        return Outcome(canonical, values, total)
+        reports = []
+        if registered:
+            result, report = run_experiment(make_source(), **kwargs)
+            reports.append(report.render())
+        else:
+            result = execute_stream(make_source(), **kwargs)
+        canonical = [rnd.digest for rnd in result.rounds] + reports
+        return Outcome(canonical, result.values, result.trials)
 
     na = {} if batch_fn is not None else {"batched": NO_BATCH_FN}
     return Row(name, run, command, na, check)
@@ -245,10 +250,8 @@ def registered_rows() -> "list[Row]":
     batch_fns = {"hmr_frontier": _frontier_batch_fn}
     rows = [
         stream_row(
-            name,
-            lambda factory=factory: GridSource(factory()),
-            ("campaign", "run", name),
-            batch_fn=batch_fns.get(name),
+            name, factory, ("campaign", "run", name),
+            batch_fn=batch_fns.get(name), registered=True,
         )
         for name, factory in CAMPAIGNS.items()
     ]

@@ -1,4 +1,4 @@
-"""Regenerate EXPERIMENTS.md from the experiment drivers.
+"""Regenerate EXPERIMENTS.md from the experiment registry.
 
 Usage: python scripts/generate_experiments_md.py [--check]
 
@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.experiments import ABLATIONS, EXPERIMENTS, EXTENSIONS
+from repro.experiments import CAMPAIGNS, run_experiment
 
 #: Per-experiment paper claims, for the paper-vs-measured record.
 PAPER_CLAIMS = {
@@ -105,27 +105,25 @@ in `BENCH_perf.json`; `pytest -m slow` re-checks it).
 def generate() -> str:
     out = io.StringIO()
     out.write(HEADER)
-    for name, runner in EXPERIMENTS.items():
+    sections = {"ablation": "Ablations", "extension": "Extensions"}
+    for name, factory in CAMPAIGNS.items():
+        kind, _, short = name.rpartition(":")
         started = time.time()
-        result = runner()
+        _, result = run_experiment(factory())
         elapsed = time.time() - started
-        out.write(f"\n## {name}\n\n")
-        out.write(f"**Paper:** {PAPER_CLAIMS[name]}\n\n")
-        out.write("**Measured:**\n\n```\n")
-        out.write(result.render())
-        out.write("\n```\n")
-        out.write(f"*(driver ran in {elapsed:.1f}s wall time)*\n")
-        print(f"{name}: {elapsed:.1f}s")
-    out.write("\n# Ablations (beyond the paper)\n")
-    for name, runner in ABLATIONS.items():
-        result = runner()
-        out.write(f"\n## {name}\n\n```\n{result.render()}\n```\n")
-        print(f"ablation {name}: done")
-    out.write("\n# Extensions (beyond the paper)\n")
-    for name, runner in EXTENSIONS.items():
-        result = runner()
-        out.write(f"\n## {name}\n\n```\n{result.render()}\n```\n")
-        print(f"extension {name}: done")
+        if not kind:
+            out.write(f"\n## {name}\n\n")
+            out.write(f"**Paper:** {PAPER_CLAIMS[name]}\n\n")
+            out.write("**Measured:**\n\n```\n")
+            out.write(result.render())
+            out.write("\n```\n")
+            out.write(f"*(driver ran in {elapsed:.1f}s wall time)*\n")
+            print(f"{name}: {elapsed:.1f}s")
+            continue
+        if kind in sections:
+            out.write(f"\n# {sections.pop(kind)} (beyond the paper)\n")
+        out.write(f"\n## {short}\n\n```\n{result.render()}\n```\n")
+        print(f"{kind} {short}: done")
     out.write(FOOTER)
     return out.getvalue()
 

@@ -2,8 +2,9 @@
 
 The benchmarks default to minutes-scale simulations so the whole suite
 finishes in under a minute. The paper's headline campaigns are bigger;
-this script runs the same drivers at (or near) paper scale. Budget
-hours of wall time for the full Table 2.
+this script runs the same registered campaigns at (or near) paper
+scale, through ``repro.experiments.run_experiment``. Budget hours of
+wall time for the full Table 2.
 
 Usage::
 
@@ -45,9 +46,19 @@ def _report_obs(args: argparse.Namespace, metrics) -> None:
         print(json.dumps(metrics.snapshot(), indent=2))
 
 
+def _run(args: argparse.Namespace, grid, metrics=None):
+    """The campaign's report, drained at ``--workers``."""
+    from repro.experiments import run_experiment
+
+    return run_experiment(
+        grid, workers=args.workers, trace_path=getattr(args, "trace", None),
+        metrics=metrics,
+    )[1]
+
+
 def run_table2(args: argparse.Namespace) -> None:
     from repro.experiments.common import SelBenchConfig
-    from repro.experiments.table2_ild_accuracy import run
+    from repro.experiments.table2_ild_accuracy import campaign
 
     episode_seconds = 1800.0  # the paper's 30-minute latchup cadence
     n_episodes = int(args.hours * 3600 / episode_seconds)
@@ -64,26 +75,25 @@ def run_table2(args: argparse.Namespace) -> None:
     )
     started = time.time()
     metrics = _metrics_registry(args)
-    table = run(config, workers=args.workers, trace=args.trace, metrics=metrics)
+    table = _run(args, campaign(config), metrics)
     print(table.render())
     print(f"wall time: {(time.time() - started) / 60:.1f} minutes")
     _report_obs(args, metrics)
 
 
 def run_fig10(args: argparse.Namespace) -> None:
-    from repro.experiments.fig10_misdetection import run
+    from repro.experiments.fig10_misdetection import campaign
 
     print(f"Fig 10 with {args.trials} trials per current level")
-    print(run(trials_per_delta=args.trials, workers=args.workers).render())
+    print(_run(args, campaign(trials_per_delta=args.trials)).render())
 
 
 def run_table7(args: argparse.Namespace) -> None:
-    from repro.experiments.table7_fault_injection import run
+    from repro.experiments.table7_fault_injection import campaign
 
     print(f"Table 7 with {args.runs} injections per scheme")
     metrics = _metrics_registry(args)
-    print(run(runs_per_scheme=args.runs, workers=args.workers,
-              trace=args.trace, metrics=metrics).render())
+    print(_run(args, campaign(runs_per_scheme=args.runs), metrics).render())
     _report_obs(args, metrics)
 
 

@@ -40,7 +40,6 @@ raised by a handler is reported by ``main`` as ``error: …``, exit 2.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from pathlib import Path
@@ -142,7 +141,7 @@ OPTIONS = {
     "--no-ablations": dict(action="store_true"),
     "--trace-dir": dict(
         metavar="DIR",
-        help="write one <experiment>.jsonl trace per tracing experiment",
+        help="write one <experiment>.jsonl trace per experiment",
     ),
     "--task": dict(type=int, help="show only this parallel task's records"),
     "--max-tasks": dict(
@@ -250,95 +249,74 @@ def _scenarios(scenarios: tuple, args: argparse.Namespace) -> tuple:
     return picked
 
 
-def _runner_kwargs(runner, args: argparse.Namespace) -> dict:
-    """Pass --workers / --trace / --metrics / --store through to
-    runners that understand them (signature-sniffed)."""
-    params = inspect.signature(runner).parameters
-    kwargs = {}
-    if args.workers is not None and "workers" in params:
-        kwargs["workers"] = args.workers
-    if args.metrics and "metrics" in params:
-        from .obs import MetricsRegistry
-
-        kwargs["metrics"] = MetricsRegistry()
-    for name in ("trace", "store"):
-        if getattr(args, name) is not None:
-            if name not in params:
-                raise SystemExit(
-                    f"{args.experiment}: this experiment does not support "
-                    f"--{name}"
-                )
-            kwargs[name] = getattr(args, name)
-    return kwargs
-
-
 # -- handlers ----------------------------------------------------------
 
 
-def _registries() -> tuple:
-    """``(title, id prefix, runners)`` for each experiment registry."""
-    from .experiments import ABLATIONS, EXPERIMENTS, EXTENSIONS
+def _entry(name: str):
+    """The registry entry ``name`` names: its id or, for a paper
+    experiment, its module's name (``table7_fault_injection``)."""
+    from .experiments import CAMPAIGNS
 
-    return (
-        ("experiments", "", EXPERIMENTS),
-        ("ablations", "ablation:", ABLATIONS),
-        ("extensions", "extension:", EXTENSIONS),
-    )
+    factory = CAMPAIGNS.get(name)
+    if factory is None:
+        factory = next(
+            (f for key, f in CAMPAIGNS.items() if ":" not in key
+             and f.__module__.rsplit(".", 1)[-1] == name),
+            None,
+        )
+    if factory is None:
+        raise SystemExit(
+            f"unknown experiment {name!r}; known: {', '.join(CAMPAIGNS)}"
+        )
+    return factory()
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    for title, prefix, runners in _registries():
-        print(f"{title}:")
-        for name in runners:
-            print(f"  {prefix}{name}")
+    from .experiments import CAMPAIGNS
+
+    print("experiments:")
+    for name in CAMPAIGNS:
+        print(f"  {name}")
     print("missions: see `python -m repro mission --help`")
     return 0
 
 
-def _resolve(name: str):
-    registries = _registries()
-    for _, prefix, runners in registries:
-        if name.startswith(prefix) and name[len(prefix):] in runners:
-            return runners[name[len(prefix):]]
-    # Module-style aliases: `table7_fault_injection` works as well as
-    # `table7` (the runner's defining module names the long form).
-    for runner in registries[0][2].values():
-        if name == getattr(runner, "__module__", "").rsplit(".", 1)[-1]:
-            return runner
-    known = ", ".join(
-        f"{prefix}{n}" for _, prefix, runners in registries for n in runners
-    )
-    raise SystemExit(f"unknown experiment {name!r}; known: {known}")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    runner = _resolve(args.experiment)
-    kwargs = _runner_kwargs(runner, args)
-    _emit(args, runner(**kwargs).render())
-    _epilogue(args, kwargs.get("metrics"))
-    if args.metrics and "metrics" not in kwargs:
-        print(f"({args.experiment}: no metrics instrumentation)")
+    from .experiments import run_experiment
+    from .obs import MetricsRegistry
+
+    metrics = MetricsRegistry() if args.metrics else None
+    _, report = run_experiment(
+        _entry(args.experiment), workers=args.workers or 1, store=args.store,
+        trace_path=args.trace, metrics=metrics,
+    )
+    _emit(args, report.render())
+    _epilogue(args, metrics)
     return 0
 
 
 def _cmd_run_all(args: argparse.Namespace) -> int:
-    from .experiments import run_all
+    from .experiments import CAMPAIGNS, run_experiment
     from .obs import MetricsRegistry
 
     metrics = MetricsRegistry() if args.metrics else None
-    results = run_all(
-        include_ablations=not args.no_ablations, workers=args.workers,
-        trace_dir=args.trace_dir, metrics=metrics, store=args.store,
-    )
     out_dir = Path(args.out_dir) if args.out_dir else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    for name, result in results.items():
-        rendered = result.render()
+    for directory in (out_dir, args.trace_dir):
+        if directory:
+            Path(directory).mkdir(parents=True, exist_ok=True)
+    for name, factory in CAMPAIGNS.items():
+        if args.no_ablations and ":" in name:
+            continue
+        stem = name.replace(":", "_")
+        trace = f"{args.trace_dir}/{stem}.jsonl" if args.trace_dir else None
+        _, report = run_experiment(
+            factory(), workers=args.workers or 1, store=args.store,
+            trace_path=trace, metrics=metrics,
+        )
         if out_dir:
-            _write(out_dir / f"{name.replace(':', '_')}.txt", rendered + "\n")
+            _write(out_dir / f"{stem}.txt", report.render() + "\n")
         else:
-            print(rendered)
+            print(report.render())
             print()
     if args.trace_dir:
         print(f"wrote traces under: {args.trace_dir}")
@@ -346,23 +324,37 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_campaign(name: str):
-    from .experiments import CAMPAIGNS
-
-    factory = CAMPAIGNS.get(name)
-    if factory is None:
-        raise SystemExit(
-            f"unknown campaign {name!r}; known: {', '.join(sorted(CAMPAIGNS))}"
+def _print_stream_status(st, store, rerun: str) -> None:
+    """The progress lines of a :class:`~repro.campaign.StreamStatus`;
+    ``rerun`` is the command that continues the stream."""
+    print(
+        f"{st.name}: {st.rounds_complete} round(s) complete, "
+        f"{st.trials_stored} trials stored (store: {store})"
+    )
+    if st.current is not None:
+        print(
+            f"  round {st.rounds_complete} in flight: "
+            f"{st.current.completed}/{st.current.total} trials"
+            + (f", {st.current.corrupt} defective entries quarantined"
+               if st.current.corrupt else "")
         )
-    return factory()
+    print(
+        "stream exhausted: the source plans no further rounds"
+        if st.exhausted
+        else f"stream resumable: `{rerun}` continues from here"
+    )
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
-    from .campaign import TrialStore, status
+    from .campaign import Campaign, TrialStore, status, stream_status
 
-    camp = _resolve_campaign(args.campaign)
+    entry = _entry(args.campaign)
     store = TrialStore(args.store)
-    st = status(camp, store, fast=args.fast)
+    if not isinstance(entry, Campaign):
+        st = stream_status(entry, store, fast=args.fast)
+        _print_stream_status(st, args.store, "repro campaign run")
+        return 0
+    st = status(entry, store, fast=args.fast)
     print(
         f"{st.name}: {st.completed}/{st.total} trials complete, "
         f"{st.pending} pending (store: {args.store})"
@@ -381,21 +373,21 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
     # `run` and `resume` are the same operation — the store makes every
     # run a resume. The two verbs exist so scripts read naturally.
-    from .campaign import TrialStore, execute
+    from .campaign import TrialStore
+    from .experiments import run_experiment
     from .obs import MetricsRegistry
 
-    camp = _resolve_campaign(args.campaign)
     store = TrialStore(args.store)
     metrics = MetricsRegistry()
-    result = execute(
-        camp, workers=args.workers, store=store, trace_path=args.trace,
-        metrics=metrics, supervision=_supervision(args),
+    result, report = run_experiment(
+        _entry(args.campaign), workers=args.workers, store=store,
+        trace_path=args.trace, metrics=metrics, supervision=_supervision(args),
     )
     counters = metrics.snapshot()["counters"]
     print(
         f"{result.name}: {int(counters.get('campaign.trials.executed', 0))} "
         f"executed, {result.store_hits} replayed from store, "
-        f"{len(result.specs)} total"
+        f"{result.trials} total"
     )
     if counters.get("campaign.store.corrupt"):
         print(
@@ -407,11 +399,11 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
         print(
             f"warning: {len(result.quarantined)} trial(s) quarantined "
-            "after exhausting retries:"
+            "after exhausting retries; no report over the rest:"
         )
         print(json.dumps(quarantine_manifest(result), indent=2))
-    if camp.aggregate is not None:
-        _emit(args, camp.aggregate(result.values, metrics=None).render())
+    else:
+        _emit(args, report.render())
     _epilogue(args, metrics if args.metrics else None)
     return 0
 
@@ -521,22 +513,7 @@ def _cmd_adaptive_status(args: argparse.Namespace) -> int:
             "exhausted": st.exhausted,
         }))
         return 0
-    print(
-        f"{st.name}: {st.rounds_complete} round(s) complete, "
-        f"{st.trials_stored} trials stored (store: {args.store})"
-    )
-    if st.current is not None:
-        print(
-            f"  round {st.rounds_complete} in flight: "
-            f"{st.current.completed}/{st.current.total} trials"
-            + (f", {st.current.corrupt} defective entries quarantined"
-               if st.current.corrupt else "")
-        )
-    print(
-        "stream exhausted: the source plans no further rounds"
-        if st.exhausted
-        else "stream resumable: `repro adaptive run` continues from here"
-    )
+    _print_stream_status(st, args.store, "repro adaptive run")
     return 0
 
 
@@ -797,11 +774,20 @@ def _cmd_hmr_modes(args: argparse.Namespace) -> int:
 
 
 def _cmd_hmr_sweep(args: argparse.Namespace) -> int:
-    from .experiments.fig_hmr_frontier import frontier_json, run
+    from .experiments import run_experiment
+    from .experiments.fig_hmr_frontier import (
+        _frontier_batch_fn,
+        campaign,
+        frontier_json,
+    )
 
-    grid = {"scale": args.scale, "seed": args.seed}
-    table = run(
-        **grid, workers=args.workers, store=args.store, batched=args.batched
+    def sweep(**kwargs):
+        grid = campaign(scale=args.scale, seed=args.seed)
+        return run_experiment(grid, **kwargs)[1]
+
+    table = sweep(
+        workers=args.workers, store=args.store,
+        batch_fn=_frontier_batch_fn if args.batched else None,
     )
     canonical = frontier_json(table)
     if args.verify:
@@ -812,10 +798,10 @@ def _cmd_hmr_sweep(args: argparse.Namespace) -> int:
 
         with tempfile.TemporaryDirectory() as scratch:
             paths = {
-                "serial": run(**grid, workers=1),
-                "workers": run(**grid, workers=2),
-                "batched": run(**grid, batched=True, store=scratch),
-                "store-replay": run(**grid, store=scratch),
+                "serial": sweep(workers=1),
+                "workers": sweep(workers=2),
+                "batched": sweep(batch_fn=_frontier_batch_fn, store=scratch),
+                "store-replay": sweep(store=scratch),
             }
         for name, result in paths.items():
             if frontier_json(result) != canonical:

@@ -108,7 +108,9 @@ class AdaptiveSource:
     strike at ``(cell, byte offset, bit)`` *within the cell's region*;
     ``label_fn(value)`` maps a decoded trial value to the 0/1 training
     label (was the strike an SDC?). ``encode``/``decode`` are the
-    usual campaign value codecs.
+    usual campaign value codecs; ``aggregate(stream, metrics)``, when
+    given, folds the drained :class:`~repro.campaign.StreamResult` into
+    the experiment's report.
     """
 
     def __init__(
@@ -124,6 +126,7 @@ class AdaptiveSource:
         context: "dict | None" = None,
         encode=None,
         decode=None,
+        aggregate=None,
     ) -> None:
         if not cells:
             raise ConfigurationError("adaptive source needs at least one cell")
@@ -137,6 +140,7 @@ class AdaptiveSource:
         self.context = dict(context or {})
         self.encode = encode
         self.decode = decode
+        self.aggregate = aggregate
         bits = np.array([cell.bits for cell in self.cells], dtype=float)
         if bits.sum() <= 0:
             raise ConfigurationError("cells hold no live bits")

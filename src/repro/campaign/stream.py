@@ -190,6 +190,10 @@ class GridSource:
     def next_round(self, history: StreamHistory) -> "Campaign | None":
         return self.campaign if not history.rounds else None
 
+    def aggregate(self, stream: "StreamResult", metrics=None):
+        """The campaign's aggregate over the drained grid's values."""
+        return self.campaign.aggregate(stream.values, metrics)
+
 
 @dataclass
 class StreamResult:

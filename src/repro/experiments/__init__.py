@@ -1,8 +1,15 @@
-"""One driver per paper table/figure, plus ablations.
+"""The experiment registry: every paper table and figure, plus the
+ablations and extensions, as one campaign each.
 
-Each module exposes ``run(...) -> Table | Series`` with bench-scale
-defaults; the benchmarks print the rendered result, and
-``run_all()`` regenerates everything for EXPERIMENTS.md.
+``CAMPAIGNS`` maps each experiment id to a zero-argument factory with
+the defaults EXPERIMENTS.md uses. A factory returns a
+:class:`~repro.campaign.Campaign` whose ``aggregate(values, metrics)``
+builds the experiment's Table or Series, or, for a multi-round
+experiment, a :class:`~repro.campaign.TrialSource` whose
+``aggregate(stream, metrics)`` folds the drained stream.
+:func:`run_experiment` runs any entry; ``repro run``, ``repro campaign``,
+``run-all``, the benchmarks and ``scripts/`` all go through it, so a
+trial store is shared by every entry point.
 """
 
 from . import (
@@ -27,57 +34,21 @@ from . import (
     table8_dev_overhead,
 )
 
-#: experiment id -> zero-argument runner (bench-scale defaults).
-EXPERIMENTS = {
-    "fig1": fig01_launch_costs.run,
-    "fig2": fig02_sel_current_trace.run,
-    "fig5": fig05_current_correlation.run,
-    "table2": table2_ild_accuracy.run,
-    "fig10": fig10_misdetection.run,
-    "table3": table3_ild_overhead.run,
-    "table4": table4_protected_area.run,
-    "table5": table5_workloads.run,
-    "fig11": fig11_emr_runtime.run,
-    "fig12": fig12_input_size.run,
-    "table6": table6_breakdown.run,
-    "fig13": fig13_replication_sweep.run,
-    "fig14": fig14_energy.run,
-    "table7": table7_fault_injection.run,
-    "table8": table8_dev_overhead.run,
-    "hmr_frontier": fig_hmr_frontier.run,
-}
-
-ABLATIONS = {
-    "scheduling_order": ablations.scheduling_order,
-    "rolling_window": ablations.rolling_window,
-    "bubble_cadence": ablations.bubble_cadence,
-    "redundancy_level": ablations.redundancy_level,
-}
-
-EXTENSIONS = {
-    "checksum_comparison": extensions.checksum_comparison,
-    "physics_rates": extensions.physics_rates,
-    "flightsw_ild": extensions.flightsw_ild_accuracy,
-    "feature_selection": extensions.feature_selection,
-    "mission_survival": extensions.mission_survival,
-    "adaptive_table7": table7_adaptive.run,
-}
-
-#: experiment id -> zero-argument campaign factory (bench-scale
-#: defaults). These are the declarative grids behind EXPERIMENTS —
-#: ``repro campaign run/status/resume`` drives them against a store.
+#: experiment id -> zero-argument factory, in EXPERIMENTS.md order.
 CAMPAIGNS = {
     "fig1": fig01_launch_costs.campaign,
     "fig2": fig02_sel_current_trace.campaign,
     "fig5": fig05_current_correlation.campaign,
+    "table2": table2_ild_accuracy.campaign,
     "fig10": fig10_misdetection.campaign,
-    "fig11": fig11_emr_runtime.campaign,
-    "fig12": fig12_input_size.campaign,
-    "fig13": fig13_replication_sweep.campaign,
-    "fig14": fig14_energy.campaign,
+    "table3": table3_ild_overhead.campaign,
     "table4": table4_protected_area.campaign,
     "table5": table5_workloads.campaign,
+    "fig11": fig11_emr_runtime.campaign,
+    "fig12": fig12_input_size.campaign,
     "table6": table6_breakdown.campaign,
+    "fig13": fig13_replication_sweep.campaign,
+    "fig14": fig14_energy.campaign,
     "table7": table7_fault_injection.campaign,
     "table8": table8_dev_overhead.campaign,
     "hmr_frontier": fig_hmr_frontier.campaign,
@@ -90,91 +61,24 @@ CAMPAIGNS = {
     "extension:flightsw_ild": extensions.flightsw_ild_campaign,
     "extension:feature_selection": extensions.feature_selection_campaign,
     "extension:mission_survival": extensions.mission_survival_campaign,
+    "extension:adaptive_table7": table7_adaptive.source,
 }
 
 
-def sel_campaign(n_episodes: int = 4):
-    """The Table 2 detector-lineup grid at CI scale: the campaign the
-    resume-equality job interrupts and completes."""
-    from .common import SelBenchConfig, SelTestbench
+def run_experiment(entry, **kwargs):
+    """Drain one registry entry and fold it: ``(stream, report)``.
 
-    bench = SelTestbench(SelBenchConfig(
-        n_episodes=n_episodes, episode_seconds=120.0,
-    ))
-    detectors = {"ILD": bench.train_ild()}
-    detectors.update(bench.static_baselines())
-    return bench.campaign(detectors)
-
-
-def _table3_campaign():
-    from .common import SelBenchConfig, SelTestbench
-
-    bench = SelTestbench(SelBenchConfig(n_episodes=4))
-    return bench.campaign({"ILD": bench.train_ild()}, with_sel=False)
-
-
-CAMPAIGNS["table2"] = sel_campaign
-CAMPAIGNS["table3"] = _table3_campaign
-
-
-def _call(
-    runner,
-    workers: "int | None",
-    trace: "str | None" = None,
-    metrics: "object | None" = None,
-    store: "object | None" = None,
-):
-    """Invoke a runner with only the keyword arguments it accepts
-    (signature-sniffed, so older runners need no changes)."""
-    import inspect
-
-    params = inspect.signature(runner).parameters
-    kwargs = {}
-    if workers is not None and "workers" in params:
-        kwargs["workers"] = workers
-    if trace is not None and "trace" in params:
-        kwargs["trace"] = trace
-    if metrics is not None and "metrics" in params:
-        kwargs["metrics"] = metrics
-    if store is not None and "store" in params:
-        kwargs["store"] = store
-    return runner(**kwargs)
-
-
-def run_all(
-    include_ablations: bool = True,
-    workers: "int | None" = None,
-    trace_dir: "str | None" = None,
-    metrics: "object | None" = None,
-    store: "object | None" = None,
-) -> "dict[str, object]":
-    """Run every experiment at bench scale; id -> Table/Series.
-
-    ``workers`` fans out the Monte-Carlo drivers (table2, fig10,
-    table7, ...) through :mod:`repro.parallel`; results are identical
-    at any setting. ``trace_dir`` gives every tracing-capable
-    experiment its own ``<id>.jsonl`` file there; ``metrics`` (a
-    :class:`repro.obs.MetricsRegistry`) accumulates across all of
-    them. ``store`` (a :class:`repro.campaign.TrialStore` or path)
-    makes every campaign-backed experiment resumable: trials completed
-    by an earlier, interrupted invocation are replayed from disk.
+    A campaign drains as its :class:`~repro.campaign.GridSource`.
+    ``kwargs`` go to :func:`~repro.campaign.execute_stream`
+    (``workers``, ``store``, ``trace_path``, ``metrics``,
+    ``supervision``, ``batch_fn``, ...); ``metrics`` also reaches the
+    aggregate. ``report`` is ``None`` when supervision quarantined a
+    trial: an aggregate over missing values means nothing.
     """
-    import os
+    from ..campaign import Campaign, GridSource, execute_stream
 
-    def trace_for(name: str) -> "str | None":
-        if trace_dir is None:
-            return None
-        os.makedirs(trace_dir, exist_ok=True)
-        return os.path.join(trace_dir, f"{name.replace(':', '_')}.jsonl")
-
-    results = {
-        name: _call(runner, workers, trace=trace_for(name), metrics=metrics,
-                    store=store)
-        for name, runner in EXPERIMENTS.items()
-    }
-    if include_ablations:
-        for name, runner in ABLATIONS.items():
-            results[f"ablation:{name}"] = _call(runner, workers, store=store)
-        for name, runner in EXTENSIONS.items():
-            results[f"extension:{name}"] = _call(runner, workers, store=store)
-    return results
+    source = GridSource(entry) if isinstance(entry, Campaign) else entry
+    stream = execute_stream(source, **kwargs)
+    if stream.quarantined:
+        return stream, None
+    return stream, source.aggregate(stream, kwargs.get("metrics"))

@@ -8,8 +8,10 @@ DESIGN.md calls out three design choices worth isolating:
   noise floor and decision delay;
 * the **bubble cadence** — overhead vs. worst-case detection latency.
 
-Each ablation is a one-trial campaign: the trial builds the finished
-table, so a pointed ``store`` skips the recompute on rerun.
+Each ablation is a one-trial campaign
+(:func:`~repro.experiments.common.report_campaign`): the trial builds
+the finished table, so a pointed ``store`` skips the recompute on
+rerun.
 """
 
 from __future__ import annotations
@@ -17,26 +19,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.report import Table
-from ..campaign import Campaign, Trial, decode_report, encode_report, execute
+from ..campaign import Campaign
 from ..core.emr import EmrConfig, EmrRuntime, Frontier, schedule_summary
 from ..core.ild import BubblePolicy, RollingMinimumFilter
 from ..sim.machine import Machine
 from ..sim.telemetry import TelemetryConfig, TraceGenerator, quiescent_segment
 from ..workloads import AesWorkload
-
-
-def _single_trial(name: str, build, params: dict, item) -> Campaign:
-    return Campaign(
-        name=name,
-        trial_fn=build,
-        trials=[Trial(params=params, item=item)],
-        encode=encode_report,
-        decode=decode_report,
-    )
-
-
-def _run_single(camp: Campaign, store=None, metrics=None) -> Table:
-    return execute(camp, store=store, metrics=metrics).values[0]
+from .common import report_campaign
 
 
 def _scheduling_order_trial(task, rng, tracer=None) -> Table:
@@ -68,15 +57,11 @@ def _scheduling_order_trial(task, rng, tracer=None) -> Table:
 
 
 def scheduling_order_campaign(seed: int = 0) -> Campaign:
-    return _single_trial(
+    """Rotated vs. naive job ordering: jobset count, balance, runtime."""
+    return report_campaign(
         "ablation-scheduling-order", _scheduling_order_trial,
         {"seed": seed}, (seed,),
     )
-
-
-def scheduling_order(seed: int = 0, store=None, metrics=None) -> Table:
-    """Rotated vs. naive job ordering: jobset count, balance, runtime."""
-    return _run_single(scheduling_order_campaign(seed), store, metrics)
 
 
 def _rolling_window_trial(task, rng, tracer=None) -> Table:
@@ -103,16 +88,11 @@ def _rolling_window_trial(task, rng, tracer=None) -> Table:
 
 
 def rolling_window_campaign(seed: int = 0, duration: float = 60.0) -> Campaign:
-    return _single_trial(
+    """Filter halfwidth vs. residual noise floor and decision delay."""
+    return report_campaign(
         "ablation-rolling-window", _rolling_window_trial,
         {"seed": seed, "duration": duration}, (seed, duration),
     )
-
-
-def rolling_window(seed: int = 0, duration: float = 60.0,
-                   store=None, metrics=None) -> Table:
-    """Filter halfwidth vs. residual noise floor and decision delay."""
-    return _run_single(rolling_window_campaign(seed, duration), store, metrics)
 
 
 def _redundancy_level_trial(task, rng, tracer=None) -> Table:
@@ -173,15 +153,6 @@ def _redundancy_level_trial(task, rng, tracer=None) -> Table:
 
 
 def redundancy_level_campaign(seed: int = 0, injection_runs: int = 8) -> Campaign:
-    return _single_trial(
-        "ablation-redundancy-level", _redundancy_level_trial,
-        {"seed": seed, "injection_runs": injection_runs},
-        (seed, injection_runs),
-    )
-
-
-def redundancy_level(seed: int = 0, injection_runs: int = 8,
-                     store=None, metrics=None) -> Table:
     """Generalizing EMR's modular redundancy: 2 (detect-only DMR),
     3 (the paper's vote-and-correct), and 5 executors.
 
@@ -189,8 +160,10 @@ def redundancy_level(seed: int = 0, injection_runs: int = 8,
     a disagreement aborts the dataset instead of out-voting the bad
     replica. 5-MR tolerates two simultaneous faults at ~5/3 the cost.
     """
-    return _run_single(
-        redundancy_level_campaign(seed, injection_runs), store, metrics
+    return report_campaign(
+        "ablation-redundancy-level", _redundancy_level_trial,
+        {"seed": seed, "injection_runs": injection_runs},
+        (seed, injection_runs),
     )
 
 
@@ -218,11 +191,7 @@ def _bubble_cadence_trial(task, rng, tracer=None) -> Table:
 
 
 def bubble_cadence_campaign() -> Campaign:
-    return _single_trial(
+    """Bubble pause period vs. overhead and worst-case latency."""
+    return report_campaign(
         "ablation-bubble-cadence", _bubble_cadence_trial, {}, None,
     )
-
-
-def bubble_cadence(store=None, metrics=None) -> Table:
-    """Bubble pause period vs. overhead and worst-case latency."""
-    return _run_single(bubble_cadence_campaign(), store, metrics)

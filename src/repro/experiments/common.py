@@ -7,6 +7,8 @@
   hundreds of hours stream through constant memory.
 * :func:`run_schemes` — the EMR rig of §4.2.1: run one workload under
   EMR / sequential 3-MR / unprotected parallel 3-MR on fresh machines.
+* :func:`report_campaign` — a single-shot experiment as a one-trial
+  campaign whose trial builds the finished Table/Series.
 """
 
 from __future__ import annotations
@@ -16,12 +18,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..analysis.metrics import DetectionSummary, EpisodeScore, EpisodeTruth, score_episode
-from ..campaign import Campaign, Trial, execute
+from ..campaign import Campaign, Trial, decode_report, encode_report
 from ..core.emr import EmrConfig, EmrRuntime, sequential_3mr, unprotected_parallel_3mr
 from ..core.emr.runtime import RunResult
 from ..core.ild import (
     IldConfig,
-    NaiveBayesBaseline,
     RandomForestBaseline,
     RollingMinimumFilter,
     StaticThresholdBaseline,
@@ -180,13 +181,6 @@ class SelTestbench:
         baseline.train(nominal[::step], sel[::step])
         return baseline
 
-    def train_naive_bayes(self) -> NaiveBayesBaseline:
-        baseline = NaiveBayesBaseline()
-        nominal, sel = self._current_only_training_set()
-        step = max(1, len(nominal) // 4000)
-        baseline.train(nominal[::step], sel[::step])
-        return baseline
-
     def static_baselines(self) -> "dict[str, StaticThresholdBaseline]":
         mean, _sigma = self.quiescent_current_stats()
         out = {}
@@ -205,12 +199,14 @@ class SelTestbench:
         with_sel: bool = True,
         delta_amps: "float | None" = None,
     ) -> Campaign:
-        """Declarative episode grid behind :meth:`evaluate`.
+        """Score every detector episode by episode, one trial each.
 
-        One trial per episode; the seed root ``seed + 1000`` with the
-        episode index as spawn key reproduces the historical
-        ``pmap(seed=...)`` streams exactly, so results are stable
-        across worker counts and across resumes from a trial store.
+        Each episode draws its schedule, noise and SEL onset from its
+        own generator (seed root ``seed + 1000``, the episode index as
+        spawn key), so results are stable across worker counts and
+        resumes. A traced run records each episode's SEL ground truth
+        (``inject.sel``) and the ILD pipeline's spans and detections.
+        :func:`summarize` folds the values per detector.
         """
         cfg = self.config
         episodes = n_episodes or cfg.n_episodes
@@ -234,41 +230,15 @@ class SelTestbench:
             decode=_decode_episode_scores,
         )
 
-    def evaluate(
-        self,
-        detectors: "dict[str, object]",
-        n_episodes: "int | None" = None,
-        with_sel: bool = True,
-        delta_amps: "float | None" = None,
-        workers: "int | None" = 1,
-        trace_path: "str | None" = None,
-        store=None,
-        metrics: "MetricsRegistry | None" = None,
-    ) -> "dict[str, DetectionSummary]":
-        """Score every detector episode by episode.
 
-        Episodes are independent: each draws its schedule, noise, and
-        SEL onset from its own generator spawned off ``seed + 1000``,
-        so serial and parallel evaluation produce identical summaries
-        (aggregation happens in episode order either way). With
-        ``trace_path``, each episode records the SEL ground truth
-        (``inject.sel``) and the ILD pipeline's spans/detections into
-        one merged JSONL trace. With ``store``, completed episodes are
-        kept in the trial store and skipped on re-runs.
-        """
-        summaries = {name: DetectionSummary() for name in detectors}
-        result = execute(
-            self.campaign(
-                detectors, n_episodes=n_episodes, with_sel=with_sel,
-                delta_amps=delta_amps,
-            ),
-            workers=workers, trace_path=trace_path, store=store,
-            metrics=metrics,
-        )
-        for episode_scores in result.values:
-            for name, score in episode_scores:
-                summaries[name].add(score)
-        return summaries
+def summarize(values, names) -> "dict[str, DetectionSummary]":
+    """Fold an episode grid's values into one summary per detector
+    ``name``, in episode order."""
+    summaries = {name: DetectionSummary() for name in names}
+    for episode_scores in values:
+        for name, score in episode_scores:
+            summaries[name].add(score)
+    return summaries
 
 
 def _evaluate_episode(
@@ -276,7 +246,7 @@ def _evaluate_episode(
 ) -> "list[tuple[str, object]]":
     """Generate one episode and score every detector on it.
 
-    Top-level (picklable) worker for :meth:`SelTestbench.evaluate`;
+    Top-level (picklable) trial of :meth:`SelTestbench.campaign`;
     detectors arrive as pickled copies under the pool, so their
     streaming state never leaks between episodes or processes. The
     optional ``tracer`` (built by the campaign engine when the run
@@ -421,4 +391,38 @@ def run_schemes(
         emr=emr,
         sequential=sequential,
         unprotected=unprotected,
+    )
+
+
+# ----------------------------------------------------------------------
+# Single-shot experiments
+# ----------------------------------------------------------------------
+
+
+def _only_value(values, metrics=None):
+    """The aggregate of a one-trial campaign: its finished report."""
+    return values[0]
+
+
+def report_campaign(
+    name: str,
+    build,
+    params: "dict | None" = None,
+    item=None,
+    context: "dict | None" = None,
+) -> Campaign:
+    """A single-shot experiment as a one-trial campaign.
+
+    ``build(item, rng, tracer)`` returns the finished Table/Series; it
+    rides through the trial store via the report codec, so a pointed
+    store skips the recompute on rerun.
+    """
+    return Campaign(
+        name=name,
+        trial_fn=build,
+        trials=[Trial(params=params or {}, item=item)],
+        context=context or {},
+        encode=encode_report,
+        decode=decode_report,
+        aggregate=_only_value,
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.report import Table
-from ..campaign import Campaign, Trial, execute
+from ..campaign import Campaign, Trial
 from ..core.emr import (
     EmrConfig,
     EmrRuntime,
@@ -33,7 +33,7 @@ from ..radiation.events import OutcomeClass, SeuTarget
 from ..radiation.injector import CampaignConfig, FaultInjectionCampaign
 from ..sim.machine import Machine
 from ..workloads import AesWorkload
-from .ablations import _single_trial
+from .common import report_campaign
 
 
 def _checksum_trial(task, rng, tracer=None) -> Table:
@@ -95,20 +95,12 @@ def _checksum_trial(task, rng, tracer=None) -> Table:
 
 def checksum_comparison_campaign(seed: int = 0,
                                  injection_runs: int = 10) -> Campaign:
-    return _single_trial(
+    """Checksum guard vs. EMR vs. 3-MR: cost and coverage."""
+    return report_campaign(
         "extension-checksum-comparison", _checksum_trial,
         {"seed": seed, "injection_runs": injection_runs},
         (seed, injection_runs),
     )
-
-
-def checksum_comparison(seed: int = 0, injection_runs: int = 10,
-                        store=None, metrics=None) -> Table:
-    """Checksum guard vs. EMR vs. 3-MR: cost and coverage."""
-    return execute(
-        checksum_comparison_campaign(seed, injection_runs),
-        store=store, metrics=metrics,
-    ).values[0]
 
 
 def _physics_rates_trial(task, rng, tracer=None) -> Table:
@@ -138,16 +130,10 @@ def _physics_rates_trial(task, rng, tracer=None) -> Table:
 
 
 def physics_rates_campaign() -> Campaign:
-    return _single_trial(
+    """CRÈME-style estimates vs. the paper's quoted anchors."""
+    return report_campaign(
         "extension-physics-rates", _physics_rates_trial, {}, None,
     )
-
-
-def physics_rates(store=None, metrics=None) -> Table:
-    """CRÈME-style estimates vs. the paper's quoted anchors."""
-    return execute(
-        physics_rates_campaign(), store=store, metrics=metrics,
-    ).values[0]
 
 
 def _feature_selection_trial(task, rng, tracer=None) -> Table:
@@ -191,20 +177,14 @@ def _feature_selection_trial(task, rng, tracer=None) -> Table:
 
 
 def feature_selection_campaign(seed: int = 0) -> Campaign:
-    return _single_trial(
-        "extension-feature-selection", _feature_selection_trial,
-        {"seed": seed}, (seed,),
-    )
-
-
-def feature_selection(seed: int = 0, store=None, metrics=None) -> Table:
     """Validate Table 1's metric choice: "instruction completion rate,
     bus cycle rate, and CPU frequency were by far the most correlated
     with the computer's total current draw" (§3.1), via the same
     random-forest importance pass the paper describes."""
-    return execute(
-        feature_selection_campaign(seed), store=store, metrics=metrics,
-    ).values[0]
+    return report_campaign(
+        "extension-feature-selection", _feature_selection_trial,
+        {"seed": seed}, (seed,),
+    )
 
 
 def _mission_pair_trial(task, rng, tracer=None) -> dict:
@@ -240,6 +220,33 @@ def _mission_pair_trial(task, rng, tracer=None) -> dict:
 
 def mission_survival_campaign(n_seeds: int = 3,
                               duration_days: float = 0.5) -> Campaign:
+    """Paired mission reruns (§5 writ large): the same seeded radiation
+    sky flown with and without Radshield; survival, silent corruption,
+    and availability compared."""
+
+    def aggregate(values, metrics=None) -> Table:
+        table = Table(
+            title="Extension: mission survival, Radshield vs. bare",
+            columns=["seed", "protected survives", "bare survives",
+                     "protected SDCs", "bare SDCs", "protected availability"],
+        )
+        protected_wins = 0
+        for value in values:
+            protected_wins += value["shielded_survived"] and not value["bare_survived"]
+            table.add_row(
+                value["seed"],
+                "yes" if value["shielded_survived"] else "NO",
+                "yes" if value["bare_survived"] else "NO",
+                value["shielded_sdc"],
+                value["bare_sdc"],
+                f"{value['shielded_availability'] * 100:.2f}%",
+            )
+        table.notes = (
+            f"{protected_wins}/{n_seeds} skies killed the bare spacecraft "
+            "while Radshield survived; identical event streams per seed"
+        )
+        return table
+
     return Campaign(
         name="extension-mission-survival",
         trial_fn=_mission_pair_trial,
@@ -249,40 +256,8 @@ def mission_survival_campaign(n_seeds: int = 3,
             for seed in range(n_seeds)
         ],
         context={"environment": "deep-space", "n_seeds": n_seeds},
+        aggregate=aggregate,
     )
-
-
-def mission_survival(n_seeds: int = 3, duration_days: float = 0.5,
-                     workers: "int | None" = 1,
-                     store=None, metrics=None) -> Table:
-    """Paired mission reruns (§5 writ large): the same seeded radiation
-    sky flown with and without Radshield; survival, silent corruption,
-    and availability compared."""
-    result = execute(
-        mission_survival_campaign(n_seeds, duration_days),
-        workers=workers, store=store, metrics=metrics,
-    )
-    table = Table(
-        title="Extension: mission survival, Radshield vs. bare",
-        columns=["seed", "protected survives", "bare survives",
-                 "protected SDCs", "bare SDCs", "protected availability"],
-    )
-    protected_wins = 0
-    for value in result.values:
-        protected_wins += value["shielded_survived"] and not value["bare_survived"]
-        table.add_row(
-            value["seed"],
-            "yes" if value["shielded_survived"] else "NO",
-            "yes" if value["bare_survived"] else "NO",
-            value["shielded_sdc"],
-            value["bare_sdc"],
-            f"{value['shielded_availability'] * 100:.2f}%",
-        )
-    table.notes = (
-        f"{protected_wins}/{n_seeds} skies killed the bare spacecraft "
-        "while Radshield survived; identical event streams per seed"
-    )
-    return table
 
 
 def _flightsw_trial(task, rng, tracer=None) -> Table:
@@ -343,19 +318,12 @@ def _flightsw_trial(task, rng, tracer=None) -> Table:
 
 
 def flightsw_ild_campaign(seed: int = 0, n_episodes: int = 4) -> Campaign:
-    return _single_trial(
-        "extension-flightsw-ild", _flightsw_trial,
-        {"seed": seed, "n_episodes": n_episodes}, (seed, n_episodes),
-    )
-
-
-def flightsw_ild_accuracy(seed: int = 0, n_episodes: int = 4,
-                          store=None, metrics=None) -> Table:
     """Table 2's protocol with the F´-style flight software driving
     the activity instead of the synthetic navigation schedule.
 
     The episode stream shares one generator sequentially, so this
     stays a single trial."""
-    return execute(
-        flightsw_ild_campaign(seed, n_episodes), store=store, metrics=metrics,
-    ).values[0]
+    return report_campaign(
+        "extension-flightsw-ild", _flightsw_trial,
+        {"seed": seed, "n_episodes": n_episodes}, (seed, n_episodes),
+    )

@@ -9,7 +9,8 @@ from ..analysis.launchcosts import (
     satellite_series,
 )
 from ..analysis.report import Series
-from ..campaign import Campaign, Trial, decode_report, encode_report, execute
+from ..campaign import Campaign
+from .common import report_campaign
 
 
 def _build(task, rng, tracer=None) -> Series:
@@ -28,15 +29,4 @@ def _build(task, rng, tracer=None) -> Series:
 
 
 def campaign() -> Campaign:
-    return Campaign(
-        name="fig1-launch-costs",
-        trial_fn=_build,
-        trials=[Trial(params={})],
-        encode=encode_report,
-        decode=decode_report,
-    )
-
-
-def run(store=None, metrics=None) -> Series:
-    result = execute(campaign(), store=store, metrics=metrics)
-    return result.values[0]
+    return report_campaign("fig1-launch-costs", _build)

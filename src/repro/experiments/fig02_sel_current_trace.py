@@ -11,9 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.report import Series
-from ..campaign import Campaign, Trial, decode_report, encode_report, execute
+from ..campaign import Campaign
 from ..sim.telemetry import CurrentStep, TelemetryConfig, TraceGenerator
 from ..workloads.navigation import navigation_schedule
+from .common import report_campaign
 
 
 def _build(task, rng, tracer=None) -> Series:
@@ -64,34 +65,7 @@ def campaign(
         "duration": duration, "sel_delta_amps": sel_delta_amps,
         "threshold_amps": threshold_amps, "points": points, "seed": seed,
     }
-    return Campaign(
-        name="fig2-sel-current-trace",
-        trial_fn=_build,
-        trials=[
-            Trial(
-                params=params,
-                item=(duration, sel_delta_amps, threshold_amps, points, seed),
-            )
-        ],
-        encode=encode_report,
-        decode=decode_report,
+    return report_campaign(
+        "fig2-sel-current-trace", _build, params,
+        (duration, sel_delta_amps, threshold_amps, points, seed),
     )
-
-
-def run(
-    duration: float = 600.0,
-    sel_delta_amps: float = 0.07,
-    threshold_amps: float = 4.0,
-    points: int = 120,
-    seed: int = 0,
-    store=None,
-    metrics=None,
-) -> Series:
-    result = execute(
-        campaign(
-            duration=duration, sel_delta_amps=sel_delta_amps,
-            threshold_amps=threshold_amps, points=points, seed=seed,
-        ),
-        store=store, metrics=metrics,
-    )
-    return result.values[0]

@@ -10,9 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.report import Series
-from ..campaign import Campaign, Trial, decode_report, encode_report, execute
+from ..campaign import Campaign
 from ..sim.telemetry import TelemetryConfig, TraceGenerator
 from ..workloads.matmul import staircase_schedule
+from .common import report_campaign
 
 
 def _build(task, rng, tracer=None) -> Series:
@@ -56,24 +57,7 @@ def _build(task, rng, tracer=None) -> Series:
 
 
 def campaign(step_duration: float = 4.0, seed: int = 0) -> Campaign:
-    return Campaign(
-        name="fig5-current-correlation",
-        trial_fn=_build,
-        trials=[
-            Trial(
-                params={"step_duration": step_duration, "seed": seed},
-                item=(step_duration, seed),
-            )
-        ],
-        encode=encode_report,
-        decode=decode_report,
+    return report_campaign(
+        "fig5-current-correlation", _build,
+        {"step_duration": step_duration, "seed": seed}, (step_duration, seed),
     )
-
-
-def run(step_duration: float = 4.0, seed: int = 0,
-        store=None, metrics=None) -> Series:
-    result = execute(
-        campaign(step_duration=step_duration, seed=seed),
-        store=store, metrics=metrics,
-    )
-    return result.values[0]

@@ -19,7 +19,7 @@ from dataclasses import asdict
 import numpy as np
 
 from ..analysis.report import Series
-from ..campaign import Campaign, Trial, execute
+from ..campaign import Campaign, Trial
 from ..sim.telemetry import CurrentStep, quiescent_segment
 from .common import SelBenchConfig, SelTestbench
 
@@ -66,6 +66,27 @@ def campaign(
         for delta in deltas
         for j in range(trials_per_delta)
     ]
+
+    def aggregate(misses, metrics=None) -> Series:
+        fn_rates = [
+            sum(misses[i * trials_per_delta : (i + 1) * trials_per_delta])
+            / trials_per_delta
+            for i in range(len(deltas))
+        ]
+        figure = Series(
+            title="Fig 10: ILD misdetection rate vs. latchup current",
+            x_label="additional SEL current (A)",
+            y_label="false negative rate",
+        )
+        figure.add("false_negative_rate", [float(d) for d in deltas], fn_rates)
+        detectable = [float(d) for d, fn in zip(deltas, fn_rates) if fn == 0]
+        figure.notes = (
+            f"FN reaches zero at ΔI >= {min(detectable):.2f} A"
+            if detectable
+            else "FN never reached zero in this sweep"
+        ) + " (paper: zero above ~0.05 A; real SELs measure >= 0.07 A)"
+        return figure
+
     return Campaign(
         name="fig10-misdetection",
         trial_fn=_misdetection_trial,
@@ -76,44 +97,5 @@ def campaign(
             "trials_per_delta": trials_per_delta,
             "sel_window_seconds": sel_window_seconds,
         },
+        aggregate=aggregate,
     )
-
-
-def run(
-    deltas: "np.ndarray | None" = None,
-    trials_per_delta: int = 6,
-    sel_window_seconds: float = 60.0,
-    config: "SelBenchConfig | None" = None,
-    workers: "int | None" = 1,
-    store=None,
-    metrics=None,
-) -> Series:
-    if deltas is None:
-        deltas = np.arange(0.01, 0.1001, 0.01)
-    result = execute(
-        campaign(
-            deltas=deltas, trials_per_delta=trials_per_delta,
-            sel_window_seconds=sel_window_seconds, config=config,
-        ),
-        workers=workers, store=store, metrics=metrics,
-    )
-    misses = result.values
-    fn_rates = [
-        sum(misses[i * trials_per_delta : (i + 1) * trials_per_delta])
-        / trials_per_delta
-        for i in range(len(deltas))
-    ]
-
-    figure = Series(
-        title="Fig 10: ILD misdetection rate vs. latchup current",
-        x_label="additional SEL current (A)",
-        y_label="false negative rate",
-    )
-    figure.add("false_negative_rate", [float(d) for d in deltas], fn_rates)
-    detectable = [float(d) for d, fn in zip(deltas, fn_rates) if fn == 0]
-    figure.notes = (
-        f"FN reaches zero at ΔI >= {min(detectable):.2f} A"
-        if detectable
-        else "FN never reached zero in this sweep"
-    ) + " (paper: zero above ~0.05 A; real SELs measure >= 0.07 A)"
-    return figure

@@ -8,7 +8,7 @@ than unprotected; EMR lands 7–77 % above the unprotected baseline.
 from __future__ import annotations
 
 from ..analysis.report import Series
-from ..campaign import Campaign, Trial, execute
+from ..campaign import Campaign, Trial
 from ..core.emr import Frontier
 from ..radiation.injector import workload_identity
 from ..workloads import (
@@ -56,23 +56,19 @@ def campaign(scale: int = 1, seed: int = 0) -> Campaign:
             for workload in default_instances()
         ],
         context={"frontier": "DRAM"},
+        aggregate=_aggregate,
     )
 
 
-def run(scale: int = 1, seed: int = 0, workers: "int | None" = 1,
-        store=None, metrics=None) -> Series:
+def _aggregate(values, metrics=None) -> Series:
     figure = Series(
         title="Fig 11: relative runtime vs. unprotected parallel 3-MR (DRAM frontier)",
         x_label="workload",
         y_label="relative runtime",
     )
-    result = execute(
-        campaign(scale=scale, seed=seed),
-        workers=workers, store=store, metrics=metrics,
-    )
-    names = [value["name"] for value in result.values]
-    emr_rel = [round(value["emr_relative"], 3) for value in result.values]
-    seq_rel = [round(value["sequential_relative"], 3) for value in result.values]
+    names = [value["name"] for value in values]
+    emr_rel = [round(value["emr_relative"], 3) for value in values]
+    seq_rel = [round(value["sequential_relative"], 3) for value in values]
     figure.add("EMR", names, emr_rel)
     figure.add("serial_3MR", names, seq_rel)
     figure.add("unprotected_parallel_3MR", names, [1.0] * len(names))

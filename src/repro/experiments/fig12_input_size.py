@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.report import Series
-from ..campaign import Campaign, Trial, execute
+from ..campaign import Campaign, Trial
 from ..core.emr import EmrConfig, EmrRuntime, Frontier, sequential_3mr
 from ..radiation.injector import workload_identity
 from ..sim.machine import Machine, SnapshotFactory
@@ -51,37 +51,25 @@ def campaign(
             for scale in scales
         ],
         context={"workload": workload_identity(workload)},
+        aggregate=_aggregate,
     )
 
 
-def run(
-    scales: "tuple[int, ...]" = (1, 2, 4),
-    chunk_bytes: int = 128,
-    base_chunks: int = 40,
-    seed: int = 0,
-    workers: "int | None" = 1,
-    store=None,
-    metrics=None,
-) -> Series:
+def _aggregate(values, metrics=None) -> Series:
     figure = Series(
         title="Fig 12: AES-256 runtime vs. input size and frontier",
         x_label="input KiB",
         y_label="simulated seconds",
     )
-    result = execute(
-        campaign(scales=scales, chunk_bytes=chunk_bytes,
-                 base_chunks=base_chunks, seed=seed),
-        workers=workers, store=store, metrics=metrics,
-    )
-    sizes = [value["size_kib"] for value in result.values]
+    sizes = [value["size_kib"] for value in values]
     curves = {
-        "EMR (DRAM)": [round(v["emr_DRAM"], 5) for v in result.values],
-        "3MR (DRAM)": [round(v["seq_DRAM"], 5) for v in result.values],
-        "EMR (disk)": [round(v["emr_disk"], 5) for v in result.values],
-        "3MR (disk)": [round(v["seq_disk"], 5) for v in result.values],
+        "EMR (DRAM)": [round(v["emr_DRAM"], 5) for v in values],
+        "3MR (DRAM)": [round(v["seq_DRAM"], 5) for v in values],
+        "EMR (disk)": [round(v["emr_disk"], 5) for v in values],
+        "3MR (disk)": [round(v["seq_disk"], 5) for v in values],
     }
-    for name, values in curves.items():
-        figure.add(name, sizes, values)
+    for name, curve in curves.items():
+        figure.add(name, sizes, curve)
     dram_gap = curves["3MR (DRAM)"][-1] / curves["EMR (DRAM)"][-1]
     disk_gap = curves["3MR (disk)"][-1] / curves["EMR (disk)"][-1]
     figure.notes = (

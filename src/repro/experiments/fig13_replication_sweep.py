@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.report import Series
-from ..campaign import Campaign, Trial, execute
+from ..campaign import Campaign, Trial
 from ..core.emr import EmrConfig, EmrRuntime, Frontier, plan_replication
 from ..radiation.injector import workload_identity
 from ..sim.machine import Machine, MachineSpec
@@ -92,22 +92,18 @@ def campaign(seed: int = 0, thresholds=None) -> Campaign:
         context={
             "thresholds": list(thresholds) if thresholds is not None else None
         },
+        aggregate=_aggregate,
     )
 
 
-def run(seed: int = 0, thresholds=None, workers: "int | None" = 1,
-        store=None, metrics=None) -> Series:
+def _aggregate(values, metrics=None) -> Series:
     figure = Series(
         title="Fig 13: replicated-portion size vs. runtime and memory",
         x_label="replicated fraction of input (%)",
         y_label="runtime (s) / memory (KiB)",
     )
-    result = execute(
-        campaign(seed=seed, thresholds=thresholds),
-        workers=workers, store=store, metrics=metrics,
-    )
     sweet_spots = []
-    for value in result.values:
+    for value in values:
         fractions, runtimes, memory = (
             value["fractions"], value["runtimes"], value["memory"]
         )

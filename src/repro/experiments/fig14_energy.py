@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..analysis.energy import radshield_energy_joules
 from ..analysis.report import Series
-from ..campaign import Campaign, Trial, execute
+from ..campaign import Campaign, Trial
 from ..core.emr import Frontier
 from ..radiation.injector import workload_identity
 from ..workloads import paper_workloads
@@ -42,24 +42,20 @@ def campaign(scale: int = 1, seed: int = 0) -> Campaign:
             for workload in paper_workloads()
         ],
         context={"frontier": "DRAM"},
+        aggregate=_aggregate,
     )
 
 
-def run(scale: int = 1, seed: int = 0, workers: "int | None" = 1,
-        store=None, metrics=None) -> Series:
+def _aggregate(values, metrics=None) -> Series:
     figure = Series(
         title="Fig 14: relative energy vs. unprotected parallel 3-MR (DRAM frontier)",
         x_label="workload",
         y_label="relative energy",
     )
-    result = execute(
-        campaign(scale=scale, seed=seed),
-        workers=workers, store=store, metrics=metrics,
-    )
-    names = [value["name"] for value in result.values]
-    seq_rel = [round(value["sequential_relative"], 3) for value in result.values]
-    emr_rel = [round(value["emr_relative"], 3) for value in result.values]
-    shield_rel = [round(value["radshield_relative"], 3) for value in result.values]
+    names = [value["name"] for value in values]
+    seq_rel = [round(value["sequential_relative"], 3) for value in values]
+    emr_rel = [round(value["emr_relative"], 3) for value in values]
+    shield_rel = [round(value["radshield_relative"], 3) for value in values]
     figure.add("serial_3MR", names, seq_rel)
     figure.add("EMR", names, emr_rel)
     figure.add("Radshield (EMR+ILD)", names, shield_rel)

@@ -27,7 +27,7 @@ import json
 import numpy as np
 
 from ..analysis.report import Table
-from ..campaign import Campaign, Trial, execute
+from ..campaign import Campaign, Trial
 from ..core.emr.runtime import EmrConfig, EmrRuntime
 from ..hmr import HMRScheduler, WorkloadPhase, mode_named
 from ..radiation.events import OutcomeClass
@@ -204,24 +204,6 @@ def campaign(scale: int = 1, seed: int = 7) -> Campaign:
         context={"scale": int(scale), "runs_per_mode": runs_per_mode},
         aggregate=aggregate,
     )
-
-
-def run(
-    scale: int = 1,
-    seed: int = 7,
-    workers: "int | None" = 1,
-    store=None,
-    metrics=None,
-    batched: bool = False,
-) -> Table:
-    """The sweep; identical output serial, parallel, batched or from a
-    store replay."""
-    grid = campaign(scale=scale, seed=seed)
-    if batched:
-        result = execute(grid, store=store, batch_fn=_frontier_batch_fn)
-    else:
-        result = execute(grid, workers=workers, store=store)
-    return grid.aggregate(list(result.values), metrics)
 
 
 def frontier_json(table: Table) -> str:

@@ -11,55 +11,58 @@ static thresholds 38–62 % FN with 28–41 % FP.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..analysis.report import Table
-from ..obs import LATENCY_BUCKETS_S, MetricsRegistry
-from .common import SelBenchConfig, SelTestbench
+from ..campaign import Campaign
+from ..obs import LATENCY_BUCKETS_S
+from .common import SelBenchConfig, SelTestbench, summarize
 
 
-def run(config: "SelBenchConfig | None" = None,
-        include_naive_bayes: bool = False,
-        workers: "int | None" = 1,
-        trace: "str | None" = None,
-        metrics: "MetricsRegistry | None" = None,
-        store=None) -> Table:
+def campaign(config: "SelBenchConfig | None" = None) -> Campaign:
+    """The episode grid, scored by ILD, the random forest and the
+    static thresholds."""
     bench = SelTestbench(config)
     detectors: "dict[str, object]" = {"ILD": bench.train_ild()}
     detectors["Random Forest"] = bench.train_random_forest()
-    if include_naive_bayes:
-        detectors["Naive Bayes"] = bench.train_naive_bayes()
     detectors.update(bench.static_baselines())
 
-    summaries = bench.evaluate(
-        detectors, workers=workers, trace_path=trace, store=store,
-        metrics=metrics,
-    )
-    if metrics is not None:
-        _tally_metrics(metrics, summaries)
+    def aggregate(values, metrics=None) -> Table:
+        summaries = summarize(values, detectors)
+        if metrics is not None:
+            _tally_metrics(metrics, summaries)
+        return build_table(summaries, bench.config)
 
+    return replace(bench.campaign(detectors), aggregate=aggregate)
+
+
+def build_table(summaries, config: SelBenchConfig) -> Table:
+    """Table 2 from per-detector summaries (columns in their order)."""
     table = Table(
         title="Table 2: accuracy of ILD in detecting latchups",
-        columns=["metric"] + list(detectors),
+        columns=["metric"] + list(summaries),
     )
     table.add_row(
         "False negative rate",
-        *(f"{summaries[name].false_negative_rate * 100:.1f}%" for name in detectors),
+        *(f"{s.false_negative_rate * 100:.1f}%" for s in summaries.values()),
     )
     table.add_row(
         "False positive rate",
-        *(f"{summaries[name].false_positive_rate * 100:.1f}%" for name in detectors),
+        *(f"{s.false_positive_rate * 100:.1f}%" for s in summaries.values()),
     )
     table.add_row(
         "Spurious alarms / hr",
-        *(f"{summaries[name].spurious_alarms_per_hour:.2f}" for name in detectors),
+        *(f"{s.spurious_alarms_per_hour:.2f}" for s in summaries.values()),
     )
     latency = summaries["ILD"].mean_latency()
-    episodes = bench.config.n_episodes
-    hours = episodes * bench.config.episode_seconds / 3600.0
+    detection = (
+        f"ILD mean detection latency {latency:.1f} s"
+        if latency is not None else "no ILD detections"
+    )
+    hours = config.n_episodes * config.episode_seconds / 3600.0
     table.notes = (
-        f"{episodes} episodes ({hours:.1f} h simulated), SEL +"
-        f"{bench.config.sel_delta_amps:.2f} A per episode; "
-        f"ILD mean detection latency "
-        f"{latency:.1f} s" if latency is not None else "no detections"
+        f"{config.n_episodes} episodes ({hours:.1f} h simulated), SEL +"
+        f"{config.sel_delta_amps:.2f} A per episode; {detection}"
     )
     return table
 

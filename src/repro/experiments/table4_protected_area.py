@@ -14,8 +14,9 @@ from dataclasses import asdict, is_dataclass
 
 from ..analysis.report import Table
 from ..analysis.vulnerability import DieModel
-from ..campaign import Campaign, Trial, decode_report, encode_report, execute
+from ..campaign import Campaign
 from ..sim.machine import Machine
+from .common import report_campaign
 
 
 def _build(task, rng, tracer=None) -> Table:
@@ -43,20 +44,7 @@ def _build(task, rng, tracer=None) -> Table:
 
 def campaign(die: "DieModel | None" = None) -> Campaign:
     die = die or DieModel()
-    return Campaign(
-        name="table4-protected-area",
-        trial_fn=_build,
-        trials=[
-            Trial(
-                params={"die": asdict(die) if is_dataclass(die) else vars(die)},
-                item=(die,),
-            )
-        ],
-        encode=encode_report,
-        decode=decode_report,
+    return report_campaign(
+        "table4-protected-area", _build,
+        {"die": asdict(die) if is_dataclass(die) else vars(die)}, (die,),
     )
-
-
-def run(die: "DieModel | None" = None, store=None, metrics=None) -> Table:
-    result = execute(campaign(die=die), store=store, metrics=metrics)
-    return result.values[0]

@@ -7,9 +7,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.report import Table
-from ..campaign import Campaign, Trial, decode_report, encode_report, execute
+from ..campaign import Campaign
 from ..core.emr import plan_replication
 from ..workloads import paper_workloads
+from .common import report_campaign
 
 
 def _build(task, rng, tracer=None) -> Table:
@@ -41,18 +42,7 @@ def _build(task, rng, tracer=None) -> Table:
 
 
 def campaign(seed: int = 0) -> Campaign:
-    return Campaign(
-        name="table5-workloads",
-        trial_fn=_build,
-        trials=[Trial(params={"seed": seed}, item=(seed,))],
-        encode=encode_report,
-        decode=decode_report,
-    )
-
-
-def run(seed: int = 0, store=None, metrics=None) -> Table:
-    result = execute(campaign(seed=seed), store=store, metrics=metrics)
-    return result.values[0]
+    return report_campaign("table5-workloads", _build, {"seed": seed}, (seed,))
 
 
 def _strategy_matches(blobs: "list[str]", paper_strategy: str) -> bool:

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from ..analysis.report import Table
 from ..analysis.vulnerability import time_share_breakdown
-from ..campaign import Campaign, Trial, decode_report, encode_report, execute
+from ..campaign import Campaign
 from ..core.emr import Frontier
 from ..radiation.injector import workload_identity
 from ..workloads import ImageProcessingWorkload
-from .common import run_schemes
+from .common import report_campaign, run_schemes
 
 _BUCKET_LABELS = (
     ("disk_read", "Disk Read"),
@@ -59,27 +59,8 @@ def campaign(scale: int = 1, seed: int = 0,
     workload = workload or ImageProcessingWorkload(
         map_size=128, template_size=32, stride=4
     )
-    return Campaign(
-        name="table6-breakdown",
-        trial_fn=_build,
-        trials=[
-            Trial(
-                params={"workload": workload_identity(workload),
-                        "scale": scale, "seed": seed},
-                item=(workload, scale, seed),
-            )
-        ],
-        context={"frontier": "DRAM"},
-        encode=encode_report,
-        decode=decode_report,
+    return report_campaign(
+        "table6-breakdown", _build,
+        {"workload": workload_identity(workload), "scale": scale, "seed": seed},
+        (workload, scale, seed), context={"frontier": "DRAM"},
     )
-
-
-def run(scale: int = 1, seed: int = 0,
-        workload: "ImageProcessingWorkload | None" = None,
-        store=None, metrics=None) -> Table:
-    result = execute(
-        campaign(scale=scale, seed=seed, workload=workload),
-        store=store, metrics=metrics,
-    )
-    return result.values[0]

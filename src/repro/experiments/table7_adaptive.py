@@ -30,10 +30,10 @@ from ..adaptive import (
 )
 from ..adaptive.strikes import decode_strike, encode_strike
 from ..analysis.report import Table
-from ..campaign.stream import StreamHistory, execute_stream
+from ..campaign.stream import StreamHistory
 from ..workloads import ImageProcessingWorkload
 
-__all__ = ["run", "source"]
+__all__ = ["source"]
 
 
 def _default_workload() -> ImageProcessingWorkload:
@@ -46,7 +46,8 @@ def source(
     seed: int = 5,
     workload: "ImageProcessingWorkload | None" = None,
 ) -> AdaptiveSource:
-    """The adaptive Table-7 stream (shared by ``run`` and the CLI).
+    """The adaptive Table-7 stream (shared by the experiment registry
+    and ``repro adaptive run --surface table7``).
 
     Building the source is deterministic — the workload spec, golden
     outputs, and warmed census cells depend only on the arguments —
@@ -66,7 +67,45 @@ def source(
             offset=offset, bit=bit,
         )
 
-    return AdaptiveSource(
+    def aggregate(stream, metrics=None) -> Table:
+        """One row per wave: its trials, SDC hits, L1 share and the
+        cumulative Horvitz–Thompson estimate."""
+        table = Table(
+            title="Adaptive Table 7: importance-sampled injection, scheme none",
+            columns=["Round", "Trials", "SDC hits", "L1 share",
+                     "SDC rate (HT)", "CI width"],
+        )
+        history = StreamHistory()
+        for rnd in stream.rounds:
+            history.rounds.append(rnd)
+            est = src.estimate(history)
+            sdc = sum(
+                1 for v in rnd.result.values
+                if v is not None and strike_is_sdc(v)
+            )
+            l1 = sum(
+                1 for s in rnd.result.specs
+                if s.params["domain"].startswith("l1")
+            )
+            table.add_row(
+                rnd.index,
+                est.n,
+                sdc,
+                f"{l1 / len(rnd.result.specs):.2f}",
+                f"{est.estimate:.4f}",
+                f"{est.width:.4f}" if est.width != float("inf") else "inf",
+            )
+        table.notes = (
+            f"{len(stream.rounds)} waves of {wave_size} pinned strikes; round 0 "
+            "is flux-weighted exploration, later waves follow the forest's "
+            "q ∝ f·√p̂ allocation (ε=0.15 flux mix); "
+            "'SDC rate (HT)' is the Horvitz–Thompson reweighted cumulative "
+            "estimate of the uniform-flux SDC rate; 'L1 share' shows the "
+            "sampler concentrating on the unprotected L1 lines"
+        )
+        return table
+
+    src = AdaptiveSource(
         "table7-adaptive",
         cells,
         run_pinned_strike,
@@ -91,55 +130,6 @@ def source(
         },
         encode=encode_strike,
         decode=decode_strike,
+        aggregate=aggregate,
     )
-
-
-def run(
-    wave_size: int = 24,
-    max_rounds: int = 4,
-    seed: int = 5,
-    workload: "ImageProcessingWorkload | None" = None,
-    workers: "int | None" = 1,
-    store=None,
-    metrics=None,
-) -> Table:
-    src = source(
-        wave_size=wave_size, max_rounds=max_rounds, seed=seed,
-        workload=workload,
-    )
-    result = execute_stream(src, workers=workers, store=store,
-                            metrics=metrics)
-
-    table = Table(
-        title="Adaptive Table 7: importance-sampled injection, scheme none",
-        columns=["Round", "Trials", "SDC hits", "L1 share",
-                 "SDC rate (HT)", "CI width"],
-    )
-    history = StreamHistory()
-    for rnd in result.rounds:
-        history.rounds.append(rnd)
-        est = src.estimate(history)
-        sdc = sum(
-            1 for v in rnd.result.values if v is not None and strike_is_sdc(v)
-        )
-        l1 = sum(
-            1 for s in rnd.result.specs
-            if s.params["domain"].startswith("l1")
-        )
-        table.add_row(
-            rnd.index,
-            est.n,
-            sdc,
-            f"{l1 / len(rnd.result.specs):.2f}",
-            f"{est.estimate:.4f}",
-            f"{est.width:.4f}" if est.width != float("inf") else "inf",
-        )
-    table.notes = (
-        f"{len(result.rounds)} waves of {wave_size} pinned strikes; round 0 "
-        "is flux-weighted exploration, later waves follow the forest's "
-        "q ∝ f·√p̂ allocation (ε=0.15 flux mix); "
-        "'SDC rate (HT)' is the Horvitz–Thompson reweighted cumulative "
-        "estimate of the uniform-flux SDC rate; 'L1 share' shows the "
-        "sampler concentrating on the unprotected L1 lines"
-    )
-    return table
+    return src

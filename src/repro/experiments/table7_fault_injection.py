@@ -11,7 +11,6 @@ from collections import Counter
 
 from ..analysis.report import Table
 from ..campaign import Campaign, Trial
-from ..obs import MetricsRegistry
 from ..radiation.events import OutcomeClass
 from ..radiation.injector import (
     CampaignConfig,
@@ -122,38 +121,3 @@ def campaign(
         decode=decode_outcome,
         aggregate=aggregate,
     )
-
-
-def run(
-    runs_per_scheme: int = 20,
-    seed: int = 3,
-    workload: "ImageProcessingWorkload | None" = None,
-    workers: "int | None" = 1,
-    trace: "str | None" = None,
-    metrics: "MetricsRegistry | None" = None,
-    store=None,
-) -> Table:
-    workload = workload or _default_workload()
-    single_bit = FaultInjectionCampaign(
-        workload, CampaignConfig(runs_per_scheme=runs_per_scheme), seed=seed
-    )
-    # Only the single-bit campaign writes the trace: one file, one
-    # task-index namespace (the MBU campaign would restart at task 0).
-    results = single_bit.run(
-        schemes=_SINGLE_BIT_SCHEMES, workers=workers, trace_path=trace,
-        store=store,
-    )
-    mbu = FaultInjectionCampaign(
-        workload,
-        CampaignConfig(runs_per_scheme=runs_per_scheme, bits=2),
-        seed=seed + 1,
-    )
-    results["emr+mbu"] = mbu.run(schemes=("emr",), workers=workers,
-                                 store=store)["emr"]
-    if metrics is not None:
-        for name, value in single_bit.metrics.snapshot()["counters"].items():
-            metrics.counter(name).inc(value)
-        for name, value in mbu.metrics.snapshot()["counters"].items():
-            metrics.counter(f"mbu.{name}").inc(value)
-
-    return _build_table(results, runs_per_scheme)

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from ..analysis.devoverhead import available_workloads, measure_overhead
 from ..analysis.report import Table
-from ..campaign import Campaign, Trial, decode_report, encode_report, execute
+from ..campaign import Campaign
+from .common import report_campaign
 
 
 def _build(task, rng, tracer=None) -> Table:
@@ -28,15 +29,4 @@ def _build(task, rng, tracer=None) -> Table:
 
 
 def campaign() -> Campaign:
-    return Campaign(
-        name="table8-dev-overhead",
-        trial_fn=_build,
-        trials=[Trial(params={})],
-        encode=encode_report,
-        decode=decode_report,
-    )
-
-
-def run(store=None, metrics=None) -> Table:
-    result = execute(campaign(), store=store, metrics=metrics)
-    return result.values[0]
+    return report_campaign("table8-dev-overhead", _build)

@@ -689,9 +689,10 @@ class TestTable7ResumeByteIdentity:
         """The acceptance criterion end-to-end: run part of the Table 7
         grid, resume against the same store, and require the rendered
         table to equal a storeless cold run byte-for-byte."""
+        from repro.experiments import run_experiment
         from repro.experiments import table7_fault_injection as t7
 
-        cold = t7.run(runs_per_scheme=3, seed=3).render()
+        cold = run_experiment(t7.campaign(runs_per_scheme=3, seed=3))[1].render()
 
         store = TrialStore(tmp_path)
         camp = t7.campaign(runs_per_scheme=3, seed=3)

@@ -38,9 +38,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["mission", "--environment", "venus"])
 
-    def test_trace_rejected_for_untraced_experiment(self, tmp_path):
-        with pytest.raises(SystemExit, match="does not support --trace"):
-            main(["run", "table4", "--trace", str(tmp_path / "t.jsonl")])
+    def test_run_writes_a_trace_for_any_experiment(self, tmp_path, capsys):
+        from repro.obs import read_trace
+
+        path = tmp_path / "t.jsonl"
+        assert main(["run", "table4", "--trace", str(path)]) == 0
+        assert f"wrote trace: {path}" in capsys.readouterr().out
+        assert path.exists() and read_trace(path) == []
 
     def test_module_name_alias_resolves(self, capsys):
         assert main(["run", "table4_protected_area"]) == 0
@@ -261,6 +265,62 @@ def _surface(parser) -> dict:
     return leaves
 
 
+class TestOneRegistry:
+    """`run`, `run-all` and `campaign` drive the same registered grids."""
+
+    @pytest.mark.parametrize("name", ["table7", "table2"])
+    def test_run_store_is_the_campaign_store(
+        self, name, monkeypatch, tmp_path, capsys
+    ):
+        from repro import experiments
+        from repro.experiments import table2_ild_accuracy, table7_fault_injection
+        from repro.experiments.common import SelBenchConfig
+
+        small = {
+            "table7": lambda: table7_fault_injection.campaign(runs_per_scheme=1),
+            "table2": lambda: table2_ild_accuracy.campaign(SelBenchConfig(
+                tick=8e-3, episode_seconds=420.0, n_episodes=2,
+                training_seconds=700.0,
+            )),
+        }
+        monkeypatch.setattr(experiments, "CAMPAIGNS", {name: small[name]})
+        store = str(tmp_path / "store")
+        assert main(["run", name, "--store", store]) == 0
+        capsys.readouterr()
+        assert main(["campaign", "status", name, "--store", store]) == 0
+        total = {"table7": 4, "table2": 2}[name]
+        assert f": {total}/{total} trials complete, 0 pending" in (
+            capsys.readouterr().out
+        )
+
+    def test_run_all_traces_and_meters_ablations_and_extensions(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        from repro import experiments
+
+        monkeypatch.setattr(experiments, "CAMPAIGNS", {
+            name: experiments.CAMPAIGNS[name]
+            for name in ("table4", "ablation:bubble_cadence",
+                         "extension:physics_rates")
+        })
+        traces = tmp_path / "traces"
+        assert main([
+            "run-all", "--trace-dir", str(traces), "--metrics",
+            "--out-dir", str(tmp_path / "out"),
+        ]) == 0
+        assert sorted(p.name for p in traces.iterdir()) == [
+            "ablation_bubble_cadence.jsonl", "extension_physics_rates.jsonl",
+            "table4.jsonl",
+        ]
+        out = capsys.readouterr().out
+        snapshot = json.loads(out[out.index("metrics:") + len("metrics:"):])
+        assert snapshot["counters"]["campaign.trials.total"] == 3
+
+    def test_campaign_run_prints_the_report(self, tmp_path, capsys):
+        assert main(["campaign", "run", "fig1", "--store", str(tmp_path)]) == 0
+        assert "Fig 1: cost of launching" in capsys.readouterr().out
+
+
 class TestSurface:
     def test_every_leaf_command_is_pinned(self):
         assert _surface(build_parser()) == SURFACE
@@ -302,7 +362,7 @@ class TestHandlers:
         (["fleet", "run", "--spec", "smoke"], "repro.fleet.run_fleet",
          GroundPolicy(timeout_seconds=9.0, max_attempts=3)),
         (["campaign", "run", "table4", "--max-attempts", "5"],
-         "repro.campaign.execute",
+         "repro.campaign.execute_stream",
          GroundPolicy(timeout_seconds=9.0, max_attempts=5)),
     ])
     def test_supervision_flags_reach_the_ground_policy(

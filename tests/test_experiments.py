@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.analysis.metrics import EpisodeScore, EpisodeTruth
 from repro.analysis.report import Series, Table
-from repro.core.ild import IldConfig
+from repro.campaign import execute
+from repro.core.ild import NaiveBayesBaseline
 from repro.experiments import (
-    ABLATIONS,
-    EXPERIMENTS,
-    EXTENSIONS,
+    CAMPAIGNS,
     fig05_current_correlation,
     fig10_misdetection,
     fig13_replication_sweep,
@@ -16,8 +16,14 @@ from repro.experiments import (
     table4_protected_area,
     table5_workloads,
     table8_dev_overhead,
+    run_experiment,
 )
-from repro.experiments.common import SelBenchConfig, SelTestbench, run_schemes
+from repro.experiments.common import (
+    SelBenchConfig,
+    SelTestbench,
+    run_schemes,
+    summarize,
+)
 from repro.workloads import AesWorkload
 
 
@@ -34,26 +40,34 @@ def small_bench():
     )
 
 
+def _report(entry):
+    return run_experiment(entry)[1]
+
+
 class TestRegistry:
     def test_all_experiments_registered(self):
-        expected = {
+        paper = {
             "fig1", "fig2", "fig5", "fig10", "fig11", "fig12", "fig13",
             "fig14", "table2", "table3", "table4", "table5", "table6",
             "table7", "table8", "hmr_frontier",
         }
-        assert set(EXPERIMENTS) == expected
-        assert set(ABLATIONS) == {
+        ablations = {
             "scheduling_order", "rolling_window", "bubble_cadence",
             "redundancy_level",
         }
-        assert set(EXTENSIONS) == {
+        extensions = {
             "checksum_comparison", "physics_rates", "flightsw_ild",
             "feature_selection", "mission_survival", "adaptive_table7",
         }
+        assert set(CAMPAIGNS) == (
+            paper
+            | {f"ablation:{name}" for name in ablations}
+            | {f"extension:{name}" for name in extensions}
+        )
 
     def test_cheap_drivers_return_renderables(self):
         for name in ("fig1", "table4", "table5", "table8"):
-            result = EXPERIMENTS[name]()
+            result = _report(CAMPAIGNS[name]())
             assert isinstance(result, (Table, Series))
             assert result.render()
 
@@ -86,7 +100,8 @@ class TestSelTestbench:
             "ILD": small_bench.train_ild(),
             "RF": small_bench.train_random_forest(),
         }
-        summaries = small_bench.evaluate(detectors, n_episodes=3)
+        values = execute(small_bench.campaign(detectors, n_episodes=3)).values
+        summaries = summarize(values, detectors)
         assert summaries["ILD"].false_negative_rate == 0.0
         assert summaries["ILD"].false_positive_rate <= 0.01
         # With only 3 short episodes the RF baseline may get lucky; the
@@ -102,8 +117,10 @@ class TestSelTestbench:
         )
 
     def test_naive_bayes_baseline_trains(self, small_bench):
-        baseline = small_bench.train_naive_bayes()
         rng = np.random.default_rng(2)
+        nominal = rng.normal(1.7, 0.02, 2000)
+        baseline = NaiveBayesBaseline()
+        baseline.train(nominal, nominal + small_bench.config.sel_delta_amps)
         trace, _ = small_bench.episode(rng, with_sel=False)
         baseline.process(trace)  # must not crash; alarms allowed
 
@@ -124,37 +141,57 @@ class TestRunSchemes:
 
 class TestDriverShapes:
     def test_fig5_high_correlation(self):
-        figure = fig05_current_correlation.run(step_duration=1.0)
+        figure = _report(fig05_current_correlation.campaign(step_duration=1.0))
         assert float(figure.notes.split("=")[1].split("%")[0]) > 95.0
 
     def test_fig10_monotone_tail(self):
-        figure = fig10_misdetection.run(
+        figure = _report(fig10_misdetection.campaign(
             deltas=np.array([0.01, 0.07]),
             trials_per_delta=2,
             config=SelBenchConfig(tick=8e-3, n_episodes=1, training_seconds=600.0),
-        )
+        ))
         _, rates = figure.series["false_negative_rate"]
         assert rates[0] == 1.0 and rates[1] == 0.0
 
     def test_table2_small(self):
-        table = table2_ild_accuracy.run(
+        table = _report(table2_ild_accuracy.campaign(
             SelBenchConfig(
                 tick=8e-3, episode_seconds=420.0, n_episodes=2,
                 training_seconds=700.0,
             )
-        )
+        ))
         assert table.rows[0][1] == "0.0%"  # ILD FN
 
+    def test_table2_note_without_ild_detections(self):
+        """An ILD that never fires still reports the episode count and
+        simulated hours; only the latency clause changes."""
+        config = SelBenchConfig(episode_seconds=900.0, n_episodes=4)
+        missed = EpisodeScore(
+            truth=EpisodeTruth(duration=900.0, sel_onset=400.0,
+                               sel_delta_amps=0.07),
+            detected=False, detection_latency=None, false_alarms=0,
+            pre_onset_alarm_ticks=0, pre_onset_ticks=100_000,
+        )
+        values = [[("ILD", missed)] for _ in range(config.n_episodes)]
+        table = table2_ild_accuracy.build_table(
+            summarize(values, ["ILD"]), config
+        )
+        assert table.rows[0][1] == "100.0%"
+        assert table.notes == (
+            "4 episodes (1.0 h simulated), SEL +0.07 A per episode; "
+            "no ILD detections"
+        )
+
     def test_table4_values(self):
-        table = table4_protected_area.run()
+        table = _report(table4_protected_area.campaign())
         assert table.column("Relative Area Protected") == ["0%", "75%", "100%", "100%"]
 
     def test_table5_all_match(self):
-        table = table5_workloads.run()
+        table = _report(table5_workloads.campaign())
         assert all(m == "yes" for m in table.column("Match"))
 
     def test_table8_single_digit(self):
-        table = table8_dev_overhead.run()
+        table = _report(table8_dev_overhead.campaign())
         assert all(1 <= c <= 12 for c in table.column("Net line change"))
 
     def test_fig13_distinct_thresholds(self):

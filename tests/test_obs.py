@@ -305,7 +305,8 @@ class TestMergeDeterminism:
 @pytest.mark.slow
 class TestCampaignTraceDeterminism:
     def test_table7_trace_identical_at_any_worker_count(self, tmp_path):
-        from repro.experiments.table7_fault_injection import run
+        from repro.experiments import run_experiment
+        from repro.experiments.table7_fault_injection import campaign
         from repro.obs.summarize import has_incident_chain
         from repro.workloads import ImageProcessingWorkload
 
@@ -315,8 +316,10 @@ class TestCampaignTraceDeterminism:
         paths = {}
         for workers in (1, 4):
             path = tmp_path / f"w{workers}.jsonl"
-            run(runs_per_scheme=4, workload=workload, workers=workers,
-                trace=str(path))
+            run_experiment(
+                campaign(runs_per_scheme=4, workload=workload),
+                workers=workers, trace_path=str(path),
+            )
             paths[workers] = path.read_bytes()
         assert paths[1] == paths[4]
 
