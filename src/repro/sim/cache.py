@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..errors import ConfigurationError, InvalidAddressError
+from ..errors import ConfigurationError, InvalidAddressError, UncorrectableMemoryError
+from . import ecc as ecc_codec
 from .faults import FaultRegion
 from .memory import MemoryRegion, SimMemory
 
@@ -136,9 +137,6 @@ class Cache:
         return data
 
     def _correct_line(self, line_index: int, data: bytearray) -> None:
-        from . import ecc as ecc_codec
-        from ..errors import UncorrectableMemoryError
-
         words = ecc_codec.bytes_to_words(bytes(data))
         checks = np.frombuffer(self._checks[line_index], dtype=np.uint8)
         fixed, corrected, uncorrectable = ecc_codec.decode_array(words, checks)
@@ -163,8 +161,6 @@ class Cache:
             self.stats.evictions += 1
         self._lines[line_index] = copy
         if self.has_ecc:
-            from . import ecc as ecc_codec
-
             words = ecc_codec.bytes_to_words(bytes(copy))
             self._checks[line_index] = ecc_codec.encode_array(words).tobytes()
             self._dirty.discard(line_index)
@@ -174,19 +170,23 @@ class Cache:
         if line_index in self._lines:
             self._lines[line_index][:] = data
             if self.has_ecc:
-                from . import ecc as ecc_codec
-
                 words = ecc_codec.bytes_to_words(bytes(data))
                 self._checks[line_index] = ecc_codec.encode_array(words).tobytes()
                 self._dirty.discard(line_index)
 
     def flush_lines(self, lines) -> int:
         """Drop the resident ones of ``lines``; returns how many."""
-        resident = [line_index for line_index in lines if line_index in self._lines]
+        table = self._lines
+        resident = [line_index for line_index in lines if line_index in table]
         for line_index in resident:
-            del self._lines[line_index]
-            self._checks.pop(line_index, None)
-            self._dirty.discard(line_index)
+            del table[line_index]
+        # Check bytes exist only with ECC and dirty lines only after a
+        # strike: most flushes have neither to drop.
+        if self._checks:
+            for line_index in resident:
+                self._checks.pop(line_index, None)
+        if self._dirty:
+            self._dirty.difference_update(resident)
         self.stats.flushed_lines += len(resident)
         return len(resident)
 
@@ -326,57 +326,106 @@ class CacheHierarchy:
         once that span succeeded, so a pass that raises leaves the
         counts of the spans before the failing one.
 
-        Each level is probed inline, as :meth:`Cache.lookup` would:
-        stats count per line, so a span that raises partway leaves the
-        counts of the lines before the failing one.
+        Each level is probed inline, as :meth:`Cache.lookup` would. Line
+        sources are tallied in locals and added to the trace and to each
+        level's :class:`CacheStats` on the way out, also when a line
+        raises: the stats then hold every line probed up to the failing
+        one, as per-line counting would, and the trace the spans before
+        it.
+
+        A line missing from both levels whose DRAM words are clean (no
+        ECC device, or none of its words in ``_dirty_words``) is copied
+        straight from the device and counted in :class:`MemoryStats` as
+        the one-line :meth:`SimMemory.read` it stands for; a dirty,
+        partial or out-of-range line goes through that read, so it
+        corrects or raises as before. Without cache ECC the L2 and L1
+        fills (and their LRU evictions) also run inline, as
+        :meth:`Cache.fill` would.
         """
         l1, l2, memory, ecc = self.l1[group], self.l2, self.memory, self.has_ecc
         l1_lines, l2_lines = l1._lines, l2._lines
+        l1_get, l2_get = l1_lines.get, l2_lines.get
+        l1_touch, l2_touch = l1_lines.move_to_end, l2_lines.move_to_end
+        l1_capacity, l2_capacity = l1.capacity_lines, l2.capacity_lines
         line_size = self.line_size
+        dram, dram_ecc = memoryview(memory._data), memory.has_ecc
+        full_lines = memory.size // line_size
+        words_per_line = line_size // 8
         out: "list[bytes]" = []
-        for addr, n in spans:
-            if n == 0:
-                out.append(b"")
-                continue
-            first = addr // line_size
-            last = (addr + n - 1) // line_size
-            l1_hits = l2_hits = fills = 0
-            parts: "list[bytearray]" = []
-            for line_index in range(first, last + 1):
-                data = l1_lines.get(line_index)
-                if data is not None:
-                    l1_lines.move_to_end(line_index)
-                    l1.stats.hits += 1
-                    if ecc and line_index in l1._dirty:
-                        l1._correct_line(line_index, data)
-                    l1_hits += 1
-                else:
-                    l1.stats.misses += 1
-                    data = l2_lines.get(line_index)
+        # Line sources of every line probed, and of the finished spans.
+        l1_hits = l2_hits = fills = dram_reads = 0
+        done_l1 = done_l2 = done_fills = 0
+        try:
+            for addr, n in spans:
+                if n == 0:
+                    out.append(b"")
+                    continue
+                first = addr // line_size
+                parts: "list[bytearray]" = []
+                for line_index in range(first, (addr + n - 1) // line_size + 1):
+                    data = l1_get(line_index)
                     if data is not None:
-                        l2_lines.move_to_end(line_index)
-                        l2.stats.hits += 1
+                        l1_touch(line_index)
+                        l1_hits += 1
+                        if ecc and line_index in l1._dirty:
+                            l1._correct_line(line_index, data)
+                        parts.append(data)
+                        continue
+                    data = l2_get(line_index)
+                    if data is not None:
+                        l2_touch(line_index)
+                        l2_hits += 1
                         if ecc and line_index in l2._dirty:
                             l2._correct_line(line_index, data)
-                        l2_hits += 1
                     else:
-                        l2.stats.misses += 1
-                        line_addr = line_index * line_size
-                        fresh = memory.read(line_addr, min(line_size, memory.size - line_addr))
-                        data = l2.fill(line_index, fresh)
                         fills += 1
+                        line_addr = line_index * line_size
+                        dirty = memory._dirty_words
+                        if 0 <= line_index < full_lines and not (
+                            dirty and dram_ecc and not dirty.isdisjoint(
+                                range(line_addr // 8, line_addr // 8 + words_per_line)
+                            )
+                        ):
+                            fresh = dram[line_addr : line_addr + line_size]
+                            dram_reads += 1
+                        else:
+                            fresh = memory.read(
+                                line_addr, min(line_size, memory.size - line_addr)
+                            )
+                        if ecc:
+                            data = l2.fill(line_index, fresh)
+                        else:
+                            data = bytearray(fresh)
+                            if len(l2_lines) >= l2_capacity:
+                                evicted, _ = l2_lines.popitem(last=False)
+                                l2._dirty.discard(evicted)
+                                l2.stats.evictions += 1
+                            l2_lines[line_index] = data
                     # L1 copies the (possibly corrupted) L2 line: corruption
                     # in the shared level propagates to private levels.
-                    data = l1.fill(line_index, data)
-                parts.append(data)
-            trace.l1_hits += l1_hits
-            trace.l2_hits += l2_hits
-            trace.memory_fills += fills
-            start = addr - first * line_size
-            if first == last:
-                out.append(bytes(memoryview(parts[0])[start : start + n]))
-            else:
+                    if ecc:
+                        data = l1.fill(line_index, data)
+                    else:
+                        data = bytearray(data)
+                        if len(l1_lines) >= l1_capacity:
+                            evicted, _ = l1_lines.popitem(last=False)
+                            l1._dirty.discard(evicted)
+                            l1.stats.evictions += 1
+                        l1_lines[line_index] = data
+                    parts.append(data)
+                start = addr - first * line_size
                 out.append(b"".join(parts)[start : start + n])
+                done_l1, done_l2, done_fills = l1_hits, l2_hits, fills
+        finally:
+            trace.l1_hits += done_l1
+            trace.l2_hits += done_l2
+            trace.memory_fills += done_fills
+            l1.stats.hits += l1_hits
+            l1.stats.misses += l2_hits + fills
+            l2.stats.hits += l2_hits
+            l2.stats.misses += fills
+            memory.stats.reads += dram_reads
+            memory.stats.bytes_read += dram_reads * line_size
         return out
 
     def write(self, addr: int, data: bytes, group: int) -> AccessTrace:
@@ -388,14 +437,15 @@ class CacheHierarchy:
             return trace
         first = addr // self.line_size
         last = (addr + n - 1) // self.line_size
+        tables = [cache._lines for cache in (self.l2, *self.l1)]
         for line_index in range(first, last + 1):
+            for lines in tables:
+                if line_index in lines:
+                    break
+            else:
+                continue  # resident nowhere
             line_addr = line_index * self.line_size
             span = min(self.line_size, self.memory.size - line_addr)
-            resident = (line_index in self.l2) or any(
-                line_index in l1 for l1 in self.l1
-            )
-            if not resident:
-                continue
             fresh = self.memory.read(line_addr, span)
             self.l2.update_if_present(line_index, fresh)
             for l1 in self.l1:

@@ -30,6 +30,14 @@ nonzero      even            double-bit error (detected, uncorrectable)
 Both a scalar API (one word at a time) and a vectorized API operating
 on ``numpy.uint64`` arrays are provided; the memory model uses the
 vectorized path for bulk reads and writes.
+
+Encoding is linear over GF(2): every check bit is the parity of a fixed
+set of data bits, so ``encode(a ^ b) == encode(a) ^ encode(b)``. The
+check byte of a word is therefore the XOR of one table entry per data
+byte, each table built from :func:`encode` of the 64 one-bit words.
+:func:`encode_array` uses those tables for arrays of fewer than
+:data:`TABLE_MAX_WORDS` words (a cache line, a replica's output
+record), where numpy's per-call overhead outweighs its popcounts.
 """
 
 from __future__ import annotations
@@ -135,9 +143,42 @@ def decode(data: int, check: int) -> DecodeResult:
     return DecodeResult(data, corrected=True, uncorrectable=False)
 
 
+#: Arrays shorter than this many words are encoded through the byte
+#: tables. Measured on a 2-CPU x86-64 host (Python 3.11, numpy 2.4):
+#: the table loop costs about 3.4 us for 4 words and 7.4 us for 16,
+#: the popcount path 7-8 us flat up to 32 words.
+TABLE_MAX_WORDS = 16
+
+# _BYTE_CHECKS[i][b] == encode(b << 8 * i), one 256-entry table per data
+# byte, filled by linearity from the one-bit words.
+_ONE_BIT_CHECKS = [encode(1 << bit) for bit in range(64)]
+_BYTE_CHECKS = []
+for _i in range(8):
+    _table = bytearray(256)
+    for _b in range(1, 256):
+        _low = (_b & -_b).bit_length() - 1
+        _table[_b] = _table[_b & (_b - 1)] ^ _ONE_BIT_CHECKS[8 * _i + _low]
+    _BYTE_CHECKS.append(bytes(_table))
+del _i, _b, _low, _table
+
+
+def _encode_by_table(words: np.ndarray) -> np.ndarray:
+    t0, t1, t2, t3, t4, t5, t6, t7 = _BYTE_CHECKS
+    raw = words.astype("<u8", copy=False).tobytes()
+    checks = bytearray(words.size)
+    k = 0
+    for b0, b1, b2, b3, b4, b5, b6, b7 in zip(*[iter(raw)] * 8):
+        checks[k] = (t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3]
+                     ^ t4[b4] ^ t5[b5] ^ t6[b6] ^ t7[b7])
+        k += 1
+    return np.frombuffer(checks, dtype=np.uint8).reshape(words.shape)
+
+
 def encode_array(words: np.ndarray) -> np.ndarray:
     """Vectorized :func:`encode` over a ``uint64`` array -> ``uint8`` checks."""
     words = np.asarray(words, dtype=np.uint64)
+    if words.size < TABLE_MAX_WORDS:
+        return _encode_by_table(words)
     hamming = _hamming_byte(words)
     # Overall parity covers the data bits plus the seven Hamming bits.
     overall = (np.bitwise_count(words) + np.bitwise_count(hamming)) & np.uint8(1)

@@ -55,20 +55,38 @@ def make_terrain(rng: np.random.Generator, height: int, width: int) -> np.ndarra
     return image.astype(np.uint8)
 
 
+def _template_terms(template: np.ndarray) -> "tuple[np.ndarray, np.ndarray, float]":
+    """The template side of the scores: the float64 template, its
+    centred form and its energy."""
+    t = template.astype(np.float64)
+    tc = t - t.mean()
+    return t, tc, (tc * tc).sum()
+
+
+def _scores(window: np.ndarray, t: np.ndarray, tc: np.ndarray, tc_energy) -> "tuple[float, float]":
+    w = window.astype(np.float64)
+    wc = w - w.mean()
+    denom = np.sqrt((wc * wc).sum() * tc_energy)
+    ncc = float((wc * tc).sum() / denom) if denom > 0 else 0.0
+    sad = float(np.abs(w - t).sum())
+    return ncc, sad
+
+
 def match_scores(window: np.ndarray, template: np.ndarray) -> "tuple[float, float]":
     """(NCC, SAD) between same-shape uint8 arrays."""
     if window.shape != template.shape:
         raise WorkloadError(
             f"window {window.shape} vs template {template.shape}"
         )
-    w = window.astype(np.float64)
-    t = template.astype(np.float64)
-    wc = w - w.mean()
-    tc = t - t.mean()
-    denom = np.sqrt((wc * wc).sum() * (tc * tc).sum())
-    ncc = float((wc * tc).sum() / denom) if denom > 0 else 0.0
-    sad = float(np.abs(w - t).sum())
-    return ncc, sad
+    return _scores(window, *_template_terms(template))
+
+
+#: :func:`_template_terms` by template bytes, for
+#: :meth:`ImageProcessingWorkload.run_job`: every job of a spec matches
+#: the same template, so its terms are computed once per distinct byte
+#: string (a struck template is a new key). Oldest entry out first.
+_TEMPLATE_TERMS: "dict[bytes, tuple[np.ndarray, np.ndarray, float]]" = {}
+_TEMPLATE_TERMS_MAX = 16
 
 
 def batch_match_scores(
@@ -86,9 +104,7 @@ def batch_match_scores(
         raise WorkloadError(
             f"windows {windows.shape} vs template {template.shape}"
         )
-    t = template.astype(np.float64)
-    tc = t - t.mean()
-    tc_energy = (tc * tc).sum()
+    t, tc, tc_energy = _template_terms(template)
     k = windows.shape[0]
     ncc = np.empty(k)
     sad = np.empty(k)
@@ -202,8 +218,15 @@ class ImageProcessingWorkload(Workload):
         n = int(params["n"])
         rows = b"".join([inputs[f"row{r}"] for r in range(n)])
         window = np.frombuffer(rows, dtype=np.uint8).reshape(n, n)
-        template = np.frombuffer(inputs["template"], dtype=np.uint8).reshape(n, n)
-        ncc, sad = match_scores(window, template)
+        key = bytes(inputs["template"])
+        terms = _TEMPLATE_TERMS.get(key)
+        # A template of another size than the window raises in reshape.
+        if terms is None or terms[0].shape != window.shape:
+            template = np.frombuffer(key, dtype=np.uint8).reshape(n, n)
+            if len(_TEMPLATE_TERMS) >= _TEMPLATE_TERMS_MAX:
+                del _TEMPLATE_TERMS[next(iter(_TEMPLATE_TERMS))]
+            terms = _TEMPLATE_TERMS[key] = _template_terms(template)
+        ncc, sad = _scores(window, *terms)
         return struct.pack("<ddII", ncc, sad, int(params["row"]), int(params["col"]))
 
     def instructions_per_job(self, dataset: DatasetSpec) -> int:

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ReproError, UncorrectableMemoryError
+from repro.errors import InvalidAddressError, ReproError, UncorrectableMemoryError
 from repro.sim import CacheHierarchy, SimMemory
 from repro.sim.cache import AccessTrace
 
@@ -219,3 +219,98 @@ def test_failing_span_keeps_counts_of_the_spans_before_it():
         caches.read_spans([(0, LINE), (LINE, 2 * LINE), (0, 1)], 0, trace)
     assert trace == AccessTrace(memory_fills=1)  # the first span only
     assert caches.l1[0].resident_lines == (0, 1)
+
+
+snapshot_ops = st.one_of(st.just(("snapshot",)), st.tuples(st.just("restore"), st.integers(0, 7)))
+rewind_ops = st.one_of(span_reads, span_reads, span_reads, writes, flushes, cache_flips,
+                       dram_flips, st.just(("flush_all",)), snapshot_ops, snapshot_ops)
+
+
+def _check_same_runs_with_rewinds(cache_ecc, dram_ecc, image, program):
+    """:func:`_check_same_runs` of ``read_spans`` against a series of
+    per-line reads, where ``snapshot`` saves both hierarchies and their
+    DRAM and ``restore`` rewinds both to a saved point. ``restore``
+    rebinds every level's line table and the device's dirty-word set,
+    so a read that kept either from an earlier call reads stale state."""
+    inline = _hierarchy(cache_ecc, dram_ecc, image)
+    reference = _hierarchy(cache_ecc, dram_ecc, image)
+    inline_trace, reference_trace = AccessTrace(), AccessTrace()
+    saved = []
+    for step, op in enumerate(program):
+        if op[0] == "snapshot":
+            saved.append(
+                [(caches.snapshot(), caches.memory.snapshot()) for caches in (inline, reference)]
+            )
+            continue
+        if op[0] == "restore":
+            if saved:
+                for caches, (levels, dram) in zip((inline, reference), saved[op[1] % len(saved)]):
+                    caches.restore(levels)
+                    caches.memory.restore(dram)
+            continue
+        got = _apply(inline, op, inline_trace, CacheHierarchy.read_spans)
+        want = _apply(reference, op, reference_trace, series_of_reads(reference_read))
+        assert got == want, (step, op)
+        assert inline_trace == reference_trace, (step, op)
+        assert inline.snapshot() == reference.snapshot(), (step, op)
+        assert inline.memory.snapshot() == reference.memory.snapshot(), (step, op)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cache_ecc=st.booleans(),
+    dram_ecc=st.booleans(),
+    image=st.binary(min_size=SIZE, max_size=SIZE),
+    program=st.lists(rewind_ops, min_size=1, max_size=40),
+)
+def test_read_spans_across_snapshot_and_restore(cache_ecc, dram_ecc, image, program):
+    _check_same_runs_with_rewinds(cache_ecc, dram_ecc, image, program)
+
+
+# The same properties at ten times the examples, for the slow tier.
+_setups = {
+    "cache_ecc": st.booleans(),
+    "dram_ecc": st.booleans(),
+    "image": st.binary(min_size=SIZE, max_size=SIZE),
+}
+
+
+@pytest.mark.slow
+@settings(max_examples=3000, deadline=None)
+@given(program=st.lists(ops, min_size=1, max_size=40), **_setups)
+def test_read_matches_the_per_line_loop_long(cache_ecc, dram_ecc, image, program):
+    _check_same_runs(cache_ecc, dram_ecc, image, program, CacheHierarchy.read, reference_read)
+
+
+@pytest.mark.slow
+@settings(max_examples=2000, deadline=None)
+@given(program=st.lists(span_ops, min_size=1, max_size=40), **_setups)
+def test_read_spans_matches_a_series_of_reads_long(cache_ecc, dram_ecc, image, program):
+    _check_same_runs(
+        cache_ecc, dram_ecc, image, program, CacheHierarchy.read_spans,
+        series_of_reads(reference_read),
+    )
+
+
+@pytest.mark.slow
+@settings(max_examples=2000, deadline=None)
+@given(program=st.lists(rewind_ops, min_size=1, max_size=40), **_setups)
+def test_read_spans_across_snapshot_and_restore_long(cache_ecc, dram_ecc, image, program):
+    _check_same_runs_with_rewinds(cache_ecc, dram_ecc, image, program)
+
+
+@pytest.mark.parametrize("dram_ecc", [False, True])
+@pytest.mark.parametrize("addr", [-1, -LINE, -5 * LINE + 3])
+def test_span_before_the_device_raises_as_the_per_line_loop(dram_ecc, addr):
+    """A corrupted pointer can place a span before address 0: its lines
+    must go through ``SimMemory.read`` and raise, never wrap around to
+    the end of the device."""
+    image = bytes(range(256)) * (SIZE // 256)
+    inline = _hierarchy(False, dram_ecc, image)
+    reference = _hierarchy(False, dram_ecc, image)
+    spans = [(0, 8), (addr, 2 * LINE)]
+    got = _apply(inline, ("spans", spans, 0), AccessTrace(), CacheHierarchy.read_spans)
+    want = _apply(reference, ("spans", spans, 0), AccessTrace(), series_of_reads(reference_read))
+    assert got == want and got[0] is InvalidAddressError
+    assert inline.snapshot() == reference.snapshot()
+    assert inline.memory.snapshot() == reference.memory.snapshot()

@@ -185,3 +185,80 @@ class TestByteHelpers:
     def test_rejects_unaligned(self):
         with pytest.raises(ValueError):
             ecc.bytes_to_words(b"abc")
+
+
+def hamming_check_byte(word):
+    """The SECDED check byte from the code's textbook definition, written
+    apart from the codec: data bits fill codeword positions 1..71 that
+    are not powers of two, in ascending order; Hamming bit ``k`` (check
+    bit ``k + 1``) is the parity of the set positions that have bit
+    ``k`` set; check bit 0 is the parity of every other codeword bit."""
+    positions = [p for p in range(1, 72) if p & (p - 1)]
+    set_positions = [p for bit, p in enumerate(positions) if word >> bit & 1]
+    check = 0
+    for k in range(7):
+        parity = sum(1 for p in set_positions if p >> k & 1) & 1
+        check |= parity << (k + 1)
+    overall = (len(set_positions) + bin(check).count("1")) & 1
+    return check | overall
+
+
+class TestByteTables:
+    """``encode_array`` takes the per-byte tables below
+    ``TABLE_MAX_WORDS`` words and the popcounts at and above it."""
+
+    def test_crossover_lies_inside_the_checked_lengths(self):
+        assert 1 < ecc.TABLE_MAX_WORDS < 64
+
+    @pytest.mark.parametrize("length", range(65))
+    def test_every_length_matches_scalar_encode(self, length):
+        rng = np.random.default_rng(length)
+        words = rng.integers(0, 1 << 64, size=length, dtype=np.uint64, endpoint=False)
+        checks = ecc.encode_array(words)
+        assert checks.dtype == np.uint8 and checks.shape == (length,)
+        assert checks.tolist() == [ecc.encode(int(w)) for w in words]
+        checks[:] = 0  # a fresh, writable array
+
+    def test_staging_size_array(self):
+        rng = np.random.default_rng(99)
+        words = rng.integers(0, 1 << 64, size=8192, dtype=np.uint64, endpoint=False)
+        checks = ecc.encode_array(words)
+        sample = rng.choice(len(words), size=256, replace=False)
+        assert [int(checks[i]) for i in sample] == [ecc.encode(int(words[i])) for i in sample]
+
+    def test_one_bit_words_match_the_definition(self):
+        words = [0] + [1 << bit for bit in range(64)]
+        assert [ecc.encode(w) for w in words] == [hamming_check_byte(w) for w in words]
+        table = ecc.encode_array(np.array(words[:ecc.TABLE_MAX_WORDS - 1], dtype=np.uint64))
+        assert table.tolist() == [hamming_check_byte(w) for w in words[:ecc.TABLE_MAX_WORDS - 1]]
+
+    @given(st.lists(WORDS, min_size=1, max_size=8))
+    @example([(1 << 64) - 1, 1 << 63, 0x0123456789ABCDEF])
+    @settings(max_examples=200)
+    def test_encode_matches_the_definition(self, words):
+        expected = [hamming_check_byte(w) for w in words]
+        assert [ecc.encode(w) for w in words] == expected
+        assert ecc.encode_array(np.array(words, dtype=np.uint64)).tolist() == expected
+
+
+# The full-range properties at ten times the examples, for the slow tier.
+@pytest.mark.slow
+@given(st.lists(WORDS, max_size=40))
+@settings(max_examples=2000)
+def test_encode_array_equals_encode_long(words):
+    checks = ecc.encode_array(np.array(words, dtype=np.uint64))
+    assert checks.tolist() == [ecc.encode(word) for word in words]
+    assert checks.tolist() == [hamming_check_byte(word) for word in words]
+
+
+@pytest.mark.slow
+@given(st.lists(STORED | st.tuples(WORDS, st.integers(0, 255)), max_size=24))
+@settings(max_examples=3000)
+def test_decode_array_equals_decode_long(pairs):
+    words = np.array([word for word, _ in pairs], dtype=np.uint64)
+    checks = np.array([check for _, check in pairs], dtype=np.uint8)
+    fixed, corrected, uncorrectable = ecc.decode_array(words, checks)
+    expected = [ecc.decode(word, check) for word, check in pairs]
+    assert fixed.tolist() == [r.data for r in expected]
+    assert corrected.tolist() == [r.corrected for r in expected]
+    assert uncorrectable.tolist() == [r.uncorrectable for r in expected]

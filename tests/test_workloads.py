@@ -166,6 +166,39 @@ class TestImageProcessing:
         bad = workload.run_job({**inputs, "row3": bytes(bad_row)}, dict(ds.params))
         assert good != bad
 
+    def test_template_memo_keeps_scores_and_workload_identity(self):
+        """``run_job`` reuses the template terms of a byte string it has
+        seen; a struck template is a new byte string. Every output must
+        equal ``match_scores`` on the same bytes, and the memo must live
+        outside the workload object."""
+        workload = ImageProcessingWorkload(map_size=48, template_size=12, stride=12)
+        spec = workload.build(np.random.default_rng(11))
+        twin = ImageProcessingWorkload(map_size=48, template_size=12, stride=12)
+
+        def identity():
+            return pickle.dumps(workload), repr(workload), workload == twin, dict(vars(workload))
+
+        before = identity()
+        rng = np.random.default_rng(12)
+        for step in range(40):
+            ds = spec.datasets[step % len(spec.datasets)]
+            inputs = spec.slice_inputs(ds)
+            template = bytearray(inputs["template"])
+            if step % 2:  # alternate clean and struck templates
+                template[int(rng.integers(len(template)))] ^= 1 << int(rng.integers(8))
+            inputs["template"] = bytes(template)
+            n = int(ds.params["n"])
+            window = np.frombuffer(
+                b"".join(inputs[f"row{r}"] for r in range(n)), dtype=np.uint8
+            ).reshape(n, n)
+            expected = struct.pack(
+                "<ddII",
+                *match_scores(window, np.frombuffer(inputs["template"], np.uint8).reshape(n, n)),
+                int(ds.params["row"]), int(ds.params["col"]),
+            )
+            assert workload.run_job(inputs, dict(ds.params)) == expected, step
+        assert identity() == before
+
 
 class TestBatchedImageKernels:
     """The vectorized search path must match the scalar loop exactly."""
