@@ -341,9 +341,7 @@ class MaterializedWorkload:
     def load_replica_output(self, dataset_index: int, executor: int) -> bytes:
         if self.frontier is Frontier.DRAM:
             slot = self._output_slots[(dataset_index, executor)]
-            length = int.from_bytes(self.machine.memory.read(slot.addr, 4), "little")
-            length = min(length, slot.size - 4)
-            return self.machine.memory.read(slot.addr + 4, length)
+            return self.machine.memory.read_prefixed(slot.addr, slot.size - 4)
         name = f"{self.spec.name}/out{dataset_index}~{executor}"
         return self.machine.storage.read(name).data
 

@@ -306,6 +306,29 @@ class SimMemory:
                 self._dirty_words.discard(first_word + int(i))
         return ecc.words_to_bytes(fixed)[addr - start : addr - start + n]
 
+    def read_prefixed(self, addr: int, limit: int) -> bytes:
+        """Load a length-prefixed record: the 4-byte little-endian
+        length at ``addr``, capped at ``limit``, then that many bytes.
+
+        The same bytes, exceptions, scrubs and stats (two reads) as
+        ``read(addr, 4)`` followed by ``read(addr + 4, length)``, which
+        it is when a word of the record holds an unscrubbed flip;
+        otherwise no word needs decoding and it is one slice pass.
+        """
+        self._check_span(addr, 4)
+        if self.has_ecc and self._span_dirty(addr // _WORD, (addr + 3 + limit) // _WORD):
+            length = min(int.from_bytes(self.read(addr, 4), "little"), limit)
+            return self.read(addr + 4, length)
+        stats = self.stats
+        stats.reads += 1
+        stats.bytes_read += 4
+        data = self._data
+        length = min(int.from_bytes(bytes(data[addr : addr + 4]), "little"), limit)
+        self._check_span(addr + 4, length)
+        stats.reads += 1
+        stats.bytes_read += length
+        return bytes(data[addr + 4 : addr + 4 + length])
+
     def read_region(self, region: MemoryRegion) -> bytes:
         return self.read(region.addr, region.size)
 

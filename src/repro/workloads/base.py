@@ -166,7 +166,12 @@ class Workload(abc.ABC):
 
     @abc.abstractmethod
     def run_job(self, inputs: "dict[str, bytes]", params: "dict[str, object]") -> bytes:
-        """The computation. Must be deterministic in its inputs."""
+        """The computation. Must be deterministic in its inputs.
+
+        The EMR job engine computes each distinct (dataset, input
+        bytes) once per run and serves the other replicas the same
+        output, so this must not depend on how often it is called or on
+        instance state that changes between calls."""
 
     def instructions_per_job(self, dataset: DatasetSpec) -> int:
         """Estimated retired instructions for one job (drives simulated

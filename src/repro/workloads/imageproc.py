@@ -65,7 +65,9 @@ def _template_terms(template: np.ndarray) -> "tuple[np.ndarray, np.ndarray, floa
 
 def _scores(window: np.ndarray, t: np.ndarray, tc: np.ndarray, tc_energy) -> "tuple[float, float]":
     w = window.astype(np.float64)
-    wc = w - w.mean()
+    # np.add.reduce over the count is what ndarray.mean computes, minus
+    # its Python-level dispatch (bit-identical).
+    wc = w - np.add.reduce(w, axis=None) / w.size
     denom = np.sqrt((wc * wc).sum() * tc_energy)
     ncc = float((wc * tc).sum() / denom) if denom > 0 else 0.0
     sad = float(np.abs(w - t).sum())
@@ -115,7 +117,7 @@ def batch_match_scores(
     chunk = max(1, (1 << 21) // max(1, 8 * template.size))
     for start in range(0, k, chunk):
         w = np.ascontiguousarray(windows[start : start + chunk]).astype(np.float64)
-        wc = w - w.mean(axis=(1, 2), keepdims=True)
+        wc = w - np.add.reduce(w, axis=(1, 2), keepdims=True) / template.size
         denom = np.sqrt((wc * wc).sum(axis=(1, 2)) * tc_energy)
         correlation = (wc * tc).sum(axis=(1, 2))
         ncc[start : start + chunk] = np.divide(

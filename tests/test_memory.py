@@ -172,3 +172,69 @@ class TestEccBehaviour:
         mem.write_region(region, b"\x00" * 8)
         mem.flip_bit(region.addr, 0)
         assert mem.peek(region.addr, 1) == b"\x01"
+
+
+def _two_reads(mem, addr, limit):
+    length = min(int.from_bytes(mem.read(addr, 4), "little"), limit)
+    return mem.read(addr + 4, length)
+
+
+def _prefixed_outcome(read, mem, addr, limit):
+    """What one length-prefixed read leaves behind: its value or its
+    error, the stats, the dirty words and the stored bits."""
+    try:
+        value = read(mem, addr, limit)
+    except (InvalidAddressError, UncorrectableMemoryError) as exc:
+        value = (type(exc).__name__, str(exc))
+    stats = mem.stats
+    return (
+        value,
+        (stats.reads, stats.bytes_read, stats.corrected_errors,
+         stats.detected_errors, stats.corrected_addresses),
+        sorted(mem._dirty_words),
+        mem.peek(0, mem.size),
+        None if mem._checks is None else bytes(mem._checks),
+    )
+
+
+class TestReadPrefixed:
+    """``read_prefixed`` against the two reads it replaces."""
+
+    @given(
+        ecc=st.booleans(),
+        addr=st.integers(0, 120),
+        declared=st.integers(0, 300),
+        limit=st.integers(0, 140),
+        payload=st.binary(max_size=140),
+        flips=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 255), st.integers(0, 7)),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_two_reads(self, ecc, addr, declared, limit, payload, flips):
+        outcomes = []
+        for read in (SimMemory.read_prefixed, _two_reads):
+            mem = SimMemory(256, ecc=ecc)
+            record = declared.to_bytes(4, "little") + payload
+            mem.write(addr, record[: mem.size - addr])
+            for check, where, bit in flips:
+                if check and ecc:
+                    mem.flip_check_bit(where // 8, bit)
+                else:
+                    mem.flip_bit(where, bit)
+            outcomes.append(_prefixed_outcome(read, mem, addr, limit))
+        assert outcomes[0] == outcomes[1]
+
+    def test_counts_as_two_reads(self):
+        mem = SimMemory(4096)
+        region = mem.alloc(64)
+        mem.write(region.addr, (5).to_bytes(4, "little") + b"hello-and-more")
+        assert mem.read_prefixed(region.addr, 60) == b"hello"
+        assert (mem.stats.reads, mem.stats.bytes_read) == (2, 9)
+
+    def test_address_past_the_device_raises_before_counting(self):
+        mem = SimMemory(64)
+        with pytest.raises(InvalidAddressError):
+            mem.read_prefixed(62, 0)
+        assert mem.stats.reads == 0

@@ -213,6 +213,39 @@ class TestBatchedImageKernels:
             assert ncc[i] == scalar_ncc  # bit-identical, not approx
             assert sad[i] == scalar_sad
 
+    def test_scores_bit_identical_to_the_mean_form(self):
+        """The window mean as ``np.add.reduce`` over the count gives the
+        same float64 bits as ``ndarray.mean``, for one window and for a
+        stack."""
+
+        def mean_form(windows, template):
+            t = template.astype(np.float64)
+            tc = t - t.mean()
+            w = windows.astype(np.float64)
+            wc = w - w.mean(axis=(-2, -1), keepdims=True)
+            denom = np.sqrt((wc * wc).sum(axis=(-2, -1)) * (tc * tc).sum())
+            correlation = (wc * tc).sum(axis=(-2, -1))
+            ncc = np.divide(
+                correlation, denom, out=np.zeros_like(denom), where=denom > 0
+            )
+            return ncc, np.abs(w - t).sum(axis=(-2, -1))
+
+        rng = np.random.default_rng(12)
+        for n in (1, 3, 8, 13, 24):
+            template = rng.integers(0, 256, (n, n), dtype=np.uint8)
+            windows = rng.integers(0, 256, (40, n, n), dtype=np.uint8)
+            windows[0] = 7  # a flat window: zero denominator
+            ncc, sad = batch_match_scores(windows, template)
+            ref_ncc, ref_sad = mean_form(windows, template)
+            assert ncc.tobytes() == ref_ncc.tobytes()
+            assert sad.tobytes() == ref_sad.tobytes()
+            for i in range(len(windows)):
+                one = np.array(match_scores(windows[i], template))
+                ref = np.array(
+                    [float(x) for x in mean_form(windows[i], template)]
+                )
+                assert one.tobytes() == ref.tobytes()
+
     def test_batch_shape_mismatch(self):
         with pytest.raises(WorkloadError):
             batch_match_scores(
