@@ -11,7 +11,9 @@
 * ``single_run`` — no redundancy at all (Table 7's "None" row).
 
 Each is a job loop on :class:`~repro.core.emr.runtime.SchemeRun`,
-which owns the run's set-up, vote, commit and closing accounting.
+which owns the run's set-up, vote, commit and closing accounting;
+``single_run``'s loop is :meth:`SchemeRun.single_pass`, which the
+checksum scheme runs too.
 """
 
 from __future__ import annotations
@@ -128,13 +130,4 @@ def single_run(
     run = SchemeRun(
         machine, workload, cfg, hooks, obs, np.random.default_rng(seed), spec, 1
     )
-    busy = 0.0
-    for ds in run.spec.datasets:
-        job = Job(dataset=ds, executor_id=0)
-        result, timings = run.engine.run_job(job, core_id=0, flush_after=False)
-        busy += run.charge(timings)
-        # Commit before the next job: a later strike on this output
-        # slot must not reach the committed output. An unprotected run
-        # surfaces a fault directly, as an empty output.
-        run.commit_unverified(ds.index, 0, result.ok)
-    return run.finish("none", [busy])
+    return run.finish("none", [run.single_pass()])

@@ -12,6 +12,14 @@ is stale or corrupt: the guard flushes the lines and refetches from the
 frontier (correcting cache-level strikes); a repeat mismatch means the
 trusted copy itself is corrupt — a detected, unrecoverable error.
 
+The run is :func:`~repro.core.emr.baselines.single_run`'s pass with
+one change: the job engine reads each job's inputs through
+:meth:`ChecksumGuard.read`, which verifies every role and charges the
+CRC time to the ``checksum`` bucket. Everything else is the engine's,
+as in every other scheme: output validation, pipeline poisoning,
+compute charges (half a job's for a failed one), counts, and the
+``emr.job`` / ``emr.fault`` / ``emr.corruption`` records.
+
 What it cannot do — and the reason the paper builds EMR instead — is
 catch *compute* faults: a pipeline SEU corrupts the result after the
 inputs verified clean, and the corrupted output sails through. The
@@ -29,14 +37,11 @@ import numpy as np
 
 from ...errors import UncorrectableMemoryError
 from ...obs import NULL_OBS, Observability
-from ...radiation.seu import corrupt_bytes
 from ...sim.machine import Machine
-from ...sim.memory import MemoryRegion
 from ...workloads.base import Workload, WorkloadSpec
-from .frontier import Frontier
 from .jobs import Job
-from .materialize import MaterializedWorkload
-from .runtime import EmrConfig, EmrHooks, RunResult, SchemeRun, fault_description
+from .materialize import FetchResult, MaterializedWorkload
+from .runtime import EmrConfig, EmrHooks, RunResult, SchemeRun
 
 _CRC_POLY = 0xEDB88320
 
@@ -89,28 +94,36 @@ class ChecksumGuard:
         self._expected: "dict[object, int]" = {}
         self.stats = ChecksumStats()
 
-    def register_all(self, spec: WorkloadSpec) -> int:
+    def crc_seconds(self, nbytes: int) -> float:
+        """Core 0's time to CRC ``nbytes``."""
+        core = self.machine.cores[0]
+        return nbytes * CRC_INSTRUCTIONS_PER_BYTE / (core.spec.base_ipc * core.freq)
+
+    def register_all(self, spec: WorkloadSpec) -> float:
         """Checksum every distinct input region from the frontier.
-        Returns the number of bytes hashed (for timing)."""
+        Returns the seconds hashing them took."""
         hashed = 0
         for ds in spec.datasets:
             for ref in ds.regions.values():
                 if ref in self._expected:
                     continue
-                data = self._trusted_bytes(ref)
+                data = self.materialized.read_trusted(ref)
                 self._expected[ref] = crc32(data)
                 hashed += len(data)
-        return hashed
+        return self.crc_seconds(hashed)
 
-    def _trusted_bytes(self, ref) -> bytes:
-        """Read a region from inside the frontier (no cache)."""
-        mat = self.materialized
-        if mat.frontier is Frontier.DRAM:
-            base = mat._blob_regions[ref.blob]
-            return self.machine.memory.read(base.addr + ref.offset, ref.length)
-        return self.machine.storage.read(
-            mat._flash_name(ref.blob), ref.offset, ref.length
-        ).data
+    def read(self, job: Job, counts: FetchResult) -> "dict[str, bytes]":
+        """The job engine's read for this scheme: fetch every input,
+        then verify each role, charging the CRC time to the
+        ``checksum`` bucket of ``counts.seconds``."""
+        inputs = self.materialized.fetch_job(job, counts)
+        seconds = counts.seconds
+        for role, data in inputs.items():
+            inputs[role] = verified = self.verify(job, role, data)
+            seconds["checksum"] = seconds.get("checksum", 0.0) + self.crc_seconds(
+                len(verified)
+            )
+        return inputs
 
     def verify(self, job: Job, role: str, data: bytes) -> bytes:
         """Verify one fetched region; correct via refetch if possible."""
@@ -127,11 +140,7 @@ class ChecksumGuard:
             )
             self.obs.metrics.counter("checksum.mismatches").inc()
         # Cached copy is corrupt: flush and refetch from the frontier.
-        if self.materialized.frontier is Frontier.DRAM:
-            base = self.materialized._blob_regions[ref.blob]
-            region = MemoryRegion(base.addr + ref.offset, ref.length)
-            self.machine.caches.flush_region(region)
-        fresh = self._trusted_bytes(ref)
+        fresh = self.materialized.read_trusted(ref, flush=True)
         if crc32(fresh) == expected:
             self.stats.mismatches_corrected += 1
             if self.obs.enabled:
@@ -162,61 +171,13 @@ def checksum_protected_run(
 ) -> RunResult:
     """One verified-read pass on a single core (scheme ``checksum``)."""
     cfg = config or EmrConfig()
-    core = machine.cores[0]
-    core.set_freq(machine.spec.core_spec.max_freq)
+    machine.cores[0].set_freq(machine.spec.core_spec.max_freq)
     run = SchemeRun(
         machine, workload, cfg, hooks, obs, np.random.default_rng(seed), spec, 1
     )
-    materialized, stats = run.materialized, run.stats
-    guard = ChecksumGuard(machine, materialized, obs=run.obs)
-    hashed = guard.register_all(run.spec)
-    setup_seconds = hashed * CRC_INSTRUCTIONS_PER_BYTE / (
-        core.spec.base_ipc * core.freq
-    )
-    busy = run.charge({"checksum": setup_seconds})
-
-    for ds in run.spec.datasets:
-        job = Job(dataset=ds, executor_id=0)
-        if hooks is not None:
-            hooks.before_job(None, job)
-        timings = {"compute": 0.0, "checksum": 0.0, "disk_read": 0.0}
-        inputs: "dict[str, bytes]" = {}
-        l1 = l2 = fills = 0
-        failed = None
-        try:
-            for role in ds.regions:
-                fetched = materialized.fetch(job, role)
-                verified = guard.verify(job, role, fetched.data)
-                inputs[role] = verified
-                l1 += fetched.trace.l1_hits
-                l2 += fetched.trace.l2_hits
-                fills += fetched.trace.memory_fills
-                timings["disk_read"] += fetched.disk_seconds
-                stats.disk_ios += fetched.disk_ios
-                timings["checksum"] += (
-                    len(verified) * CRC_INSTRUCTIONS_PER_BYTE
-                    / (core.spec.base_ipc * core.freq)
-                )
-            output = workload.run_job(inputs, dict(ds.params))
-        except Exception as exc:  # noqa: BLE001 - crash containment, as in JobEngine.run_job
-            failed = fault_description(exc)
-            stats.detected_faults.append(f"ds={ds.index}: {failed}")
-        if failed is None:
-            if core.poisoned:
-                output = corrupt_bytes(output, run.rng, bits=1)
-                core.poisoned = False
-            if hooks is not None:
-                output = hooks.after_job_output(None, job, output)
-            cost = core.execute(
-                workload.instructions_per_job(ds),
-                l1_hits=l1, l2_hits=l2, memory_fills=fills,
-            )
-            timings["compute"] += cost.seconds
-            timings["compute"] += materialized.store_replica_output(job, output)
-        # Commit before the next job: a later strike on this output
-        # slot must not reach the committed output.
-        run.commit_unverified(ds.index, 0, failed is None)
-        busy += run.charge(timings)
-        stats.jobs += 1
-    stats.vote_corrections = guard.stats.mismatches_corrected
+    guard = ChecksumGuard(machine, run.materialized, obs=run.obs)
+    busy = run.charge({"checksum": guard.register_all(run.spec)})
+    run.engine.read = guard.read
+    busy += run.single_pass()
+    run.stats.vote_corrections = guard.stats.mismatches_corrected
     return run.finish("checksum", [busy])

@@ -33,12 +33,14 @@ from .replication import ReplicationPlan
 @dataclass
 class FetchResult:
     """Bytes one fetch returned, where their cache lines came from, and
-    what staging them from flash cost. :meth:`MaterializedWorkload.fetch_job`
-    sums a whole job's counts into one (its ``data`` stays empty)."""
+    what staging them from flash cost, in ``seconds["disk_read"]``.
+    :meth:`MaterializedWorkload.fetch_job` sums a whole job's counts
+    into one (its ``data`` stays empty); the job engine passes the
+    job's own time buckets as ``seconds``."""
 
     data: bytes
     trace: AccessTrace = field(default_factory=AccessTrace)
-    disk_seconds: float = 0.0
+    seconds: "dict[str, float]" = field(default_factory=lambda: {"disk_read": 0.0})
     disk_ios: int = 0
 
 
@@ -259,10 +261,23 @@ class MaterializedWorkload:
                 # A fault on a staged region names no role.
                 where = f"{role}=" if replicated else ""
                 raise self._segfault(job, f"{where}({offset}, {length})")
-            counts.disk_seconds += seconds
+            counts.seconds["disk_read"] += seconds
             counts.disk_ios += ios
             out.append(data[rel : rel + length])
         return out
+
+    def read_trusted(self, ref: RegionRef, flush: bool = False) -> bytes:
+        """``ref``'s bytes read from inside the frontier, past the
+        caches. With ``flush``, the region's cached lines are dropped
+        first, so a stale or corrupt cached copy is not read again."""
+        if self.frontier is Frontier.DRAM:
+            addr = self._blob_regions[ref.blob].addr + ref.offset
+            if flush:
+                self.machine.caches.flush_region(MemoryRegion(addr, ref.length))
+            return self.machine.memory.read(addr, ref.length)
+        return self.machine.storage.read(
+            self._flash_name(ref.blob), ref.offset, ref.length
+        ).data
 
     @staticmethod
     def _segfault(job: Job, pointer: str) -> SegmentationFault:

@@ -140,18 +140,10 @@ class RunResult:
         return self.outputs == golden
 
 
-def fault_description(exc: Exception) -> str:
-    """How a contained replica failure is recorded: a detected fault by
-    its message, any other crash by its type and message."""
-    if isinstance(exc, DetectedFaultError):
-        return str(exc)
-    return f"replica crash: {type(exc).__name__}: {exc}"
-
-
 class JobEngine:
-    """Executes individual jobs with full fault semantics. Shared by
-    the EMR runtime and the 3-MR baselines so every scheme sees the
-    same machine behaviour."""
+    """Executes individual jobs with full fault semantics. Every scheme
+    runs its jobs here, so every scheme sees the same machine
+    behaviour."""
 
     def __init__(
         self,
@@ -172,6 +164,11 @@ class JobEngine:
         self.flush_cycles_per_line = flush_cycles_per_line
         self.stats = stats
         self.obs = obs if obs is not None else NULL_OBS
+        #: Reads a job's inputs: ``read(job, counts)`` returns them by
+        #: role and adds what reading them cost to ``counts`` (line
+        #: sources, disk ios, and seconds by time bucket). The checksum
+        #: scheme swaps in a read that verifies every role.
+        self.read = materialized.fetch_job
         #: ``workload.run_job``'s output by ``(dataset index, fetched
         #: input bytes in role order)``. A replica's output is a pure
         #: function of the bytes it fetched, so replicas whose fetches
@@ -191,17 +188,16 @@ class JobEngine:
         machine = self.machine
         core = machine.cores[core_id]
         timings = {"compute": 0.0, "cache_clear": 0.0, "disk_read": 0.0}
-        # Line sources and disk charges of the regions fetched so far:
-        # a failed fetch pass still paid for the regions before it.
-        fetched = FetchResult(data=b"")
+        # The read charges its seconds straight to the job's buckets, and
+        # a failed read still paid for the regions read before it.
+        fetched = FetchResult(data=b"", seconds=timings)
         trace = fetched.trace
         try:
             if self.hooks is not None:
                 self.hooks.before_job(runtime, job)
             try:
-                inputs = self.materialized.fetch_job(job, fetched)
+                inputs = self.read(job, fetched)
             finally:
-                timings["disk_read"] += fetched.disk_seconds
                 self.stats.disk_ios += fetched.disk_ios
             key = (job.dataset_index, *inputs.values())
             output = self.outputs.get(key)
@@ -214,7 +210,10 @@ class JobEngine:
             # and arbitrary replica crashes are both *contained*: one
             # replica failing must never abort the protected run — it
             # becomes a recorded fault the other replicas out-vote.
-            fault = fault_description(exc)
+            fault = (
+                str(exc) if isinstance(exc, DetectedFaultError)
+                else f"replica crash: {type(exc).__name__}: {exc}"
+            )
             self.stats.detected_faults.append(
                 f"ds={job.dataset_index} exec={job.executor_id}: {fault}"
             )
@@ -302,9 +301,10 @@ class SchemeRun:
     Built once per run, it stages the workload at the configured
     frontier and owns the run's generator, spec, ``RunStats``,
     stopwatch, clock and DRAM baselines, ``MaterializedWorkload`` and
-    ``JobEngine``. A scheme adds only its own job loop, and goes
-    through :meth:`charge`, :meth:`commit_unverified`, :meth:`vote`
-    and :meth:`finish` for everything else.
+    ``JobEngine``. A scheme adds only its own job loop (the two
+    single-pass schemes share :meth:`single_pass`), and goes through
+    :meth:`charge`, :meth:`commit_unverified`, :meth:`vote` and
+    :meth:`finish` for everything else.
     """
 
     def __init__(
@@ -368,6 +368,20 @@ class SchemeRun:
         materialized = self.materialized
         output = materialized.load_replica_output(ds, executor) if ok else b""
         materialized.commit_output(ds, output)
+
+    def single_pass(self) -> float:
+        """Run every dataset once on core 0 and commit each output
+        unverified; returns the seconds the pass kept core 0 busy."""
+        busy = 0.0
+        for ds in self.spec.datasets:
+            job = Job(dataset=ds, executor_id=0)
+            result, timings = self.engine.run_job(job, core_id=0, flush_after=False)
+            busy += self.charge(timings)
+            # Commit before the next job: a later strike on this output
+            # slot must not reach the committed output. A run without a
+            # vote surfaces a fault directly, as an empty output.
+            self.commit_unverified(ds.index, 0, result.ok)
+        return busy
 
     def vote(self, ds: int, results: "list[JobResult]") -> None:
         """Vote one dataset's replicas and commit the majority output.
@@ -726,6 +740,13 @@ def emr_protect(
     workload: Workload,
     config: "EmrConfig | None" = None,
     seed: int = 0,
+    spec: "WorkloadSpec | None" = None,
+    hooks: "EmrHooks | None" = None,
+    obs: "Observability | None" = None,
 ) -> RunResult:
-    """One-call convenience: build, plan, and run a workload under EMR."""
-    return EmrRuntime(machine, workload, config=config, seed=seed).run()
+    """One-call convenience: plan and run a workload under EMR (on
+    ``spec``, or on a spec built from ``seed``), called with the same
+    keywords as the baselines."""
+    return EmrRuntime(
+        machine, workload, config=config, hooks=hooks, seed=seed, obs=obs
+    ).run(spec=spec)

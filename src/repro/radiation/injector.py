@@ -30,10 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..campaign import Campaign, Trial, execute
-from ..core.emr.baselines import sequential_3mr, single_run, unprotected_parallel_3mr
-from ..core.emr.checksum import checksum_protected_run
+from ..core.emr import baselines, checksum
+from ..core.emr import runtime as emr_runtime
 from ..core.emr.jobs import Job
-from ..core.emr.runtime import EmrConfig, EmrHooks, EmrRuntime, RunResult
+from ..core.emr.runtime import EmrConfig, EmrHooks, RunResult
 from ..errors import ConfigurationError, DetectedFaultError
 from ..obs import NULL_OBS, MetricsRegistry, Observability
 from ..parallel import ParallelReport
@@ -100,7 +100,17 @@ def census_injection_weights(
     return weights
 
 
-SCHEMES = ("none", "3mr", "unprotected-parallel", "emr", "checksum")
+#: Every scheme a trial can run, by name: the module and attribute of
+#: its entry point, each called as ``runner(machine, workload, spec=,
+#: config=, hooks=, obs=)``. The entry point is looked up when a trial
+#: runs, so a wrapper put on the module attribute sees the call.
+SCHEMES = {
+    "none": (baselines, "single_run"),
+    "3mr": (baselines, "sequential_3mr"),
+    "unprotected-parallel": (baselines, "unprotected_parallel_3mr"),
+    "emr": (emr_runtime, "emr_protect"),
+    "checksum": (checksum, "checksum_protected_run"),
+}
 
 
 @dataclass(frozen=True)
@@ -243,6 +253,10 @@ def run_campaign_trial(
     traces), the trial's injection, any corruption/fault/vote
     records, and the final outcome ride back with the result.
     """
+    try:
+        module, runner_name = SCHEMES[task.scheme]
+    except KeyError:
+        raise ConfigurationError(f"unknown scheme {task.scheme!r}") from None
     obs = NULL_OBS
     if tracer is not None:
         obs = Observability(tracer=tracer, metrics=MetricsRegistry())
@@ -265,28 +279,10 @@ def run_campaign_trial(
     result: "RunResult | None" = None
     error: "str | None" = None
     try:
-        if task.scheme == "none":
-            result = single_run(machine, task.workload, spec=task.spec,
-                                config=emr_config, hooks=hooks, obs=obs)
-        elif task.scheme == "3mr":
-            result = sequential_3mr(machine, task.workload, spec=task.spec,
-                                    config=emr_config, hooks=hooks, obs=obs)
-        elif task.scheme == "unprotected-parallel":
-            result = unprotected_parallel_3mr(
-                machine, task.workload, spec=task.spec,
-                config=emr_config, hooks=hooks, obs=obs,
-            )
-        elif task.scheme == "emr":
-            runtime = EmrRuntime(machine, task.workload, config=emr_config,
-                                 hooks=hooks, obs=obs)
-            result = runtime.run(spec=task.spec)
-        elif task.scheme == "checksum":
-            result = checksum_protected_run(
-                machine, task.workload, spec=task.spec,
-                config=emr_config, hooks=hooks, obs=obs,
-            )
-        else:
-            raise ConfigurationError(f"unknown scheme {task.scheme!r}")
+        result = getattr(module, runner_name)(
+            machine, task.workload, spec=task.spec,
+            config=emr_config, hooks=hooks, obs=obs,
+        )
     except DetectedFaultError as exc:
         error = str(exc)
 

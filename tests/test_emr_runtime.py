@@ -18,7 +18,8 @@ from repro.core.emr import (
     vote_or_raise,
 )
 from repro.core.emr.runtime import EmrHooks
-from repro.errors import ConfigurationError, VotingInconclusiveError
+from repro.errors import ConfigurationError, VotingInconclusiveError, WorkloadError
+from repro.obs import MetricsRegistry, Observability, TraceRecorder
 from repro.sim import Machine
 from repro.workloads import AesWorkload, DeflateWorkload
 
@@ -53,6 +54,8 @@ RUNNERS = [
     checksum_protected_run,
 ]
 RUNNER_IDS = ["emr", "3mr", "unprotected", "none", "checksum"]
+#: Replicas each runner runs of every dataset.
+REPLICAS = [3, 3, 3, 1, 1]
 
 
 class TestVoting:
@@ -345,3 +348,78 @@ class TestPipelineFaults:
             machine, workload, spec=spec, config=_config(), hooks=PoisonOnce()
         )
         assert result.outputs != golden  # silent corruption committed
+
+
+class RejectSecondOutput(AesWorkload):
+    """Its ``validate_output`` rejects the second output it sees."""
+
+    validated = 0
+
+    def validate_output(self, output):
+        super().validate_output(output)
+        self.validated += 1
+        if self.validated == 2:
+            raise WorkloadError("malformed block")
+
+
+@pytest.mark.parametrize(
+    "runner, replicas", list(zip(RUNNERS, REPLICAS)), ids=RUNNER_IDS
+)
+class TestSharedFaultSemantics:
+    """Every scheme runs its jobs through ``JobEngine.run_job``, so a
+    strike or a rejected output is recorded, charged and counted the
+    same way in all five."""
+
+    def _run(self, runner, workload, spec, strike=None):
+        """Run ``runner`` with ``strike(machine, job)`` applied before
+        the first job of dataset 2; returns the result and the names of
+        the trace records the run emitted."""
+        machine = Machine.rpi_zero2w()
+        obs = Observability(
+            tracer=TraceRecorder(ring_size=None), metrics=MetricsRegistry()
+        )
+        fired = []
+
+        class Strike(EmrHooks):
+            def before_job(self, runtime, job):
+                if strike is not None and not fired and job.dataset_index == 2:
+                    strike(machine, job)
+                    fired.append(job)
+
+        result = runner(
+            machine, workload, spec=spec,
+            config=_config(raise_on_inconclusive=False), hooks=Strike(), obs=obs,
+        )
+        assert fired or strike is None
+        return result, {record.name for record in obs.tracer.records()}
+
+    def test_pipeline_strike_is_recorded(self, workload, spec, runner, replicas):
+        def poison(machine, job):
+            machine.cores[job.group].poisoned = True
+
+        result, names = self._run(runner, workload, spec, poison)
+        assert {"emr.job", "emr.corruption"} <= names
+        assert result.stats.jobs == replicas * len(spec.datasets)
+
+    def test_pointer_strike_is_a_recorded_fault(
+        self, workload, spec, runner, replicas
+    ):
+        def break_pointer(machine, job):
+            offset, length = job.pointers["data"]
+            job.pointers["data"] = (offset + (1 << 27), length)
+
+        result, names = self._run(runner, workload, spec, break_pointer)
+        assert "emr.fault" in names
+        assert result.stats.detected_faults[0].startswith("ds=2 exec=")
+        assert result.stats.jobs == replicas * len(spec.datasets) - 1
+
+    def test_rejected_output_is_a_detected_fault(self, spec, runner, replicas):
+        workload = RejectSecondOutput(chunk_bytes=64, chunks=9)
+        result, names = self._run(runner, workload, spec)
+        assert len(result.stats.detected_faults) == 1
+        assert "replica crash: WorkloadError: malformed block" in (
+            result.stats.detected_faults[0]
+        )
+        assert "emr.fault" in names
+        # Only the jobs that completed count.
+        assert result.stats.jobs == replicas * len(spec.datasets) - 1

@@ -1,5 +1,6 @@
 """Tests for the fault-injection campaign (Table 7 machinery)."""
 
+import numpy as np
 import pytest
 
 from repro.core.emr import Frontier, RunResult, RunStats
@@ -7,9 +8,13 @@ from repro.errors import ConfigurationError
 from repro.radiation import OutcomeClass, SeuTarget
 from repro.radiation.events import classify_outcome
 from repro.radiation.injector import (
+    SCHEMES,
     CampaignConfig,
     FaultInjectionCampaign,
+    TrialTask,
+    run_campaign_trial,
 )
+from repro.sim import Machine
 from repro.sim.power import EnergyReport
 from repro.workloads import AesWorkload, ImageProcessingWorkload
 
@@ -90,6 +95,27 @@ class TestCampaign:
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):
             CampaignConfig(runs_per_scheme=0)
+
+    def test_every_scheme_runs_through_the_table(self):
+        workload = AesWorkload(chunk_bytes=32, chunks=4)
+        campaign = FaultInjectionCampaign(
+            workload, CampaignConfig(runs_per_scheme=2), seed=4
+        )
+        table = campaign.run(schemes=tuple(SCHEMES))
+        assert {scheme: sum(table[scheme].values()) for scheme in SCHEMES} == {
+            scheme: 2 for scheme in SCHEMES
+        }
+
+    def test_unknown_scheme_rejected(self):
+        workload = AesWorkload(chunk_bytes=32, chunks=4)
+        spec = workload.build(np.random.default_rng(0))
+        task = TrialTask(
+            scheme="tmr-lockstep", workload=workload, spec=spec,
+            golden=tuple(workload.reference_outputs(spec)),
+            config=CampaignConfig(), machine_factory=Machine.rpi_zero2w,
+        )
+        with pytest.raises(ConfigurationError, match="unknown scheme"):
+            run_campaign_trial(task, np.random.default_rng(0))
 
     def test_pipeline_poison_gets_corrected_under_emr(self):
         workload = AesWorkload(chunk_bytes=32, chunks=4)
