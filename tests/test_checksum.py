@@ -104,10 +104,10 @@ class TestChecksumScheme:
         golden = workload.reference_outputs(spec)
         result = checksum_protected_run(Machine.rpi_zero2w(), crashing, spec=spec)
         assert result.stats.detected_faults == [
-            "ds=1: replica crash: ValueError: bad block"
+            "ds=1 exec=0: replica crash: ValueError: bad block"
         ]
         assert result.outputs == [golden[0], b"", *golden[2:]]
-        assert result.stats.jobs == len(spec.datasets)
+        assert result.stats.jobs == len(spec.datasets) - 1
 
     def test_campaign_checksum_catches_memory_misses_pipeline(self):
         """Checksums verify inputs but cannot catch compute faults —

@@ -121,7 +121,9 @@ CASES = [
 
 # Recorded before the job engine fetched and flushed per job; the
 # breakdown, wall time, energy and obs keys and the "unprotected" and
-# "checksum" cases before the five schemes shared one run scaffold.
+# "checksum" cases before the five schemes shared one run scaffold;
+# the "checksum" cases again when that scheme's jobs moved onto the
+# shared job engine.
 PINNED = {('emr', True): {'fired': ['pointer ds=8', 'l2 line 18'],
                  'stats': {'jobs': 47,
                            'jobsets': 12,
@@ -335,19 +337,20 @@ PINNED = {('emr', True): {'fired': ['pointer ds=8', 'l2 line 18'],
                                     'disk_joules': 0.0},
                          'obs': 'f401f84c612af8ed99dc97af57dd3f6730850c9eda6dcf50e61b16d4d94c82d6'},
  ('checksum', True): {'fired': ['pointer ds=3', 'l2 line 3'],
-                      'stats': {'jobs': 16,
+                      'stats': {'jobs': 15,
                                 'jobsets': 0,
                                 'conflict_edges': 0,
                                 'replicated_bytes': 0,
                                 'memory_bytes': 1088,
                                 'flushed_lines': 0,
-                                'l1_hits': 0,
+                                'l1_hits': 118,
                                 'l2_hits': 0,
-                                'memory_fills': 0,
+                                'memory_fills': 17,
                                 'vote_corrections': 0,
                                 'unanimous_votes': 0,
-                                'detected_faults': ['ds=3: job ds=3 exec=0: corrupted '
-                                                    'pointer row3=(134217848, 8)'],
+                                'detected_faults': ['ds=3 exec=0: job ds=3 exec=0: '
+                                                    'corrupted pointer '
+                                                    'row3=(134217848, 8)'],
                                 'disk_ios': 0},
                       'caches': {'hits': 122,
                                  'misses': 34,
@@ -363,18 +366,19 @@ PINNED = {('emr', True): {'fired': ['pointer ds=8', 'l2 line 18'],
                                  'detected_errors': 0,
                                  'injected_flips': 0,
                                  'corrected_addresses': []},
-                      'clock': '0.0008773357714285721',
+                      'clock': '0.0008781364857142863',
                       'outputs': '835e78351190322e73ed901e801c150582493e12f3e4ed8cfafc9c6489eca624',
                       'breakdown': [('disk_read', 0.0008272),
                                     ('allocation', 3.8271999999999995e-06),
-                                    ('checksum', 1.1057142857142861e-05),
-                                    ('compute', 3.525142857142858e-05)],
-                      'wall_seconds': '0.0008773357714285721',
-                      'energy': {'idle_joules': 0.007457354057142863,
-                                 'core_joules': 0.00015744914285714283,
+                                    ('checksum', 1.0742857142857146e-05),
+                                    ('compute', 3.636642857142858e-05),
+                                    ('cache_clear', 0.0)],
+                      'wall_seconds': '0.0008781364857142863',
+                      'energy': {'idle_joules': 0.007464160128571434,
+                                 'core_joules': 0.0001601715714285714,
                                  'dram_joules': 2.2572e-06,
                                  'disk_joules': 0.0},
-                      'obs': 'f97f5c3836bb2402f474bda08f24a84541c0f7b8cd254d17198ab9aea5d6a214'},
+                      'obs': '8e96a95ac42762fc1985299b90af1be4ef455d027a814ecfc2d2bd01291f0cce'},
  ('emr', False): {'fired': ['pointer ds=8'],
                   'stats': {'jobs': 47,
                             'jobsets': 12,
@@ -584,7 +588,7 @@ PINNED = {('emr', True): {'fired': ['pointer ds=8', 'l2 line 18'],
                                      'disk_joules': 0.0009550000000000001},
                           'obs': 'a05df7a0bb5170f69bbf1c25cfb9820648858ad31b5abd25c9b9205ee34dd4a5'},
  ('checksum', False): {'fired': ['pointer ds=3'],
-                       'stats': {'jobs': 16,
+                       'stats': {'jobs': 15,
                                  'jobsets': 0,
                                  'conflict_edges': 0,
                                  'replicated_bytes': 0,
@@ -595,8 +599,9 @@ PINNED = {('emr', True): {'fired': ['pointer ds=8', 'l2 line 18'],
                                  'memory_fills': 0,
                                  'vote_corrections': 0,
                                  'unanimous_votes': 0,
-                                 'detected_faults': ['ds=3: job ds=3 exec=0: corrupted '
-                                                     'pointer (134217848, 8)'],
+                                 'detected_faults': ['ds=3 exec=0: job ds=3 exec=0: '
+                                                     'corrupted pointer (134217848, '
+                                                     '8)'],
                                  'disk_ios': 124},
                        'caches': {'hits': 0,
                                   'misses': 0,
@@ -612,17 +617,18 @@ PINNED = {('emr', True): {'fired': ['pointer ds=8', 'l2 line 18'],
                                   'detected_errors': 0,
                                   'injected_flips': 0,
                                   'corrected_addresses': []},
-                       'clock': '0.058388400749999986',
+                       'clock': '0.05838875449999998',
                        'outputs': '835e78351190322e73ed901e801c150582493e12f3e4ed8cfafc9c6489eca624',
-                       'breakdown': [('checksum', 4.837499999999997e-06),
-                                     ('compute', 0.0060347312500000005),
+                       'breakdown': [('checksum', 4.699999999999997e-06),
+                                     ('compute', 0.0060352225),
+                                     ('cache_clear', 0.0),
                                      ('disk_read', 0.052348832)],
-                       'wall_seconds': '0.058388400749999986',
-                       'energy': {'idle_joules': 0.49630140637499987,
-                                  'core_joules': 0.19852056254999992,
+                       'wall_seconds': '0.05838875449999998',
+                       'energy': {'idle_joules': 0.49630441324999985,
+                                  'core_joules': 0.19852176529999993,
                                   'dram_joules': 0.0,
                                   'disk_joules': 0.00031},
-                       'obs': '5f454f82b07cc0d66da701767d3fdb7baa497e4aba4d964822a247c5c8b47ec5'}}
+                       'obs': 'e8505bd394f2cddc0497189289e73916bc7e4f887f3fd9caa1e8acfc86e98754'}}
 
 
 @pytest.mark.parametrize(
