@@ -31,8 +31,6 @@ implemented from scratch (no zlib).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ...errors import UncorrectableMemoryError
@@ -71,14 +69,6 @@ def crc32(data: bytes, crc: int = 0) -> int:
 CRC_INSTRUCTIONS_PER_BYTE = 6
 
 
-@dataclass
-class ChecksumStats:
-    verifications: int = 0
-    bytes_verified: int = 0
-    mismatches_corrected: int = 0
-    mismatches_fatal: int = 0
-
-
 class ChecksumGuard:
     """Region checksum table + verify-on-read machinery."""
 
@@ -92,7 +82,8 @@ class ChecksumGuard:
         self.materialized = materialized
         self.obs = obs
         self._expected: "dict[object, int]" = {}
-        self.stats = ChecksumStats()
+        #: Mismatches a refetch from the frontier corrected.
+        self.corrected = 0
 
     def crc_seconds(self, nbytes: int) -> float:
         """Core 0's time to CRC ``nbytes``."""
@@ -129,8 +120,6 @@ class ChecksumGuard:
         """Verify one fetched region; correct via refetch if possible."""
         ref = job.dataset.regions[role]
         expected = self._expected[ref]
-        self.stats.verifications += 1
-        self.stats.bytes_verified += len(data)
         if crc32(data) == expected:
             return data
         if self.obs.enabled:
@@ -142,7 +131,7 @@ class ChecksumGuard:
         # Cached copy is corrupt: flush and refetch from the frontier.
         fresh = self.materialized.read_trusted(ref, flush=True)
         if crc32(fresh) == expected:
-            self.stats.mismatches_corrected += 1
+            self.corrected += 1
             if self.obs.enabled:
                 self.obs.tracer.event(
                     "checksum.refetch", t=self.machine.clock.now,
@@ -150,7 +139,6 @@ class ChecksumGuard:
                 )
                 self.obs.metrics.counter("checksum.refetch_corrections").inc()
             return fresh
-        self.stats.mismatches_fatal += 1
         if self.obs.enabled:
             self.obs.metrics.counter("checksum.fatal_mismatches").inc()
         raise UncorrectableMemoryError(
@@ -179,5 +167,5 @@ def checksum_protected_run(
     busy = run.charge({"checksum": guard.register_all(run.spec)})
     run.engine.read = guard.read
     busy += run.single_pass()
-    run.stats.vote_corrections = guard.stats.mismatches_corrected
+    run.stats.vote_corrections = guard.corrected
     return run.finish("checksum", [busy])
