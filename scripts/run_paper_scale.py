@@ -1,7 +1,7 @@
 """Paper-scale experiment runs.
 
-The benchmarks default to minutes-scale simulations so the whole suite
-finishes in under a minute. The paper's headline campaigns are bigger;
+The registry defaults are minutes-scale simulations so all of
+EXPERIMENTS.md regenerates in under a minute. The paper's headline campaigns are bigger;
 this script runs the same registered campaigns at (or near) paper
 scale, through ``repro.experiments.run_experiment``. Budget hours of
 wall time for the full Table 2.

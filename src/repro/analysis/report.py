@@ -1,5 +1,5 @@
 """Plain-text rendering of the tables and figure-series the paper
-reports. Benchmarks print these; EXPERIMENTS.md embeds them."""
+reports. The CLI prints these; EXPERIMENTS.md embeds them."""
 
 from __future__ import annotations
 

@@ -8,8 +8,8 @@ builds the experiment's Table or Series, or, for a multi-round
 experiment, a :class:`~repro.campaign.TrialSource` whose
 ``aggregate(stream, metrics)`` folds the drained stream.
 :func:`run_experiment` runs any entry; ``repro run``, ``repro campaign``,
-``run-all``, the benchmarks and ``scripts/`` all go through it, so a
-trial store is shared by every entry point.
+``run-all`` and ``scripts/`` (EXPERIMENTS.md and its claim checks among
+them) all go through it, so a trial store is shared by every entry point.
 """
 
 from . import (
