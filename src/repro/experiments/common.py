@@ -246,9 +246,11 @@ def _evaluate_episode(
 ) -> "list[tuple[str, object]]":
     """Generate one episode and score every detector on it.
 
-    Top-level (picklable) trial of :meth:`SelTestbench.campaign`;
-    detectors arrive as pickled copies under the pool, so their
-    streaming state never leaks between episodes or processes. The
+    Top-level (picklable) trial of :meth:`SelTestbench.campaign`.
+    Every episode's item holds the same detectors, and a process runs
+    its episodes on one copy of them (the serial loop and a pool
+    worker's inherited copy alike), so each detector is reset before
+    it scores an episode and no streaming state leaks between them. The
     optional ``tracer`` (built by the campaign engine when the run
     traces) records the SEL truth and is handed to every detector that
     carries an ``obs`` attribute (the ILD pipeline instruments itself).

@@ -24,7 +24,16 @@ determinism contract:
   one batch on such a pool; without ``pool=`` it opens a pool for the
   one batch and closes it. A batch hands one task at a time to
   whichever of its workers is idle, and ``on_result`` may return
-  follow-up items that join the running batch as new tasks. Without a
+  follow-up items that join the running batch as new tasks. A worker
+  forked while a batch runs already holds that batch's ``fn`` and
+  every item submitted before the fork, so the parent sends it only
+  the task's index and the batch's token, and the worker runs on its
+  inherited copy (a campaign trial then uses the parent's warm
+  :meth:`~repro.workloads.base.WorkloadSpec.memo`). A worker forked
+  before the batch (a pool reused across rounds or campaigns) and a
+  follow-up item submitted after the fork get the item pickled. Items
+  must therefore stay picklable, and must not be changed after they
+  are submitted: a worker may see either copy. Without a
   ``supervision`` policy the batch fails fast: a trial exception
   re-raises in the parent as the trial's own exception, and a worker
   that dies mid-task raises :class:`~repro.errors.PoolTaskError`
@@ -54,6 +63,7 @@ a supervised batch only reports its host incidents, per task, in
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import pickle
@@ -139,6 +149,16 @@ def _pool_usable(min_cpus: int) -> bool:
     return (os.cpu_count() or 1) >= min_cpus
 
 
+#: The batches running on a pool in this process, by token. A worker
+#: forked while a batch is registered holds a copy of its ``fn`` and of
+#: every item submitted so far; the parent then sends it only the index
+#: and the token. Tokens come from a counter, never ``id()``: a freed
+#: batch's id can return for a later batch, and a worker forked during
+#: the first would read the wrong item.
+_LIVE_BATCHES: "dict[int, _Batch]" = {}
+_BATCH_TOKENS = itertools.count(1)
+
+
 def _invoke(fn, item):
     """Run one task; returns (value, seconds, pid).
     Top-level so a forked worker can run it."""
@@ -171,9 +191,12 @@ def _worker_main(conn) -> None:
             message = conn.recv()
         except (EOFError, OSError):
             break
-        index, fn, item = message
+        index, *task = message
         try:
-            reply = (index, "ok", _invoke(fn, item), "")
+            if len(task) == 1:  # (index, token): read the inherited copy
+                batch = _LIVE_BATCHES[task[0]]
+                task = (batch.fn, batch.items[index])
+            reply = (index, "ok", _invoke(*task), "")
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
             detail = f"{type(exc).__name__}: {exc}"
             reply = (index, "error", _portable(exc), detail)
@@ -184,11 +207,17 @@ def _worker_main(conn) -> None:
 
 
 class _Worker:
-    """One child process plus its duplex pipe."""
+    """One child process plus its duplex pipe.
 
-    __slots__ = ("proc", "conn", "index", "deadline")
+    ``inherited`` maps the token of each batch that was running when
+    the worker was forked to the number of items that batch held then:
+    the items the child can read from its own memory.
+    """
+
+    __slots__ = ("proc", "conn", "index", "deadline", "inherited")
 
     def __init__(self, ctx) -> None:
+        self.inherited = {token: batch.n for token, batch in _LIVE_BATCHES.items()}
         parent_conn, child_conn = ctx.Pipe()
         self.proc = ctx.Process(
             target=_worker_main, args=(child_conn,), daemon=True
@@ -203,12 +232,15 @@ class _Worker:
     def busy(self) -> bool:
         return self.index is not None
 
-    def assign(self, index: int, fn, item, timeout: "float | None") -> None:
+    def assign(self, index: int, batch: "_Batch", timeout: "float | None") -> None:
         self.index = index
         self.deadline = (
             None if timeout is None else time.monotonic() + timeout
         )
-        self.conn.send((index, fn, item))
+        if index < self.inherited.get(batch.token, 0):
+            self.conn.send((index, batch.token))
+        else:
+            self.conn.send((index, batch.fn, batch.items[index]))
 
     def clear(self) -> None:
         self.index = None
@@ -301,6 +333,7 @@ class _Batch:
     """
 
     def __init__(self, fn, items, policy, effective, on_result, metrics):
+        self.token = next(_BATCH_TOKENS)
         self.fn = fn
         self.items = []
         self.policy = policy
@@ -462,7 +495,7 @@ class _Batch:
                 continue
             index = self.runnable.popleft()
             try:
-                worker.assign(index, self.fn, self.items[index], self.timeout)
+                worker.assign(index, self, self.timeout)
             except Exception:  # noqa: BLE001 - worker died while idle
                 # The task never ran: requeue at the same attempt count
                 # and account the loss against the pool, not the task.
@@ -525,6 +558,7 @@ class _Batch:
 
     def run_pool(self, pool: WorkerPool) -> None:
         pool.active = True
+        _LIVE_BATCHES[self.token] = self
         try:
             while not self.done and not self.serial_fallback:
                 self._promote_delayed()
@@ -537,6 +571,7 @@ class _Batch:
                 self._reap_timeouts()
         finally:
             pool.active = False
+            del _LIVE_BATCHES[self.token]
             # A worker still holding a task (the batch raised) would
             # answer the next batch with this one's result.
             for worker in self.workers:
@@ -621,6 +656,12 @@ def pmap_report(
         ``(seed_root, seed_index)`` and builds
         :func:`repro.campaign.trial_rng`), so results never depend on
         scheduling.
+    items:
+        The task inputs. A worker forked during this batch reads
+        ``fn`` and each item submitted before its fork from its own
+        copy of the parent's memory; any other worker gets the item
+        pickled. Items must be picklable and must not be changed
+        after submission, since either copy may run.
     workers:
         Desired parallelism. ``None`` = one per CPU; ``1`` = the pure
         serial path. Small hosts / missing fork degrade to serial.

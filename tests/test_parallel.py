@@ -14,7 +14,13 @@ import pytest
 
 from repro.errors import ConfigurationError, PoolTaskError
 from repro.ground import GroundPolicy
-from repro.parallel import ParallelReport, WorkerPool, pmap_report, resolve_workers
+from repro.parallel import (
+    ParallelReport,
+    WorkerPool,
+    _Batch,
+    pmap_report,
+    resolve_workers,
+)
 
 
 def _square(x):
@@ -56,6 +62,51 @@ def _touch(marker):
     return marker
 
 
+class _Counted:
+    """An item that counts, in the process that pickles it, how often
+    it is pickled. ``marker`` is for :func:`_square_or_die`."""
+
+    pickles = 0
+
+    def __init__(self, value, marker=None):
+        self.value = value
+        self.marker = marker
+
+    def __reduce__(self):
+        _Counted.pickles += 1
+        return (_Counted, (self.value, self.marker))
+
+
+def _square_or_die(item):
+    """``item.value`` squared; a worker that meets an unwritten
+    ``item.marker`` writes it and exits without a reply."""
+    if item.marker is not None and not Path(item.marker).exists():
+        Path(item.marker).write_text("crashed")
+        os._exit(3)
+    return item.value * item.value
+
+
+#: Replication plans built in this process (see ``TestInheritedItems``).
+_plans_built = []
+
+
+def _planning_trial(item, rng, tracer):
+    """A Table 7 trial's stored form, plus how many replication plans
+    the process that ran it built meanwhile."""
+    from repro.radiation.injector import encode_outcome, run_campaign_trial
+
+    before = len(_plans_built)
+    outcome = run_campaign_trial(item, rng, tracer)
+    return {**encode_outcome(outcome), "plans": len(_plans_built) - before}
+
+
+def _store_bytes(root):
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(Path(root).rglob("*.json"))
+    }
+
+
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="the pool needs the fork start method",
@@ -68,6 +119,12 @@ class TestPrimitives:
         assert resolve_workers(4, n_items=2) == 2
         assert resolve_workers(0) == 1
         assert resolve_workers(None, n_items=1) == 1
+
+    def test_batch_tokens_never_repeat(self):
+        # Each batch is freed at once, so the next one usually gets its
+        # address: a token taken from id() would repeat.
+        tokens = [_Batch(_square, [], None, 1, None, None).token for _ in range(10)]
+        assert len(set(tokens)) == 10
 
 
 class TestPmap:
@@ -187,6 +244,134 @@ class TestWorkerPool:
             assert job.done()
         assert report.mode == "fork-pool"
         assert seen == [False, False]
+
+
+#: One pooled executor per worker count: the fork pool needs two
+#: workers, a supervised batch runs in a child even at one.
+INHERITING_POOLS = [
+    pytest.param(2, None, id="fork-pool"),
+    pytest.param(1, GroundPolicy(backoff_base_seconds=0.0), id="ground-pool"),
+]
+
+
+@needs_fork
+@pytest.mark.parametrize("workers, supervision", INHERITING_POOLS)
+class TestInheritedItems:
+    """A worker forked while a batch runs reads that batch's items from
+    its own memory; every other worker gets them pickled."""
+
+    @pytest.fixture(autouse=True)
+    def _count_from_zero(self, monkeypatch):
+        monkeypatch.setattr(_Counted, "pickles", 0)
+
+    def test_only_workers_forked_before_the_batch_get_pickles(
+        self, workers, supervision
+    ):
+        with WorkerPool(workers, force_pool=True) as pool:
+            first = pmap_report(
+                _square_or_die, [_Counted(x) for x in range(6)],
+                pool=pool, supervision=supervision,
+            )
+            assert _Counted.pickles == 0
+            second = pmap_report(
+                _square_or_die, [_Counted(x) for x in range(6, 10)],
+                pool=pool, supervision=supervision,
+            )
+            assert _Counted.pickles == 4
+            assert pool.started == workers
+        assert first.mode == second.mode != "serial"
+        assert first.values == [x * x for x in range(6)]
+        assert second.values == [x * x for x in range(6, 10)]
+
+    def test_follow_up_items_are_pickled(self, workers, supervision):
+        # 2 -> 4 asks for 5, 0 asks for 1: both join after the fork.
+        def on_result(index, value):
+            return [_Counted(value + 1)] if value % 2 == 0 else None
+
+        report = pmap_report(
+            _square_or_die, [_Counted(0), _Counted(2), _Counted(3)],
+            workers=workers, force_pool=True, supervision=supervision,
+            on_result=on_result,
+        )
+        assert report.mode != "serial"
+        assert report.values[:3] == [0, 4, 9]
+        assert sorted(report.values[3:]) == [1, 25]
+        assert _Counted.pickles == 2
+
+    def test_consecutive_batches_read_their_own_items(self, workers, supervision):
+        # Workers forked during the first batch serve all ten; a batch
+        # that took a freed batch's token would have them read the
+        # freed batch's items.
+        batches = [range(100 * b, 100 * b + 3 + b % 3) for b in range(10)]
+        with WorkerPool(workers, force_pool=True) as pool:
+            reports = [
+                pmap_report(_square, items, pool=pool, supervision=supervision)
+                for items in batches
+            ]
+        assert all(report.mode != "serial" for report in reports)
+        assert [report.values for report in reports] == [
+            [x * x for x in items] for items in batches
+        ]
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [1, 2])
+def test_retry_on_a_replacement_worker_reads_the_inherited_item(
+    workers, tmp_path, worker_starts, monkeypatch
+):
+    # Task 0 kills its worker on its first attempt. Its retry runs on a
+    # worker forked during the batch: at one worker, the replacement;
+    # at two, whichever is idle (the parent sees the dead worker a few
+    # milliseconds late, time enough for the other one to drain this
+    # batch of trivial tasks).
+    monkeypatch.setattr(_Counted, "pickles", 0)
+    marker = tmp_path / "crashed"
+    items = [_Counted(x, str(marker) if x == 0 else None) for x in range(12)]
+    report = pmap_report(
+        _square_or_die, items, workers=workers,
+        supervision=GroundPolicy(backoff_base_seconds=0.0),
+    )
+    assert marker.exists()
+    assert report.mode == "ground-pool"
+    assert (report.worker_losses, report.retries) == (1, 1)
+    if workers == 1:
+        assert report.timings[0].pid == worker_starts[-1] != worker_starts[0]
+    assert report.values == pmap_report(_square, range(12), workers=1).values
+    assert _Counted.pickles == 0
+
+
+@needs_fork
+def test_pooled_table7_trials_reuse_the_parents_plans(tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    from repro.campaign import TrialStore, execute
+    from repro.core.emr import runtime
+    from repro.experiments import CAMPAIGNS
+    from repro.radiation.injector import encode_outcome
+
+    grid = CAMPAIGNS["table7"]()
+    grid = replace(grid, trials=grid.trials[::10])  # every scheme and stage
+    warm = execute(grid, workers=1)  # fills each spec's memo in this process
+
+    original = runtime.plan_replication
+
+    def counting(*args, **kwargs):
+        _plans_built.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(runtime, "plan_replication", counting)
+    planning = replace(grid, trial_fn=_planning_trial, encode=None, decode=None)
+    serial = execute(planning, workers=1, store=TrialStore(tmp_path / "serial"))
+    pooled = execute(
+        planning, workers=2, force_pool=True, store=TrialStore(tmp_path / "pooled")
+    )
+    assert pooled.report.mode == "fork-pool"
+    assert [value["plans"] for value in pooled.values] == [0] * len(grid.trials)
+    assert pooled.values == serial.values
+    assert [
+        {k: v for k, v in value.items() if k != "plans"} for value in pooled.values
+    ] == [encode_outcome(outcome) for outcome in warm.values]
+    assert _store_bytes(tmp_path / "pooled") == _store_bytes(tmp_path / "serial")
 
 
 class TestFailures:
