@@ -11,8 +11,11 @@ host-fault modifiers of the supervised path). Columns are the paths:
 ``pool``        2 workers, ``force_pool`` where the entry point takes it.
 ``supervised``  ``GroundPolicy()`` at 2 workers.
 ``batched``     the row's other lockstep setting: its ``batch_fn`` on
-                (``hmr_frontier``), or fleet ``use_batch`` off (the
-                fleet's default path is batched).
+                (``hmr_frontier``), fleet ``use_batch`` off (the
+                fleet's default path is batched), or, for a campaign
+                that declares its own ``batch_fn`` (``table7``), its
+                scalar ``trial_fn`` through
+                ``dataclasses.replace(campaign, batch_fn=None)``.
 ``replay``      the serial cell's cold store run again: nothing executes.
 ``sigkill``     the row's ``python -m repro ... --store`` command killed
                 once its store holds ``k`` trials, then resumed.
@@ -55,7 +58,7 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -118,11 +121,13 @@ class Row:
 # ----------------------------------------------------------------------
 
 def stream_row(name, make_source, command, *, batch_fn=None, check=None,
-               registered=False) -> Row:
+               registered=False, declared=False) -> Row:
     """A row that drains a :class:`~repro.campaign.stream.TrialSource`,
     or a ``registered`` experiment through ``run_experiment``. Its
     canonical values are the per-round values digests, plus a
-    registered experiment's rendered report."""
+    registered experiment's rendered report. A ``declared`` row's
+    campaign carries its own ``batch_fn``, which its batched column
+    takes away."""
 
     def run(*, store, workers=1, metrics=None, force_pool=False,
             supervision=None, switch_batch=False):
@@ -131,16 +136,19 @@ def stream_row(name, make_source, command, *, batch_fn=None, check=None,
             force_pool=force_pool, supervision=supervision,
             batch_fn=batch_fn if switch_batch else None,
         )
+        source = make_source()
+        if switch_batch and declared:
+            source = replace(source, batch_fn=None)
         reports = []
         if registered:
-            result, report = run_experiment(make_source(), **kwargs)
+            result, report = run_experiment(source, **kwargs)
             reports.append(report.render())
         else:
-            result = execute_stream(make_source(), **kwargs)
+            result = execute_stream(source, **kwargs)
         canonical = [rnd.digest for rnd in result.rounds] + reports
         return Outcome(canonical, result.values, result.trials)
 
-    na = {} if batch_fn is not None else {"batched": NO_BATCH_FN}
+    na = {} if batch_fn is not None or declared else {"batched": NO_BATCH_FN}
     return Row(name, run, command, na, check)
 
 
@@ -252,6 +260,7 @@ def registered_rows() -> "list[Row]":
         stream_row(
             name, factory, ("campaign", "run", name),
             batch_fn=batch_fns.get(name), registered=True,
+            declared=getattr(factory(), "batch_fn", None) is not None,
         )
         for name, factory in CAMPAIGNS.items()
     ]

@@ -1,8 +1,12 @@
-"""Batched campaign execution through the SoA tick engine.
+"""Batched campaign execution: lockstep groups of trials.
 
 ``execute(campaign, batch_fn=...)`` (:func:`repro.campaign.engine.execute`)
-runs a campaign through the structure-of-arrays backend
-(:mod:`repro.sim.batch`). Where a scalar run hands each trial to a
+runs a campaign through a batch function, typically the
+structure-of-arrays backend (:mod:`repro.sim.batch`). A campaign may
+also declare its own (``Campaign.batch_fn``): the injection campaigns
+declare :func:`repro.radiation.injector.run_injection_group`, which
+runs the part of a group's trials before their strikes once and
+resumes each trial from a checkpoint. Where a scalar run hands each trial to a
 worker process, a batched run hands the pending trials to one
 ``batch_fn(items, rngs)`` call per lockstep group that advances the
 group's lanes in lockstep — one :class:`~repro.sim.batch.BatchMachines`
@@ -37,8 +41,10 @@ same trial the scalar engine would have produced, not an
 approximation.
 
 Tracing is deliberately unsupported here: a batched sweep has no
-per-trial tracer to thread through lockstep lanes. Campaigns that need
-traces run :func:`~repro.campaign.engine.execute` without ``batch_fn``.
+per-trial tracer to thread through lockstep lanes. A traced run takes
+the scalar ``trial_fn``: ``execute(..., trace_path=)`` refuses an
+explicit ``batch_fn``, and a traced round leaves the campaign's own
+``batch_fn`` unused.
 """
 
 from __future__ import annotations

@@ -183,8 +183,10 @@ def run_round(
     Stored trials are replayed; the rest run as **one** ``pmap_report``
     batch on ``pool`` under ``supervision`` (its report is
     ``CampaignResult.report``), each absorbed — canonicalised and put
-    into the store — the moment it lands. With a ``batch_fn`` the
-    pending trials advance as lockstep groups
+    into the store — the moment it lands. With a ``batch_fn`` (or,
+    untraced, the campaign's own ``batch_fn`` while it batches the
+    campaign's ``trial_fn``) the pending trials advance as lockstep
+    groups
     (:mod:`repro.campaign.batch`): a keyless one (often a closure, which
     no worker could unpickle) as one in-process group before the batch;
     one with a top-level ``lockstep_key(item)`` attribute as one batch
@@ -205,6 +207,10 @@ def run_round(
     """
     store = TrialStore.coerce(store)
     specs = campaign.specs()
+    declared = campaign.batch_fn
+    if (batch_fn is None and not with_tracer and declared is not None
+            and getattr(declared, "trial_fn", None) is campaign.trial_fn):
+        batch_fn = declared
 
     defects_before = _defects(store)
     hits: "dict[int, dict]" = {}

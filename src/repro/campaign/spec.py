@@ -177,7 +177,13 @@ class Campaign:
     workload identity) shared by every trial.  ``aggregate`` folds the
     decoded values — in grid order — into the experiment's renderable
     (:class:`repro.analysis.report.Table` / ``Series``); it runs in
-    the parent process, so closures are fine there.
+    the parent process, so closures are fine there. ``batch_fn`` is the
+    lockstep form of ``trial_fn`` (:mod:`repro.campaign.batch`), which
+    names the trial function it batches as its ``trial_fn`` attribute:
+    an untraced round that is given no batch function runs its pending
+    trials through it, as long as the campaign's ``trial_fn`` is that
+    function. A traced round, or a copy of the campaign with another
+    trial function, runs ``trial_fn``.
     """
 
     name: str
@@ -189,6 +195,7 @@ class Campaign:
     encode: "callable | None" = None
     decode: "callable | None" = None
     aggregate: "callable | None" = None
+    batch_fn: "callable | None" = None
 
     def specs(self) -> "list[TrialSpec]":
         """Resolve every trial; rejects colliding fingerprints."""

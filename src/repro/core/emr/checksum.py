@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import UncorrectableMemoryError
-from ...obs import NULL_OBS, Observability
+from ...obs import Observability
 from ...sim.machine import Machine
 from ...workloads.base import Workload, WorkloadSpec
 from .jobs import Job
@@ -70,20 +70,29 @@ CRC_INSTRUCTIONS_PER_BYTE = 6
 
 
 class ChecksumGuard:
-    """Region checksum table + verify-on-read machinery."""
+    """Region checksum table + verify-on-read machinery for one run.
 
-    def __init__(
-        self,
-        machine: Machine,
-        materialized: MaterializedWorkload,
-        obs: Observability = NULL_OBS,
-    ) -> None:
-        self.machine = machine
-        self.materialized = materialized
-        self.obs = obs
+    The guard reads the run's machine, materialized workload, stats and
+    observability through the run, so it follows a run that
+    :meth:`SchemeRun.restore` moves to another machine. A mismatch that
+    a refetch from the frontier corrects counts in the run's
+    ``stats.vote_corrections``."""
+
+    def __init__(self, run: SchemeRun) -> None:
+        self.run = run
         self._expected: "dict[object, int]" = {}
-        #: Mismatches a refetch from the frontier corrected.
-        self.corrected = 0
+
+    @property
+    def machine(self) -> Machine:
+        return self.run.machine
+
+    @property
+    def materialized(self) -> MaterializedWorkload:
+        return self.run.materialized
+
+    @property
+    def obs(self) -> Observability:
+        return self.run.obs
 
     def crc_seconds(self, nbytes: int) -> float:
         """Core 0's time to CRC ``nbytes``."""
@@ -131,7 +140,7 @@ class ChecksumGuard:
         # Cached copy is corrupt: flush and refetch from the frontier.
         fresh = self.materialized.read_trusted(ref, flush=True)
         if crc32(fresh) == expected:
-            self.corrected += 1
+            self.run.stats.vote_corrections += 1
             if self.obs.enabled:
                 self.obs.tracer.event(
                     "checksum.refetch", t=self.machine.clock.now,
@@ -148,6 +157,30 @@ class ChecksumGuard:
         )
 
 
+def start_checksum_run(
+    machine: Machine,
+    workload: Workload,
+    spec: "WorkloadSpec | None" = None,
+    config: "EmrConfig | None" = None,
+    hooks: "EmrHooks | None" = None,
+    seed: int = 0,
+    obs: "Observability | None" = None,
+) -> SchemeRun:
+    """:func:`checksum_protected_run`'s run, before its first job."""
+    cfg = config or EmrConfig()
+    machine.cores[0].set_freq(machine.spec.core_spec.max_freq)
+    run = SchemeRun(
+        machine, workload, cfg, hooks, obs, np.random.default_rng(seed), spec, 1
+    )
+    guard = ChecksumGuard(run)
+    registered = run.charge({"checksum": guard.register_all(run.spec)})
+    run.engine.read = guard.read
+    # Core 0 was busy for the table and the pass; the table's seconds
+    # join the pass's sum at the end, the order the sum always took.
+    steps = run.single_pass() + [(SchemeRun.add_busy, 0, registered)]
+    return run.load("checksum", steps)
+
+
 def checksum_protected_run(
     machine: Machine,
     workload: Workload,
@@ -158,14 +191,6 @@ def checksum_protected_run(
     obs: "Observability | None" = None,
 ) -> RunResult:
     """One verified-read pass on a single core (scheme ``checksum``)."""
-    cfg = config or EmrConfig()
-    machine.cores[0].set_freq(machine.spec.core_spec.max_freq)
-    run = SchemeRun(
-        machine, workload, cfg, hooks, obs, np.random.default_rng(seed), spec, 1
-    )
-    guard = ChecksumGuard(machine, run.materialized, obs=run.obs)
-    busy = run.charge({"checksum": guard.register_all(run.spec)})
-    run.engine.read = guard.read
-    busy += run.single_pass()
-    run.stats.vote_corrections = guard.corrected
-    return run.finish("checksum", [busy])
+    return start_checksum_run(
+        machine, workload, spec, config, hooks, seed, obs
+    ).complete()

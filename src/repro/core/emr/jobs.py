@@ -40,6 +40,14 @@ class Job:
                 for role, ref in self.dataset.regions.items()
             }
 
+    def copy(self) -> "Job":
+        """This job with its own copy of the pointers (a run may
+        corrupt its jobs' pointers, never another run's)."""
+        return Job(
+            self.dataset, self.executor_id, self.jobset_id, self.cache_group,
+            dict(self.pointers),
+        )
+
     @property
     def dataset_index(self) -> int:
         return self.dataset.index
@@ -74,10 +82,9 @@ class JobSet:
     def fresh_copy(self) -> "JobSet":
         """This jobset over new jobs with their own copy of the pointers
         (a run may corrupt its jobs' pointers, never a planned jobset's)."""
-        jobs = [
-            Job(job.dataset, job.executor_id, self.jobset_id, job.cache_group, dict(job.pointers))
-            for job in self.jobs
-        ]
+        jobs = [job.copy() for job in self.jobs]
+        for job in jobs:
+            job.jobset_id = self.jobset_id
         return JobSet(self.jobset_id, jobs, self.n_executors, self.mode_name, self.freq_level)
 
     def jobs_for_executor(self, executor_id: int) -> "list[Job]":

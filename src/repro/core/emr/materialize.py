@@ -71,8 +71,6 @@ class MaterializedWorkload:
         self._staged: "dict[tuple, bytes]" = {}  # (executor, ref) -> bytes (storage)
         self._output_slots: "dict[tuple, MemoryRegion]" = {}  # (ds, exec)
         self._final_outputs: "dict[int, bytes]" = {}
-        self.disk_read_seconds = 0.0
-        self.disk_ios = 0
         self._stage_all()
         # Per dataset, derived once per spec: each role's ref and whether
         # it is replicated, and the lines flush_job_regions drops (which
@@ -118,11 +116,9 @@ class MaterializedWorkload:
             if not self.machine.storage.exists(name):
                 self.machine.storage.store(name, data)
 
-    def _charge_disk(self, seconds: float, ios: int) -> None:
+    def _charge_disk(self, seconds: float) -> None:
         self.machine.clock.advance(seconds)
         self.stopwatch.add("disk_read", seconds)
-        self.disk_read_seconds += seconds
-        self.disk_ios += ios
 
     def _charge_alloc(self, nbytes: int) -> None:
         seconds = nbytes * self.costs.alloc_seconds_per_byte
@@ -136,8 +132,7 @@ class MaterializedWorkload:
             # One trusted copy of every blob in ECC DRAM.
             for blob, data in self.spec.blobs.items():
                 access = self.machine.storage.read(self._flash_name(blob))
-                ios = max(1, len(data) // self.machine.storage.io_size)
-                self._charge_disk(access.seconds, ios)
+                self._charge_disk(access.seconds)
                 region = mem.alloc(len(data), label=blob, align=self._line)
                 self._charge_alloc(len(data))
                 mem.write_region(region, access.data)
@@ -177,7 +172,7 @@ class MaterializedWorkload:
                         self._flash_name(ref.blob), ref.offset, ref.length
                     )
                     self.machine.storage.drop_page_cache()
-                    self._charge_disk(access.seconds, 1)
+                    self._charge_disk(access.seconds)
                     self._charge_alloc(ref.length)
                     self._replica_blob_bytes[(ref, executor)] = access.data
 
@@ -192,8 +187,7 @@ class MaterializedWorkload:
         self.machine.storage.drop_page_cache()
         for blob, region in self._blob_regions.items():
             access = self.machine.storage.read(self._flash_name(blob))
-            ios = max(1, region.size // self.machine.storage.io_size)
-            self._charge_disk(access.seconds, ios)
+            self._charge_disk(access.seconds)
             self.machine.memory.write_region(region, access.data)
 
     # ------------------------------------------------------------------
@@ -362,6 +356,18 @@ class MaterializedWorkload:
 
     def commit_output(self, dataset_index: int, output: bytes) -> None:
         self._final_outputs[dataset_index] = output
+
+    def snapshot(self) -> "tuple[dict, dict]":
+        """What a run changes here besides the machine: the storage
+        frontier's staged copies and the committed outputs. The staging
+        layout (regions, replica copies, output slots) is fixed once
+        staged."""
+        return dict(self._staged), dict(self._final_outputs)
+
+    def restore(self, state: "tuple[dict, dict]") -> None:
+        """Rewind to a :meth:`snapshot`, which stays reusable."""
+        staged, outputs = state
+        self._staged, self._final_outputs = dict(staged), dict(outputs)
 
     def final_outputs(self) -> "list[bytes]":
         return [

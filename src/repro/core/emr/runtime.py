@@ -20,7 +20,7 @@ Execution model, mirroring the paper's runtime implementation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from ...errors import (
 from ...obs import NULL_OBS, Observability
 from ...radiation.seu import corrupt_bytes
 from ...sim.clock import Stopwatch
-from ...sim.machine import Machine
+from ...sim.machine import Machine, MachineSnapshot
 from ...sim.power import EnergyReport
 from ...workloads.base import Workload, WorkloadSpec
 from .conflicts import ConflictGraph, detect_conflicts
@@ -112,6 +112,9 @@ class RunStats:
     unanimous_votes: int = 0
     detected_faults: "list[str]" = field(default_factory=list)
     disk_ios: int = 0
+
+    def copy(self) -> "RunStats":
+        return replace(self, detected_faults=list(self.detected_faults))
 
 
 @dataclass
@@ -295,16 +298,91 @@ def _replication_plan(spec: WorkloadSpec, threshold: float) -> ReplicationPlan:
     )
 
 
+#: How a job step books the job's time buckets: charge them to the
+#: clock at once and add them to its executor's busy seconds (the
+#: one-core schemes); add them to its executor's buckets, which EMR's
+#: jobset barrier charges; or do both the unprotected parallel run's
+#: way, which charges its slowest executor's buckets at the end.
+CHARGE, BUCKET, BUCKET_AND_BUSY = "charge", "bucket", "bucket+busy"
+
+
+def _zero_buckets(n: int) -> "list[dict[str, float]]":
+    return [{"compute": 0.0, "cache_clear": 0.0, "disk_read": 0.0} for _ in range(n)]
+
+
+def _fresh(step: tuple) -> tuple:
+    """``step`` over a copy of its job, if it is a job step."""
+    if step[0] is SchemeRun.run_job:
+        return (step[0], step[1].copy(), *step[2:])
+    return step
+
+
+@dataclass
+class RunState:
+    """A scheme run between two steps of its program, as data.
+
+    ``steps`` is the program (see :class:`SchemeRun`); its job steps
+    hold the run's own jobs, because a pointer strike mutates a job's
+    pointers. ``cursor`` is the next step and ``jobs_run`` the ordinal
+    of the next job. ``results`` holds each dataset's replica results
+    until ``pending`` (the datasets whose replicas all completed) is
+    settled. ``busy`` is each executor's busy seconds and ``buckets``
+    its time buckets not yet charged."""
+
+    steps: "list[tuple]"
+    busy: "list[float]"
+    buckets: "list[dict[str, float]]"
+    cursor: int = 0
+    jobs_run: int = 0
+    results: "dict[int, list[JobResult]]" = field(default_factory=dict)
+    pending: "list[int]" = field(default_factory=list)
+
+    def copy(self) -> "RunState":
+        """An independent copy, over fresh copies of the jobs still to run."""
+        cursor = self.cursor
+        return RunState(
+            steps=self.steps[:cursor] + [_fresh(step) for step in self.steps[cursor:]],
+            busy=list(self.busy),
+            buckets=[dict(buckets) for buckets in self.buckets],
+            cursor=cursor,
+            jobs_run=self.jobs_run,
+            results={ds: list(results) for ds, results in self.results.items()},
+            pending=list(self.pending),
+        )
+
+
+@dataclass(frozen=True)
+class Checkpoint:
+    """A scheme run stopped before job ``state.jobs_run``: everything
+    the rest of the run reads. That is the machine's state, the
+    :class:`RunState`, the run's ``RunStats``, its stopwatch buckets,
+    the staged copies and committed outputs of its
+    ``MaterializedWorkload`` and its engine's generator state.
+    :meth:`SchemeRun.restore` resumes the run from it, on any machine
+    built like the one it came from, as often as needed."""
+
+    machine: MachineSnapshot
+    state: RunState
+    stats: RunStats
+    spans: "dict[str, float]"
+    materialized: "tuple[dict, dict]"
+    rng: dict
+
+
 class SchemeRun:
     """The scaffold every protection scheme runs on.
 
     Built once per run, it stages the workload at the configured
     frontier and owns the run's generator, spec, ``RunStats``,
     stopwatch, clock and DRAM baselines, ``MaterializedWorkload`` and
-    ``JobEngine``. A scheme adds only its own job loop (the two
-    single-pass schemes share :meth:`single_pass`), and goes through
-    :meth:`charge`, :meth:`commit_unverified`, :meth:`vote` and
-    :meth:`finish` for everything else.
+    ``JobEngine``. A scheme is a *program* for it (:meth:`load`): a
+    list of steps, each a ``(method, *args)`` tuple of this class —
+    :meth:`run_job`, :meth:`settle`, :meth:`barrier`,
+    :meth:`restage`, :meth:`charge_straggler`, :meth:`set_freq` and
+    :meth:`add_busy` — that :meth:`advance` interprets and
+    :meth:`complete` closes with :meth:`finish`. Between two steps the
+    whole run is data, so :meth:`checkpoint` can stop it before any
+    job and :meth:`restore` resume it on another machine.
     """
 
     def __init__(
@@ -345,11 +423,216 @@ class SchemeRun:
             machine, workload, self.materialized, hooks, rng,
             config.flush_cycles_per_line, self.stats, obs=self.obs,
         )
+        self.scheme = ""
+        self.state = RunState(steps=[], busy=[], buckets=[])
 
     def _dram_bytes(self) -> int:
         stats = self.machine.memory.stats
         return stats.bytes_read + stats.bytes_written
 
+    # ------------------------------------------------------------------
+    # The program
+    # ------------------------------------------------------------------
+    def load(self, scheme: str, steps: "list[tuple]", executors: int = 1) -> "SchemeRun":
+        """Load the program ``steps``, to close as ``scheme`` with
+        ``executors`` busy counters."""
+        self.scheme = scheme
+        self.state = RunState(
+            steps=steps, busy=[0.0] * executors, buckets=_zero_buckets(executors)
+        )
+        return self
+
+    @staticmethod
+    def job_step(
+        job: Job,
+        core_id: int,
+        executor: int = 0,
+        expected: int = 1,
+        booking: str = CHARGE,
+        flush_after: bool = False,
+    ) -> tuple:
+        """The step that runs ``job`` on ``core_id``: a dataset is
+        pending once ``expected`` replicas completed, and ``booking``
+        says where the job's time goes (:data:`CHARGE`, :data:`BUCKET`
+        or :data:`BUCKET_AND_BUSY`) for busy counter ``executor``."""
+        return (SchemeRun.run_job, job, core_id, flush_after, executor, expected, booking)
+
+    def single_pass(self) -> "list[tuple]":
+        """Steps that run every dataset once on core 0 and commit each
+        output unverified before the next job: a later strike on this
+        output slot must not reach the committed output. A run without
+        a vote surfaces a fault directly, as an empty output."""
+        steps: "list[tuple]" = []
+        for ds in self.spec.datasets:
+            steps += [self.job_step(Job(dataset=ds, executor_id=0), 0), (SchemeRun.settle,)]
+        return steps
+
+    def advance(self, ordinal: "int | None" = None) -> bool:
+        """Interpret steps until job ``ordinal`` is next (True) or the
+        program has ended (False)."""
+        state = self.state
+        steps = state.steps
+        while state.cursor < len(steps):
+            op, *args = steps[state.cursor]
+            if op is SchemeRun.run_job:
+                if state.jobs_run == ordinal:
+                    return True
+                state.jobs_run += 1
+            state.cursor += 1
+            op(self, *args)
+        return False
+
+    def complete(self) -> RunResult:
+        """Run the rest of the program and close the run."""
+        self.advance()
+        return self.finish(self.scheme, self.state.busy)
+
+    # ------------------------------------------------------------------
+    # Checkpoints
+    # ------------------------------------------------------------------
+    def checkpoint(self) -> Checkpoint:
+        """The run as it stands, between two steps."""
+        return Checkpoint(
+            machine=self.machine.snapshot(),
+            state=self.state.copy(),
+            stats=self.stats.copy(),
+            spans=self.stopwatch.breakdown(),
+            materialized=self.materialized.snapshot(),
+            rng=self.rng.bit_generator.state,
+        )
+
+    def restore(
+        self,
+        checkpoint: Checkpoint,
+        machine: Machine,
+        hooks: "EmrHooks | None" = None,
+    ) -> None:
+        """Resume from ``checkpoint`` on ``machine`` (this run's or one
+        built like it, rewound to the checkpoint), with ``hooks``.
+
+        The engine's output memo carries over: it holds a pure function
+        of each job's fetched bytes, so it is the same for every run of
+        one spec and workload."""
+        machine.restore(checkpoint.machine)
+        self.machine = self.materialized.machine = self.engine.machine = machine
+        self.hooks = self.engine.hooks = hooks
+        if self.runtime is not None:
+            self.runtime.machine, self.runtime.hooks = machine, hooks
+        self.state = checkpoint.state.copy()
+        self.stats = self.engine.stats = checkpoint.stats.copy()
+        self.stopwatch = self.materialized.stopwatch = Stopwatch(
+            machine.clock, checkpoint.spans
+        )
+        self.materialized.restore(checkpoint.materialized)
+        self.rng.bit_generator.state = checkpoint.rng
+
+    def release(self) -> None:
+        """Drop the run's machine and hooks until the next
+        :meth:`restore`, so a finished run's machine can be freed
+        before the next one is built."""
+        self.machine = self.materialized.machine = self.engine.machine = None
+        self.hooks = self.engine.hooks = None
+        self.stopwatch = self.materialized.stopwatch = None
+        if self.runtime is not None:
+            self.runtime.machine = self.runtime.hooks = None
+
+    # ------------------------------------------------------------------
+    # Steps
+    # ------------------------------------------------------------------
+    def run_job(
+        self,
+        job: Job,
+        core_id: int,
+        flush_after: bool,
+        executor: int,
+        expected: int,
+        booking: str,
+    ) -> None:
+        """Run one job through the engine and book its time."""
+        state = self.state
+        result, timings = self.engine.run_job(
+            job, core_id, runtime=self.runtime, flush_after=flush_after
+        )
+        results = state.results.setdefault(job.dataset_index, [])
+        results.append(result)
+        if len(results) == expected:
+            state.pending.append(job.dataset_index)
+        if booking == CHARGE:
+            state.busy[executor] += self.charge(timings)
+            return
+        if booking == BUCKET_AND_BUSY:
+            state.busy[executor] += sum(timings.values())
+        buckets = state.buckets[executor]
+        for bucket, seconds in timings.items():
+            buckets[bucket] += seconds
+
+    def settle(self) -> None:
+        """Vote every pending dataset, in order, and commit the
+        majority output; a single replica commits unverified."""
+        state = self.state
+        for ds in state.pending:
+            results = state.results.pop(ds)
+            if len(results) == 1:
+                # Nothing to compare: a replica fault is already a
+                # recorded detected fault.
+                self.commit_unverified(ds, results[0].executor_id, results[0].ok)
+            else:
+                self.vote(ds, results)
+        state.pending.clear()
+
+    def barrier(self, n_executors: int, jobset: JobSet) -> None:
+        """EMR's jobset barrier: the jobset's wall time is its slowest
+        executor's, but flash is one device, so serialized disk time is
+        a floor. Then the barrier cost, the votes of the datasets it
+        completed, and the frontier's barrier hygiene."""
+        state = self.state
+        per_executor = state.buckets[:n_executors]
+        executor_totals = [sum(buckets.values()) for buckets in per_executor]
+        total_disk = sum(buckets["disk_read"] for buckets in per_executor)
+        wall = max(max(executor_totals), total_disk)
+        straggler = int(np.argmax(executor_totals))
+        self.charge(per_executor[straggler], elapsed=wall)
+        if wall > executor_totals[straggler]:
+            self.stopwatch.add("disk_read", wall - executor_totals[straggler])
+        for executor, buckets in enumerate(per_executor):
+            state.busy[executor] += sum(buckets.values())
+        self.charge({"orchestration": self.config.costs.barrier_seconds})
+        state.pending.sort()
+        self.settle()
+        self.materialized.end_of_jobset()
+        if self.hooks is not None:
+            self.hooks.after_jobset(self.runtime, jobset)
+        state.buckets = _zero_buckets(len(state.buckets))
+
+    def charge_straggler(self) -> None:
+        """Charge the slowest executor's buckets as the wall time of
+        executors that ran concurrently."""
+        state = self.state
+        straggler = int(np.argmax(state.busy))
+        self.charge(state.buckets[straggler], elapsed=state.busy[straggler])
+
+    def restage(self) -> None:
+        """A fresh process on core 0: cold caches, cold page cache,
+        inputs re-read."""
+        machine, cfg = self.machine, self.config
+        flushed = machine.caches.flush_all()
+        self.stats.flushed_lines += flushed
+        self.charge(
+            {"cache_clear": flushed * cfg.flush_cycles_per_line / machine.cores[0].freq}
+        )
+        self.materialized.restage()
+        self.materialized.end_of_jobset()
+
+    def set_freq(self, core_ids: "tuple[int, ...]", freq: float) -> None:
+        for core_id in core_ids:
+            self.machine.cores[core_id].set_freq(freq)
+
+    def add_busy(self, executor: int, seconds: float) -> None:
+        self.state.busy[executor] += seconds
+
+    # ------------------------------------------------------------------
+    # Shared accounting
+    # ------------------------------------------------------------------
     def charge(
         self, timings: "dict[str, float]", elapsed: "float | None" = None
     ) -> float:
@@ -368,20 +651,6 @@ class SchemeRun:
         materialized = self.materialized
         output = materialized.load_replica_output(ds, executor) if ok else b""
         materialized.commit_output(ds, output)
-
-    def single_pass(self) -> float:
-        """Run every dataset once on core 0 and commit each output
-        unverified; returns the seconds the pass kept core 0 busy."""
-        busy = 0.0
-        for ds in self.spec.datasets:
-            job = Job(dataset=ds, executor_id=0)
-            result, timings = self.engine.run_job(job, core_id=0, flush_after=False)
-            busy += self.charge(timings)
-            # Commit before the next job: a later strike on this output
-            # slot must not reach the committed output. A run without a
-            # vote surfaces a fault directly, as an empty output.
-            self.commit_unverified(ds.index, 0, result.ok)
-        return busy
 
     def vote(self, ds: int, results: "list[JobResult]") -> None:
         """Vote one dataset's replicas and commit the majority output.
@@ -634,9 +903,12 @@ class EmrRuntime:
         return self.jobsets_
 
     # ------------------------------------------------------------------
-    def run(self, spec: "WorkloadSpec | None" = None,
-            rng: "np.random.Generator | None" = None,
-            mode_schedule: "list[ModeSegment] | None" = None) -> RunResult:
+    def start(self, spec: "WorkloadSpec | None" = None,
+              rng: "np.random.Generator | None" = None,
+              mode_schedule: "list[ModeSegment] | None" = None) -> SchemeRun:
+        """Plan (as :meth:`run` does), stage, and load EMR's program:
+        per jobset, a frequency step on mode entry, each executor's
+        jobs, and the barrier. Returns the run before its first job."""
         rng = rng or np.random.default_rng(self.seed)
         if spec is not None or self.jobsets_ is None or mode_schedule is not None:
             self.plan(spec, rng, mode_schedule=mode_schedule)
@@ -650,10 +922,10 @@ class EmrRuntime:
             default=cfg.n_executors,
         )
         groups = machine.default_core_groups(width)
+        core_ids = tuple(core_id for group in groups for core_id in group.core_ids)
         core_spec = machine.spec.core_spec
-        for group in groups:
-            for core_id in group.core_ids:
-                machine.cores[core_id].set_freq(core_spec.max_freq)
+        for core_id in core_ids:
+            machine.cores[core_id].set_freq(core_spec.max_freq)
         applied_freq = core_spec.max_freq
 
         run = SchemeRun(
@@ -661,10 +933,8 @@ class EmrRuntime:
             width, plan=self.plan_, runtime=self,
         )
         run.stats.conflict_edges = self.conflicts_.edge_count
-        executor_busy = [0.0] * width
-        replica_results: "dict[int, list]" = {}
-        pending_votes: "set[int]" = set()
-
+        run.stats.jobsets = len(self.jobsets_)
+        steps: "list[tuple]" = []
         for jobset in self.jobsets_:
             n_executors = jobset.n_executors or cfg.n_executors
             # The segment's DVFS operating point, applied at the
@@ -675,64 +945,27 @@ class EmrRuntime:
                 else core_spec.freq_levels[jobset.freq_level]
             )
             if freq != applied_freq:
-                for group in groups:
-                    for core_id in group.core_ids:
-                        machine.cores[core_id].set_freq(freq)
+                steps.append((SchemeRun.set_freq, core_ids, freq))
                 applied_freq = freq
-            per_executor = {e: {"compute": 0.0, "cache_clear": 0.0, "disk_read": 0.0}
-                            for e in range(n_executors)}
             for executor in range(n_executors):
                 core_id = groups[executor].core_ids[0]
                 for job in jobset.jobs_for_executor(executor):
                     expected = self._expected_replicas.get(
                         job.dataset_index, cfg.n_executors
                     )
-                    result, timings = run.engine.run_job(
-                        job, core_id, runtime=self,
+                    steps.append(run.job_step(
+                        job, core_id, executor, expected, BUCKET,
                         # Unprotected (single-replica) segments accept
                         # aliasing risk instead of paying cache hygiene.
-                        flush_after=not self.cache_protected
-                        and expected >= 2,
-                    )
-                    replica_results.setdefault(job.dataset_index, []).append(result)
-                    if len(replica_results[job.dataset_index]) == expected:
-                        pending_votes.add(job.dataset_index)
-                    for bucket, seconds in timings.items():
-                        per_executor[executor][bucket] += seconds
-            # Jobset wall time: slowest executor, but flash is one
-            # device — serialized disk time is a floor.
-            executor_totals = [
-                sum(buckets.values()) for buckets in per_executor.values()
-            ]
-            total_disk = sum(b["disk_read"] for b in per_executor.values())
-            wall = max(max(executor_totals), total_disk)
-            straggler = int(np.argmax(executor_totals))
-            run.charge(per_executor[straggler], elapsed=wall)
-            if wall > executor_totals[straggler]:
-                run.stopwatch.add("disk_read", wall - executor_totals[straggler])
-            for executor in range(n_executors):
-                executor_busy[executor] += sum(per_executor[executor].values())
-            # Barrier + votes.
-            run.charge({"orchestration": cfg.costs.barrier_seconds})
-            for dataset_index in sorted(pending_votes):
-                results = replica_results.pop(dataset_index)
-                if self._expected_replicas.get(dataset_index, 2) == 1:
-                    # Unreplicated segment (independent mode): nothing
-                    # to compare, so the single output commits the way
-                    # the unprotected baseline's does. A replica fault
-                    # is already a recorded detected fault.
-                    run.commit_unverified(
-                        dataset_index, results[0].executor_id, results[0].ok
-                    )
-                else:
-                    run.vote(dataset_index, results)
-            pending_votes.clear()
-            run.materialized.end_of_jobset()
-            if self.hooks is not None:
-                self.hooks.after_jobset(self, jobset)
+                        flush_after=not self.cache_protected and expected >= 2,
+                    ))
+            steps.append((SchemeRun.barrier, n_executors, jobset))
+        return run.load("emr", steps, width)
 
-        run.stats.jobsets = len(self.jobsets_)
-        return run.finish("emr", executor_busy)
+    def run(self, spec: "WorkloadSpec | None" = None,
+            rng: "np.random.Generator | None" = None,
+            mode_schedule: "list[ModeSegment] | None" = None) -> RunResult:
+        return self.start(spec, rng, mode_schedule).complete()
 
 
 def emr_protect(
@@ -750,3 +983,18 @@ def emr_protect(
     return EmrRuntime(
         machine, workload, config=config, hooks=hooks, seed=seed, obs=obs
     ).run(spec=spec)
+
+
+def start_emr(
+    machine: Machine,
+    workload: Workload,
+    spec: "WorkloadSpec | None" = None,
+    config: "EmrConfig | None" = None,
+    hooks: "EmrHooks | None" = None,
+    seed: int = 0,
+    obs: "Observability | None" = None,
+) -> SchemeRun:
+    """:func:`emr_protect`'s run, before its first job."""
+    return EmrRuntime(
+        machine, workload, config=config, hooks=hooks, seed=seed, obs=obs
+    ).start(spec=spec)

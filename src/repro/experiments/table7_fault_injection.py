@@ -18,6 +18,7 @@ from ..radiation.injector import (
     decode_outcome,
     encode_outcome,
     run_campaign_trial,
+    run_injection_group,
     tally_outcome_metrics,
 )
 from ..workloads import ImageProcessingWorkload
@@ -62,7 +63,9 @@ def campaign(
     The single-bit stage draws from seed root ``seed`` at its own
     positional indices; the MBU stage draws from ``seed + 1`` with
     indices restarting at 0 (per-trial overrides), so every trial's
-    generator matches the two historical sub-campaigns exactly.
+    generator matches the two historical sub-campaigns exactly. Each
+    stage's trials of one scheme share the run before their strikes
+    and run as one injection group (:func:`run_injection_group`).
     """
     workload = workload or _default_workload()
     single = FaultInjectionCampaign(
@@ -120,4 +123,5 @@ def campaign(
         encode=encode_outcome,
         decode=decode_outcome,
         aggregate=aggregate,
+        batch_fn=run_injection_group,
     )

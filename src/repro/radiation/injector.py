@@ -24,17 +24,20 @@ Outcome taxonomy (per run, one injection):
 
 from __future__ import annotations
 
+import hashlib
+import pickle
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..campaign import Campaign, Trial, execute
+from ..campaign.spec import canonical_json
 from ..core.emr import baselines, checksum
 from ..core.emr import runtime as emr_runtime
 from ..core.emr.jobs import Job
 from ..core.emr.runtime import EmrConfig, EmrHooks, RunResult
-from ..errors import ConfigurationError, DetectedFaultError
+from ..errors import ConfigurationError, DetectedFaultError, SimulationError
 from ..obs import NULL_OBS, MetricsRegistry, Observability
 from ..parallel import ParallelReport
 from ..sim.machine import Machine
@@ -100,16 +103,21 @@ def census_injection_weights(
     return weights
 
 
-#: Every scheme a trial can run, by name: the module and attribute of
+#: Every scheme a trial can run, by name: the module, the attribute of
 #: its entry point, each called as ``runner(machine, workload, spec=,
-#: config=, hooks=, obs=)``. The entry point is looked up when a trial
-#: runs, so a wrapper put on the module attribute sees the call.
+#: config=, hooks=, obs=)``, and the attribute of the function that
+#: takes the same keywords and returns the scheme's
+#: :class:`~repro.core.emr.runtime.SchemeRun` before its first job (the
+#: injection groups' path). Both are looked up when a trial runs, so a
+#: wrapper put on the module attribute sees the call.
 SCHEMES = {
-    "none": (baselines, "single_run"),
-    "3mr": (baselines, "sequential_3mr"),
-    "unprotected-parallel": (baselines, "unprotected_parallel_3mr"),
-    "emr": (emr_runtime, "emr_protect"),
-    "checksum": (checksum, "checksum_protected_run"),
+    "none": (baselines, "single_run", "start_single_run"),
+    "3mr": (baselines, "sequential_3mr", "start_sequential_3mr"),
+    "unprotected-parallel": (
+        baselines, "unprotected_parallel_3mr", "start_unprotected_parallel_3mr",
+    ),
+    "emr": (emr_runtime, "emr_protect", "start_emr"),
+    "checksum": (checksum, "checksum_protected_run", "start_checksum_run"),
 }
 
 
@@ -142,7 +150,9 @@ class InjectionOutcome:
 
 
 class _InjectionHooks(EmrHooks):
-    """Applies exactly one strike, at a uniformly-chosen job ordinal."""
+    """Applies exactly one strike, at a uniformly-chosen job ordinal.
+    ``jobs_run`` is the ordinal of the first job the hooks see (a run
+    resumed from a checkpoint has run the jobs before it)."""
 
     def __init__(
         self,
@@ -152,6 +162,7 @@ class _InjectionHooks(EmrHooks):
         bits: int,
         rng: np.random.Generator,
         obs: Observability = NULL_OBS,
+        jobs_run: int = 0,
     ) -> None:
         self.machine = machine
         self.target = target
@@ -161,7 +172,7 @@ class _InjectionHooks(EmrHooks):
         self.obs = obs
         self.applied = False
         self.detail = "never fired"
-        self._counter = 0
+        self._counter = jobs_run
 
     def before_job(self, runtime, job: Job) -> None:
         if self._counter == self.job_ordinal and not self.applied:
@@ -169,9 +180,6 @@ class _InjectionHooks(EmrHooks):
         self._counter += 1
 
     def _apply(self, job: Job) -> None:
-        from ..errors import SimulationError
-
-        machine, rng = self.machine, self.rng
         record = None
         try:
             record = self._strike(job)
@@ -240,56 +248,45 @@ def _pick_target(weights: "dict[SeuTarget, float]", rng: np.random.Generator) ->
     return targets[int(rng.choice(len(targets), p=probabilities))]
 
 
-def run_campaign_trial(
-    task: TrialTask,
-    rng: np.random.Generator,
-    tracer: "object | None" = None,
-) -> InjectionOutcome:
-    """One injection trial: fresh machine, one strike, one outcome.
-
-    Pure in ``(task, rng)`` — no closure over campaign state — so it
-    runs identically under the process pool and the serial path. With
-    ``tracer`` (built by the campaign engine when the campaign
-    traces), the trial's injection, any corruption/fault/vote
-    records, and the final outcome ride back with the result.
-    """
+def _scheme(name: str) -> tuple:
     try:
-        module, runner_name = SCHEMES[task.scheme]
+        return SCHEMES[name]
     except KeyError:
-        raise ConfigurationError(f"unknown scheme {task.scheme!r}") from None
-    obs = NULL_OBS
-    if tracer is not None:
-        obs = Observability(tracer=tracer, metrics=MetricsRegistry())
-    machine = task.machine_factory()
-    target = _pick_target(task.config.weights, rng)
-    single_pass = task.scheme in ("none", "checksum")
-    n_replicas = 1 if single_pass else (
-        task.config.n_executors if task.scheme == "emr" else 3
-    )
-    n_jobs = len(task.spec.datasets) * n_replicas
-    hooks = _InjectionHooks(
-        machine, target, int(rng.integers(0, n_jobs)),
-        task.config.bits, rng, obs=obs,
-    )
-    emr_config = EmrConfig(
+        raise ConfigurationError(f"unknown scheme {name!r}") from None
+
+
+def _emr_config(task: TrialTask) -> EmrConfig:
+    """The scheme configuration of ``task``'s run; the 3-MR baselines
+    are structurally triple."""
+    return EmrConfig(
         replication_threshold=task.config.replication_threshold,
         n_executors=task.config.n_executors if task.scheme == "emr" else 3,
         raise_on_inconclusive=True,
     )
+
+
+def _draw_strike(task: TrialTask, rng: np.random.Generator) -> "tuple[SeuTarget, int]":
+    """The trial's first draws: its target, then the ordinal of the job
+    the strike lands before."""
+    target = _pick_target(task.config.weights, rng)
+    single_pass = task.scheme in ("none", "checksum")
+    n_replicas = 1 if single_pass else _emr_config(task).n_executors
+    n_jobs = len(task.spec.datasets) * n_replicas
+    return target, int(rng.integers(0, n_jobs))
+
+
+def _outcome(task, target, hooks, run, obs=NULL_OBS) -> InjectionOutcome:
+    """Run the struck run (``run()``) and classify what it produced."""
     result: "RunResult | None" = None
     error: "str | None" = None
     try:
-        result = getattr(module, runner_name)(
-            machine, task.workload, spec=task.spec,
-            config=emr_config, hooks=hooks, obs=obs,
-        )
+        result = run()
     except DetectedFaultError as exc:
         error = str(exc)
-
     outcome = classify_outcome(result, task.golden, error)
     if obs.enabled:
         obs.tracer.event(
-            "campaign.outcome", t=machine.clock.now,
+            "campaign.outcome", t=hooks.machine.clock.now,
             scheme=task.scheme, outcome=outcome.value, target=target.value,
         )
     return InjectionOutcome(
@@ -298,6 +295,153 @@ def run_campaign_trial(
         target=target,
         detail=error or hooks.detail,
     )
+
+
+def run_campaign_trial(
+    task: TrialTask,
+    rng: np.random.Generator,
+    tracer: "object | None" = None,
+) -> InjectionOutcome:
+    """One injection trial, from its machine's first cycle: one
+    machine, one strike, one outcome. This is the scalar reference
+    path; :func:`run_injection_group` runs a group of trials that share
+    their prefix to the same outcomes.
+
+    Pure in ``(task, rng)`` — no closure over campaign state — so it
+    runs identically under the process pool and the serial path. With
+    ``tracer`` (built by the campaign engine when the campaign
+    traces), the trial's injection, any corruption/fault/vote
+    records, and the final outcome ride back with the result.
+    """
+    module, runner_name, _ = _scheme(task.scheme)
+    obs = NULL_OBS
+    if tracer is not None:
+        obs = Observability(tracer=tracer, metrics=MetricsRegistry())
+    machine = task.machine_factory()
+    target, ordinal = _draw_strike(task, rng)
+    hooks = _InjectionHooks(machine, target, ordinal, task.config.bits, rng, obs=obs)
+    runner = getattr(module, runner_name)
+    return _outcome(
+        task, target, hooks,
+        lambda: runner(
+            machine, task.workload, spec=task.spec,
+            config=_emr_config(task), hooks=hooks, obs=obs,
+        ),
+        obs,
+    )
+
+
+def run_injection_group(
+    tasks: "list[TrialTask]", rngs: "list[np.random.Generator]"
+) -> "list[InjectionOutcome]":
+    """Injection trials of one lockstep key (:func:`injection_lockstep_key`),
+    with the generators their scalar trials get: the outcomes
+    :func:`run_campaign_trial` gives each of them, in order.
+
+    Every trial of a group runs the same jobs on the same bytes until
+    its strike, so the group runs that prefix once. Each lane draws its
+    target and job ordinal as the scalar trial does. One fault-free
+    golden pass, on the first lane's machine, runs to the largest
+    ordinal and checkpoints the run
+    (:meth:`~repro.core.emr.runtime.SchemeRun.checkpoint`) before each
+    ordinal a lane needs. Then each lane, in order, builds its own
+    machine through the factory (the first lane reuses the golden
+    pass's), restores its checkpoint onto it, strikes, runs the rest,
+    and is classified. So one machine is built per lane, in lane order,
+    and each ends at its scalar trial's clock. A one-lane group is its
+    scalar trial.
+    """
+    if len(tasks) == 1:
+        return [run_campaign_trial(tasks[0], rngs[0])]
+    first = tasks[0]
+    module, _, start_name = _scheme(first.scheme)
+    draws = [_draw_strike(task, rng) for task, rng in zip(tasks, rngs)]
+    run = getattr(module, start_name)(
+        first.machine_factory(), first.workload, spec=first.spec,
+        config=_emr_config(first),
+    )
+    checkpoints = {}
+    for ordinal in sorted({ordinal for _, ordinal in draws}):
+        run.advance(ordinal)
+        checkpoints[ordinal] = run.checkpoint()
+    return [
+        _run_lane(
+            run, checkpoints[ordinal],
+            # Built only once the previous lane's machine is released.
+            task.machine_factory() if lane else run.machine,
+            task, rng, target, ordinal,
+        )
+        for lane, (task, rng, (target, ordinal)) in enumerate(zip(tasks, rngs, draws))
+    ]
+
+
+def _run_lane(run, checkpoint, machine, task, rng, target, ordinal) -> InjectionOutcome:
+    """One lane of an injection group: ``run`` resumed from
+    ``checkpoint`` on ``machine``, struck before job ``ordinal``."""
+    hooks = _InjectionHooks(
+        machine, target, ordinal, task.config.bits, rng, jobs_run=ordinal,
+    )
+    run.restore(checkpoint, machine, hooks)
+    try:
+        return _outcome(task, target, hooks, run.complete)
+    finally:
+        run.release()
+
+
+def _workload_key(workload: Workload) -> tuple:
+    kind = type(workload)
+    return kind.__module__, kind.__qualname__, canonical_json(workload_identity(workload))
+
+
+def _spec_key(spec: WorkloadSpec) -> str:
+    """SHA-256 of everything a run reads from ``spec``, derived once
+    per spec."""
+
+    def digest() -> str:
+        h = hashlib.sha256()
+        h.update(repr((spec.name, spec.output_size)).encode())
+        for name, blob in sorted(spec.blobs.items()):
+            h.update(repr((name, len(blob))).encode() + blob)
+        for ds in spec.datasets:
+            regions = [(role, ref.blob, ref.offset, ref.length) for role, ref in ds.regions.items()]
+            h.update(repr((ds.index, regions, sorted(ds.params.items()))).encode())
+        return h.hexdigest()
+
+    return spec.memo(("content-digest",), digest)
+
+
+def _factory_key(factory) -> object:
+    """A machine factory by content: a named function by its qualified
+    name, anything else picklable by its pickle's digest. A factory
+    that is neither (a closure) keys as itself, so it groups only with
+    trials that hold that very factory."""
+    name = getattr(factory, "__qualname__", "")
+    if name and "<" not in name:
+        return _factory_id(factory)
+    try:
+        return hashlib.sha256(pickle.dumps(factory)).hexdigest()
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return factory
+
+
+def injection_lockstep_key(task: TrialTask) -> tuple:
+    """What the run before a trial's strike depends on: the scheme, the
+    workload, the spec, the scheme configuration and the machine
+    factory. The trial's ``bits`` and target weights act only at the
+    strike, so trials that differ in them share a group."""
+    config = _emr_config(task)
+    return (
+        task.scheme,
+        _workload_key(task.workload),
+        _spec_key(task.spec),
+        config.replication_threshold,
+        config.n_executors,
+        _factory_key(task.machine_factory),
+    )
+
+
+run_injection_group.lockstep_key = injection_lockstep_key
+run_injection_group.trial_fn = run_campaign_trial
 
 
 def encode_outcome(outcome: InjectionOutcome) -> dict:
@@ -435,6 +579,7 @@ class FaultInjectionCampaign:
             context=context,
             encode=encode_outcome,
             decode=decode_outcome,
+            batch_fn=run_injection_group,
         )
 
     def run(
@@ -449,11 +594,16 @@ class FaultInjectionCampaign:
 
         Trials are independent: each gets its own generator pinned to
         ``(seed, trial_index)``, so any ``workers`` value — serial
-        included — produces the same outcomes in the same order. With
-        ``trace_path``, every trial's records merge (in trial order)
-        into one JSONL trace, byte-identical at any worker count. With
-        ``store``, completed trials are skipped on rerun and their
-        stored outcomes (and trace records) replayed — a resumed
+        included — produces the same outcomes in the same order. The
+        campaign declares :func:`run_injection_group` as its batch
+        function, so the pending trials of each scheme run as one group
+        that shares the run before their strikes (one task per group
+        when pooled), to the outcomes their scalar trials give. With
+        ``trace_path``, every trial runs alone through
+        :func:`run_campaign_trial` and its records merge (in trial
+        order) into one JSONL trace, byte-identical at any worker
+        count. With ``store``, completed trials are skipped on rerun and
+        their stored outcomes (and trace records) replayed — a resumed
         campaign is byte-identical to a cold one.
         """
         result = execute(

@@ -78,9 +78,12 @@ class Stopwatch:
     Table 6 (disk read / allocation / compute / cache clear).
     """
 
-    def __init__(self, clock: SimClock) -> None:
+    def __init__(
+        self, clock: SimClock, spans: "dict[str, float] | None" = None
+    ) -> None:
         self._clock = clock
-        self._spans: dict[str, float] = {}
+        #: ``spans`` (a :meth:`breakdown`) resumes an earlier watch.
+        self._spans: dict[str, float] = dict(spans or {})
         self._open: dict[str, float] = {}
 
     def start(self, label: str) -> None:
