@@ -483,16 +483,12 @@ def bench_fleet_scale(smoke: bool) -> dict:
 
 def bench_hmr_frontier(smoke: bool) -> dict:
     """The HMR frontier sweep: cold campaign vs pure store replay,
-    with the serial / batched / replay paths required byte-identical
-    on the canonical frontier JSON."""
+    with the two required byte-identical on the canonical frontier
+    JSON."""
     import tempfile
 
     from repro.experiments import run_experiment
-    from repro.experiments.fig_hmr_frontier import (
-        _frontier_batch_fn,
-        campaign,
-        frontier_json,
-    )
+    from repro.experiments.fig_hmr_frontier import campaign, frontier_json
 
     scale = 1 if smoke else 2
 
@@ -502,13 +498,7 @@ def bench_hmr_frontier(smoke: bool) -> dict:
     with tempfile.TemporaryDirectory() as root:
         cold, cold_s = _timed(sweep, workers=1, store=root)
         replay, replay_s = _timed(sweep, store=root)
-    batched = sweep(batch_fn=_frontier_batch_fn)
-    canonical = frontier_json(cold)
-    identical = bool(
-        frontier_json(replay) == canonical
-        and frontier_json(batched) == canonical
-    )
-    assert identical, "frontier paths diverged"
+    assert frontier_json(replay) == frontier_json(cold), "frontier paths diverged"
     return {
         "scale": scale,
         "trials": len(campaign(scale=scale, seed=7).trials),

@@ -5,7 +5,7 @@ Documentation that doesn't run is documentation that rots: every code
 block tagged ```python is extracted and executed in its own namespace,
 and any exception fails the build (CI runs this as the ``docs`` job).
 A backticked dotted name such as ``repro.campaign.execute`` (also at
-the start of a span, ``repro.campaign.execute(..., batch_fn=)``) must
+the start of a span, ``repro.campaign.execute(..., store=)``) must
 name something that exists: the longest importable module prefix is
 imported and the remaining parts are walked with ``getattr``, so a
 reference to a deleted function fails the build too.

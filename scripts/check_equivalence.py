@@ -10,12 +10,13 @@ host-fault modifiers of the supervised path). Columns are the paths:
 ``serial``      ``workers=1`` into a fresh store: the reference.
 ``pool``        2 workers, ``force_pool`` where the entry point takes it.
 ``supervised``  ``GroundPolicy()`` at 2 workers.
-``batched``     the row's other lockstep setting: its ``batch_fn`` on
-                (``hmr_frontier``), fleet ``use_batch`` off (the
-                fleet's default path is batched), or, for a campaign
-                that declares its own ``batch_fn`` (``table7``), its
-                scalar ``trial_fn`` through
-                ``dataclasses.replace(campaign, batch_fn=None)``.
+``batched``     the row's other lockstep setting: for a campaign that
+                declares a ``batch_fn`` (``table7``), its scalar
+                ``trial_fn`` through
+                ``dataclasses.replace(campaign, batch_fn=None)``; for
+                the fleet, ``use_batch`` off (its default path is
+                batched). A row whose campaign declares no
+                ``batch_fn`` has one path only, so its cell is n/a.
 ``replay``      the serial cell's cold store run again: nothing executes.
 ``sigkill``     the row's ``python -m repro ... --store`` command killed
                 once its store holds ``k`` trials, then resumed.
@@ -120,24 +121,23 @@ class Row:
 # rows
 # ----------------------------------------------------------------------
 
-def stream_row(name, make_source, command, *, batch_fn=None, check=None,
-               registered=False, declared=False) -> Row:
+def stream_row(name, make_source, command, *, check=None,
+               registered=False) -> Row:
     """A row that drains a :class:`~repro.campaign.stream.TrialSource`,
     or a ``registered`` experiment through ``run_experiment``. Its
     canonical values are the per-round values digests, plus a
-    registered experiment's rendered report. A ``declared`` row's
-    campaign carries its own ``batch_fn``, which its batched column
-    takes away."""
+    registered experiment's rendered report. A row whose source is a
+    campaign that declares a ``batch_fn`` has a batched column, which
+    runs the campaign without it."""
 
     def run(*, store, workers=1, metrics=None, force_pool=False,
             supervision=None, switch_batch=False):
         kwargs = dict(
             store=store, workers=workers, metrics=metrics,
             force_pool=force_pool, supervision=supervision,
-            batch_fn=batch_fn if switch_batch else None,
         )
         source = make_source()
-        if switch_batch and declared:
+        if switch_batch:
             source = replace(source, batch_fn=None)
         reports = []
         if registered:
@@ -148,7 +148,8 @@ def stream_row(name, make_source, command, *, batch_fn=None, check=None,
         canonical = [rnd.digest for rnd in result.rounds] + reports
         return Outcome(canonical, result.values, result.trials)
 
-    na = {} if batch_fn is not None or declared else {"batched": NO_BATCH_FN}
+    declared = getattr(make_source(), "batch_fn", None) is not None
+    na = {} if declared else {"batched": NO_BATCH_FN}
     return Row(name, run, command, na, check)
 
 
@@ -253,15 +254,9 @@ def registered_rows() -> "list[Row]":
     from repro.adaptive import build_source
     from repro.chaos import chaos_campaign
     from repro.experiments import CAMPAIGNS
-    from repro.experiments.fig_hmr_frontier import _frontier_batch_fn
 
-    batch_fns = {"hmr_frontier": _frontier_batch_fn}
     rows = [
-        stream_row(
-            name, factory, ("campaign", "run", name),
-            batch_fn=batch_fns.get(name), registered=True,
-            declared=getattr(factory(), "batch_fn", None) is not None,
-        )
+        stream_row(name, factory, ("campaign", "run", name), registered=True)
         for name, factory in CAMPAIGNS.items()
     ]
     rows.append(fleet_row())

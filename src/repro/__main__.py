@@ -167,12 +167,9 @@ OPTIONS = {
     "--scale": dict(
         type=int, default=1, help="injections per mode = 8 * scale"
     ),
-    "--batched": dict(
-        action="store_true", help="run through the batched campaign engine"
-    ),
     "--verify": dict(
         action="store_true",
-        help="require serial == workers == batched == store-replay",
+        help="require serial == workers == store-replay",
     ),
     "--warm": dict(
         action="store_true",
@@ -775,39 +772,31 @@ def _cmd_hmr_modes(args: argparse.Namespace) -> int:
 
 def _cmd_hmr_sweep(args: argparse.Namespace) -> int:
     from .experiments import run_experiment
-    from .experiments.fig_hmr_frontier import (
-        _frontier_batch_fn,
-        campaign,
-        frontier_json,
-    )
+    from .experiments.fig_hmr_frontier import campaign, frontier_json
 
     def sweep(**kwargs):
         grid = campaign(scale=args.scale, seed=args.seed)
         return run_experiment(grid, **kwargs)[1]
 
-    table = sweep(
-        workers=args.workers, store=args.store,
-        batch_fn=_frontier_batch_fn if args.batched else None,
-    )
+    table = sweep(workers=args.workers, store=args.store)
     canonical = frontier_json(table)
     if args.verify:
         # Every execution path must land on the same bytes: serial,
-        # the worker pool, the batched engine, and a pure store replay
-        # of whatever the first pass persisted.
+        # the worker pool, and a pure store replay of what the pool
+        # persisted.
         import tempfile
 
         with tempfile.TemporaryDirectory() as scratch:
             paths = {
                 "serial": sweep(workers=1),
-                "workers": sweep(workers=2),
-                "batched": sweep(batch_fn=_frontier_batch_fn, store=scratch),
+                "workers": sweep(workers=2, store=scratch),
                 "store-replay": sweep(store=scratch),
             }
         for name, result in paths.items():
             if frontier_json(result) != canonical:
                 print(f"error: {name} path diverged", file=sys.stderr)
                 return 2
-        print("verified: serial == workers == batched == store-replay")
+        print("verified: serial == workers == store-replay")
     print(canonical if args.json else table.render())
     if args.out:
         _write(args.out, canonical + "\n", "frontier JSON: ")
@@ -931,7 +920,7 @@ COMMANDS = (
     ("hmr sweep", _cmd_hmr_sweep,
      "sweep the throughput-vs-SDC-coverage frontier",
      ("--scale", ("--seed", {"default": 7}), ("--workers", {"default": 1}),
-      "--store", "--batched", "--verify", "--json",
+      "--store", "--verify", "--json",
       ("--out", {"help": "write the frontier JSON to a file"}))),
     ("faults", None, "inspect the machine's addressable fault surface", ()),
     ("faults census", _cmd_faults_census,

@@ -1,21 +1,23 @@
 """Batched campaign execution: lockstep groups of trials.
 
-``execute(campaign, batch_fn=...)`` (:func:`repro.campaign.engine.execute`)
-runs a campaign through a batch function, typically the
-structure-of-arrays backend (:mod:`repro.sim.batch`). A campaign may
-also declare its own (``Campaign.batch_fn``): the injection campaigns
+A campaign that declares a batch function (``Campaign.batch_fn``)
+runs through it, typically over the structure-of-arrays backend
+(:mod:`repro.sim.batch`): the fleet's craft campaign declares
+:func:`repro.fleet.engine._fleet_batch_fn`, and the injection campaigns
 declare :func:`repro.radiation.injector.run_injection_group`, which
 runs the part of a group's trials before their strikes once and
-resumes each trial from a checkpoint. Where a scalar run hands each trial to a
-worker process, a batched run hands the pending trials to one
-``batch_fn(items, rngs)`` call per lockstep group that advances the
-group's lanes in lockstep — one :class:`~repro.sim.batch.BatchMachines`
-sweep instead of N scalar tick loops. Without a
-``batch_fn.lockstep_key`` the round's pending trials are one group,
-run in-process; with one (a top-level ``key(item)``), they are grouped
-by key and the groups are the first tasks of the round's pool batch,
-largest first. Both go through the one round executor,
-:func:`repro.campaign.engine.run_round`.
+resumes each trial from a checkpoint. Where a scalar run hands each
+trial to a worker process, a batched run hands the pending trials to
+one ``batch_fn(items, rngs)`` call per lockstep group that advances
+the group's lanes in lockstep — one
+:class:`~repro.sim.batch.BatchMachines` sweep instead of N scalar tick
+loops. Without a ``batch_fn.lockstep_key`` the round's pending trials
+are one group; with one (a top-level ``key(item)``), they are grouped
+by key. Either way each group is one task of the round's pool batch,
+largest first, in the one round executor,
+:func:`repro.campaign.engine.run_round`, so a batch function must be
+top-level, as a trial function is.
+``dataclasses.replace(campaign, batch_fn=None)`` is the scalar path.
 
 The determinism contract is unchanged. Each lane receives exactly the
 generator the scalar engine would have built —
@@ -41,10 +43,8 @@ same trial the scalar engine would have produced, not an
 approximation.
 
 Tracing is deliberately unsupported here: a batched sweep has no
-per-trial tracer to thread through lockstep lanes. A traced run takes
-the scalar ``trial_fn``: ``execute(..., trace_path=)`` refuses an
-explicit ``batch_fn``, and a traced round leaves the campaign's own
-``batch_fn`` unused.
+per-trial tracer to thread through lockstep lanes. A traced round runs
+``trial_fn`` and leaves the campaign's ``batch_fn`` unused.
 """
 
 from __future__ import annotations

@@ -16,10 +16,11 @@ runs through :func:`run_round`, the one round executor, which:
    :class:`~repro.parallel.WorkerPool` — each trial in a worker with
    its own :func:`~repro.campaign.spec.trial_rng` generator and (when
    tracing) a fresh per-trial :class:`~repro.obs.TraceRecorder`;
-4. with a ``batch_fn``, advances them as lockstep groups first
-   (:mod:`repro.campaign.batch`): one in-process group before the
-   batch, or — when the batch function declares a ``lockstep_key`` —
-   one batch task per key, largest first, whose lanes that return
+4. when the campaign declares a ``batch_fn`` and the round is
+   untraced, advances them as lockstep groups instead
+   (:mod:`repro.campaign.batch`): one batch task per group — the
+   round's pending trials, or one per ``lockstep_key`` when the batch
+   function declares one — largest first, whose lanes that return
    :class:`~repro.campaign.batch.Diverged` join the running batch as
    scalar trials when their group lands;
 5. canonicalises every result — stored hit or fresh execution alike —
@@ -176,21 +177,18 @@ def run_round(
     with_tracer: bool = False,
     metrics=None,
     supervision=None,
-    batch_fn=None,
 ) -> RoundExecution:
     """Execute one round (a fully resolved grid): the one round executor.
 
     Stored trials are replayed; the rest run as **one** ``pmap_report``
     batch on ``pool`` under ``supervision`` (its report is
     ``CampaignResult.report``), each absorbed — canonicalised and put
-    into the store — the moment it lands. With a ``batch_fn`` (or,
-    untraced, the campaign's own ``batch_fn`` while it batches the
-    campaign's ``trial_fn``) the pending trials advance as lockstep
-    groups
-    (:mod:`repro.campaign.batch`): a keyless one (often a closure, which
-    no worker could unpickle) as one in-process group before the batch;
-    one with a top-level ``lockstep_key(item)`` attribute as one batch
-    task per key (never split), largest first. Lanes that return
+    into the store — the moment it lands. An untraced round of a
+    campaign that declares a ``batch_fn`` advances its pending trials as
+    lockstep groups (:mod:`repro.campaign.batch`), each one batch task
+    (never split), largest first: one group of every pending trial, or,
+    when the batch function has a top-level ``lockstep_key(item)``
+    attribute, one group per key. Lanes that return
     :class:`~repro.campaign.batch.Diverged` run as scalar trials that
     join the running batch when their group lands, so group tasks and
     diverged lanes alike get timeouts, retries and quarantine (a poison
@@ -207,10 +205,7 @@ def run_round(
     """
     store = TrialStore.coerce(store)
     specs = campaign.specs()
-    declared = campaign.batch_fn
-    if (batch_fn is None and not with_tracer and declared is not None
-            and getattr(declared, "trial_fn", None) is campaign.trial_fn):
-        batch_fn = declared
+    batch_fn = None if with_tracer else campaign.batch_fn
 
     defects_before = _defects(store)
     hits: "dict[int, dict]" = {}
@@ -302,13 +297,11 @@ def run_round(
         key = getattr(batch_fn, "lockstep_key", None)
         if batch_fn is None or not pending:
             tasks.extend((False, [i]) for i in pending)
-        elif key is None:
-            peeled = _absorb_group(pending, _execute_task(_task(True, pending)))
-            tasks.extend((False, [i]) for i in peeled)
         else:
             by_key: dict = {}
             for i in pending:
-                by_key.setdefault(key(campaign.trials[i].item), []).append(i)
+                lane_key = None if key is None else key(campaign.trials[i].item)
+                by_key.setdefault(lane_key, []).append(i)
             groups = sorted(by_key.values(), key=len, reverse=True)
             tasks.extend((True, lanes) for lanes in groups)
         report = pmap_report(
@@ -431,7 +424,6 @@ def execute(
     metrics=None,
     force_pool: bool = False,
     supervision=None,
-    batch_fn=None,
     pool: "WorkerPool | None" = None,
 ) -> CampaignResult:
     """Run ``campaign``, skipping trials the store already holds.
@@ -447,10 +439,11 @@ def execute(
     crashed/hung workers are replaced, failing trials retried with
     byte-identical seeds, and poison trials quarantined — the campaign
     then *completes* with ``result.quarantined`` naming the survivors'
-    missing peers instead of the whole run dying. ``batch_fn`` runs
-    the missing trials as lockstep groups first (:func:`run_round`,
-    :mod:`repro.campaign.batch`); supervision then covers the group
-    tasks and the lanes that diverged. ``pool`` (a
+    missing peers instead of the whole run dying. An untraced run of a
+    campaign that declares a ``batch_fn`` runs the missing trials as
+    lockstep groups (:func:`run_round`, :mod:`repro.campaign.batch`);
+    supervision covers the group tasks and the lanes that diverged
+    alike. ``pool`` (a
     :class:`~repro.parallel.WorkerPool`) runs the campaign on a caller's
     pool, whose ``workers`` and ``force_pool`` then apply.
     """
@@ -464,7 +457,6 @@ def execute(
         metrics=metrics,
         force_pool=force_pool,
         supervision=supervision,
-        batch_fn=batch_fn,
         pool=pool,
     )
     return stream.rounds[0].result

@@ -178,12 +178,15 @@ class Campaign:
     decoded values — in grid order — into the experiment's renderable
     (:class:`repro.analysis.report.Table` / ``Series``); it runs in
     the parent process, so closures are fine there. ``batch_fn`` is the
-    lockstep form of ``trial_fn`` (:mod:`repro.campaign.batch`), which
-    names the trial function it batches as its ``trial_fn`` attribute:
-    an untraced round that is given no batch function runs its pending
-    trials through it, as long as the campaign's ``trial_fn`` is that
-    function. A traced round, or a copy of the campaign with another
-    trial function, runs ``trial_fn``.
+    lockstep form of ``trial_fn`` (:mod:`repro.campaign.batch`) and the
+    only way a campaign is batched: every untraced round runs its
+    pending trials through it as pool tasks, so like ``trial_fn`` it
+    must be a top-level function. A traced round runs ``trial_fn``.
+    ``dataclasses.replace(campaign, batch_fn=None)`` is the scalar
+    reference. A copy with a new ``trial_fn`` must also drop the batch
+    function (``replace(campaign, trial_fn=fn, batch_fn=None)``), since
+    the batch function stands for the trial function it was written
+    for.
     """
 
     name: str

@@ -29,10 +29,10 @@ executor without giving up any of the campaign layer's guarantees:
 
 ``execute_stream`` is the single drain loop behind
 :func:`repro.campaign.execute` (scalar / supervised / traced, or SoA
-lockstep via ``batch_fn``); every round goes through the one round
-executor, :func:`~repro.campaign.engine.run_round`, which is what makes
-static-grid campaigns through the round core byte-identical to the
-historical one-shot executors.
+lockstep via a campaign's ``batch_fn``); every round goes through the
+one round executor, :func:`~repro.campaign.engine.run_round`, which is
+what makes static-grid campaigns through the round core byte-identical
+to the historical one-shot executors.
 """
 
 from __future__ import annotations
@@ -254,7 +254,6 @@ def execute_stream(
     metrics=None,
     force_pool: bool = False,
     supervision=None,
-    batch_fn=None,
     max_rounds: "int | None" = None,
     on_round=None,
     pool: "WorkerPool | None" = None,
@@ -263,9 +262,9 @@ def execute_stream(
 
     Each round runs through the one round executor
     (:func:`~repro.campaign.engine.run_round`): store skip/persist per
-    trial, the ``batch_fn`` lockstep groups when given, supervision/
-    quarantine for every task of the round's ``pmap_report`` batch,
-    per-round metrics. Every round runs on one
+    trial, the lockstep groups of a round that declares a ``batch_fn``,
+    supervision/quarantine for every task of the round's
+    ``pmap_report`` batch, per-round metrics. Every round runs on one
     :class:`~repro.parallel.WorkerPool`: ``pool`` when given (its
     ``workers`` and ``force_pool`` then apply), else one the stream
     opens from ``workers`` and ``force_pool`` and closes at its end, so
@@ -276,14 +275,10 @@ def execute_stream(
 
     ``on_round(round_result)`` fires after each round (progress
     reporting); ``max_rounds`` is a hard cap for callers that want a
-    safety net around a buggy source. ``batch_fn`` cannot be combined
-    with ``trace_path``: lockstep lanes have no per-trial tracer.
+    safety net around a buggy source. A traced stream (``trace_path``)
+    runs every round's ``trial_fn``: lockstep lanes have no per-trial
+    tracer.
     """
-    if batch_fn is not None and trace_path is not None:
-        raise ConfigurationError(
-            "batch_fn cannot be combined with trace_path; "
-            "use the scalar executor for traced streams"
-        )
     if max_rounds is not None and max_rounds < 1:
         raise ConfigurationError("max_rounds must be >= 1")
     store = TrialStore.coerce(store)
@@ -307,7 +302,6 @@ def execute_stream(
                 with_tracer=trace_path is not None,
                 metrics=metrics,
                 supervision=supervision,
-                batch_fn=batch_fn,
             )
             round_result = RoundResult(
                 index=len(rounds),

@@ -71,7 +71,7 @@ def run_experiment(entry, **kwargs):
     A campaign drains as its :class:`~repro.campaign.GridSource`.
     ``kwargs`` go to :func:`~repro.campaign.execute_stream`
     (``workers``, ``store``, ``trace_path``, ``metrics``,
-    ``supervision``, ``batch_fn``, ...); ``metrics`` also reaches the
+    ``supervision``, ``pool``, ...); ``metrics`` also reaches the
     aggregate. ``report`` is ``None`` when supervision quarantined a
     trial: an aggregate over missing values means nothing.
     """

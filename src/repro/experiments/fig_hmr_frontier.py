@@ -15,8 +15,8 @@ both axes:
   corruption. A blend's coverage is the dataset-weighted mix of its
   modes' coverages.
 
-Everything is one resumable campaign: serial, ``--workers N``, the
-batched path and a store replay produce byte-identical canonical JSON
+Everything is one resumable campaign: serial, ``--workers N`` and a
+store replay produce byte-identical canonical JSON
 (:func:`frontier_json`).
 """
 
@@ -100,16 +100,6 @@ def _frontier_trial(task, rng, tracer=None) -> dict:
         "mode": mode_name,
         "outcome": outcome.outcome.value,
     }
-
-
-def _frontier_batch_fn(items, rngs):
-    """The batched shard evaluates lanes in pinned-stream order — the
-    injection trials have no SoA form, so batching here is about the
-    execution path (shared campaign identity, one process), not
-    vectorized arithmetic."""
-    return [
-        _frontier_trial(item, rng) for item, rng in zip(items, rngs)
-    ]
 
 
 def campaign(scale: int = 1, seed: int = 7) -> Campaign:

@@ -9,7 +9,7 @@ per-craft trials and a fleet-level report, in four moves:
 2. **Simulate** — the canonical craft campaign (one trial per
    spacecraft) runs through one :func:`repro.campaign.execute` call
    that routes each pending craft: every craft starts in its band's
-   SoA lockstep group (``batch_fn`` over
+   SoA lockstep group (the campaign's ``batch_fn`` over
    :class:`repro.sim.batch.BatchMachines`, one pool task per
    ``(preset, profile, days, dt)`` program), and craft whose pinned
    trial stream samples latchups return
@@ -45,7 +45,7 @@ expires (craft lost).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -500,7 +500,8 @@ def fleet_campaign(spec: FleetSpec, calibration: dict) -> Campaign:
     """The canonical craft campaign: one trial per spacecraft, seed
     index pinned to the grid position so every route (the batched
     group, a diverged craft's scalar re-run, a resume) reproduces the
-    same fingerprints and streams."""
+    same fingerprints and streams. It declares :func:`_fleet_batch_fn`
+    as its batch function."""
     trials = []
     for index, params in enumerate(spec.expand()):
         env = get_preset(params["preset"]).environment
@@ -519,6 +520,7 @@ def fleet_campaign(spec: FleetSpec, calibration: dict) -> Campaign:
         seed=spec.seed,
         context={"dt": spec.dt, "calibration_runs": spec.calibration_runs},
         salt=_FLEET_SALT,
+        batch_fn=_fleet_batch_fn,
     )
 
 
@@ -568,7 +570,9 @@ def _flight_reduce(item, report) -> dict:
 
 def flight_campaign(spec: FleetSpec) -> Campaign:
     """Per-(band, scheme) full-fidelity mission samples. Missions own
-    their seeds (recorded in params), so the campaign is unseeded."""
+    their seeds (recorded in params), so the campaign is unseeded. Its
+    declared :func:`_flight_batch_fn` has no lockstep key, so a round's
+    pending samples are one ``MissionSimulator.run_batch`` pool task."""
     trials = []
     for bi, band in enumerate(spec.bands):
         for scheme in band.schemes:
@@ -607,6 +611,7 @@ def flight_campaign(spec: FleetSpec) -> Campaign:
         seed=None,
         context={"days": spec.flight_days},
         salt=_FLEET_SALT,
+        batch_fn=_flight_batch_fn,
     )
 
 
@@ -648,11 +653,13 @@ def run_fleet(
     :class:`~repro.parallel.WorkerPool` (``workers``, ``force_pool``),
     so each worker is forked once per run. With ``use_batch`` every
     pending craft first rides its band program's SoA lockstep group
-    (:func:`_fleet_batch_fn`, one pool task per
-    :func:`_fleet_lockstep_key`); craft that sample latchups come back
-    :class:`~repro.campaign.Diverged` and re-run through
-    :func:`_craft_trial` in the same pooled batch, beside every craft
-    when ``use_batch`` is off. ``supervision`` (a
+    (the craft campaign's declared :func:`_fleet_batch_fn`, one pool
+    task per :func:`_fleet_lockstep_key`); craft that sample latchups
+    come back :class:`~repro.campaign.Diverged` and re-run through
+    :func:`_craft_trial` in the same pooled batch. ``use_batch=False``
+    is the scalar reference: the craft campaign runs without its batch
+    function, so every craft takes :func:`_craft_trial`.
+    ``supervision`` (a
     :class:`repro.ground.GroundPolicy`) hardens the craft batch against
     host faults — crashed or hung workers are replaced and poison craft
     quarantined (under their grid index) instead of killing a
@@ -661,9 +668,11 @@ def run_fleet(
     store = TrialStore.coerce(store)
     with WorkerPool(workers, force_pool=force_pool) as pool:
         calib = calibrate_fleet(spec, store=store, metrics=metrics, pool=pool)
+        craft_campaign = fleet_campaign(spec, calib)
+        if not use_batch:
+            craft_campaign = replace(craft_campaign, batch_fn=None)
         craft = execute(
-            fleet_campaign(spec, calib),
-            batch_fn=_fleet_batch_fn if use_batch else None,
+            craft_campaign,
             store=store,
             metrics=metrics,
             supervision=supervision,
@@ -675,8 +684,7 @@ def run_fleet(
         flight_values = []
         if spec.flight_sample > 0:
             flight_result = execute(
-                flight_campaign(spec), store=store, metrics=metrics,
-                batch_fn=_flight_batch_fn, pool=pool,
+                flight_campaign(spec), store=store, metrics=metrics, pool=pool,
             )
             executed += flight_result.executed
             store_hits += flight_result.store_hits

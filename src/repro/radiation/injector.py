@@ -410,6 +410,15 @@ def _spec_key(spec: WorkloadSpec) -> str:
     return spec.memo(("content-digest",), digest)
 
 
+def _factory_digest(factory) -> "str | None":
+    """SHA-256 of ``factory``'s pickle; ``None`` when it has none. The
+    protocol is pinned because the digest enters trial fingerprints."""
+    try:
+        return hashlib.sha256(pickle.dumps(factory, protocol=4)).hexdigest()
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return None
+
+
 def _factory_key(factory) -> object:
     """A machine factory by content: a named function by its qualified
     name, anything else picklable by its pickle's digest. A factory
@@ -418,10 +427,8 @@ def _factory_key(factory) -> object:
     name = getattr(factory, "__qualname__", "")
     if name and "<" not in name:
         return _factory_id(factory)
-    try:
-        return hashlib.sha256(pickle.dumps(factory)).hexdigest()
-    except (pickle.PicklingError, AttributeError, TypeError):
-        return factory
+    digest = _factory_digest(factory)
+    return factory if digest is None else digest
 
 
 def injection_lockstep_key(task: TrialTask) -> tuple:
@@ -441,7 +448,6 @@ def injection_lockstep_key(task: TrialTask) -> tuple:
 
 
 run_injection_group.lockstep_key = injection_lockstep_key
-run_injection_group.trial_fn = run_campaign_trial
 
 
 def encode_outcome(outcome: InjectionOutcome) -> dict:
@@ -481,11 +487,17 @@ def tally_outcome_metrics(outcomes: "list[InjectionOutcome]") -> MetricsRegistry
 
 
 def _factory_id(factory) -> str:
-    """Deterministic identity of a machine factory (for fingerprints)."""
+    """Deterministic identity of a machine factory (for fingerprints):
+    a named one by its qualified name, anything else (a
+    ``functools.partial``, say) by its type and its pickle's digest, so
+    two such factories share an id only if they pickle alike. One that
+    cannot be pickled is named by its type alone."""
     name = getattr(factory, "__qualname__", None)
     if name:
         return f"{getattr(factory, '__module__', '')}.{name}"
-    return type(factory).__name__
+    kind = type(factory).__name__
+    digest = _factory_digest(factory)
+    return kind if digest is None else f"{kind}:{digest}"
 
 
 def workload_identity(workload: Workload) -> dict:

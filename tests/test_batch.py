@@ -4,14 +4,14 @@ The contract under test is byte-identity: `BatchMachines` advancing N
 lanes in lockstep must produce exactly the state — engine digests,
 full machine digests after sync-back, alarm/death reports — that N
 independent `FleetTicker`s produce, including RNG stream positions.
-Also covers the campaign batch executor (`execute(..., batch_fn=)`) and the
+Also covers the campaign batch executor (a campaign's `batch_fn`) and the
 mission-layer satellites (sorted event indexing, memoized ILD ground
 training, `MissionSimulator.run_batch`).
 """
 
 import json
-import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -217,6 +217,11 @@ def _poison_low_util(items, rngs):
 _poison_low_util.lockstep_key = _util_key
 
 
+def _poison_keyless(items, rngs):
+    """A keyless batch function whose one group always raises."""
+    raise RuntimeError("poisoned group")
+
+
 def _keyed_campaign(name="batch-keyed"):
     """Nine lanes under three keys (sizes 4, 3, 2); lane 1 diverges."""
     utils = [0.6, 0.3, 0.6, 0.9, 0.3, 0.6, 0.9, 0.3, 0.6]
@@ -240,7 +245,7 @@ class TestLockstepGroups:
     )
     def test_keyed_groups_are_never_split(self, pool):
         camp = _keyed_campaign()
-        result = execute(camp, batch_fn=_group_probe, **pool)
+        result = execute(replace(camp, batch_fn=_group_probe), **pool)
         sizes = {0.6: 4, 0.3: 3, 0.9: 2}
         for value in result.values:
             assert value["keys"] == [value["util"]]
@@ -249,13 +254,10 @@ class TestLockstepGroups:
     def test_pool_and_serial_groups_store_identically(self, tmp_path):
         camp = _keyed_campaign()
         scalar = execute(camp, store=tmp_path / "scalar")
-        serial = execute(
-            camp, batch_fn=_keyed_tick_batch_fn, store=tmp_path / "serial",
-            workers=1,
-        )
+        batched = replace(camp, batch_fn=_keyed_tick_batch_fn)
+        serial = execute(batched, store=tmp_path / "serial", workers=1)
         pooled = execute(
-            camp, batch_fn=_keyed_tick_batch_fn, store=tmp_path / "pooled",
-            workers=2, force_pool=True,
+            batched, store=tmp_path / "pooled", workers=2, force_pool=True,
         )
         assert pooled.values == serial.values == scalar.values
         assert (
@@ -268,8 +270,8 @@ class TestLockstepGroups:
         camp = _keyed_campaign()
         metrics = MetricsRegistry()
         result = execute(
-            camp, batch_fn=_keyed_tick_batch_fn, workers=2, force_pool=True,
-            metrics=metrics,
+            replace(camp, batch_fn=_keyed_tick_batch_fn), workers=2,
+            force_pool=True, metrics=metrics,
         )
         counters = metrics.snapshot()["counters"]
         assert counters["campaign.batch.lanes"] == 9
@@ -282,17 +284,32 @@ class TestLockstepGroups:
             camp.trials[1].item, trial_rng(78, 1), None
         )
 
-    def test_keyless_closure_runs_once_in_process(self):
-        calls = []
-
-        def batch_fn(items, rngs):
-            calls.append((len(items), os.getpid()))
-            return _tick_batch_fn(items, rngs)
-
+    def test_keyless_group_is_one_pool_task(self):
         camp = self._uniform_campaign()
-        result = execute(camp, batch_fn=batch_fn, workers=2, force_pool=True)
-        assert calls == [(4, os.getpid())]
+        result = execute(
+            replace(camp, batch_fn=_tick_batch_fn), workers=2, force_pool=True
+        )
+        # The round is one batch: the four-lane group task, then
+        # diverged lane 2, which joined it when the group landed.
+        assert len(result.report.timings) == 2
+        assert result.report.values[1] == (result.values[2], None)
         assert result.values == execute(camp).values
+
+    def test_supervised_poison_keyless_group_quarantined_under_every_lane(self):
+        from repro.ground import GroundPolicy
+
+        camp = replace(self._uniform_campaign(), batch_fn=_poison_keyless)
+        result = execute(
+            camp, workers=2, force_pool=True,
+            supervision=GroundPolicy(max_attempts=2, backoff_base_seconds=0.0),
+        )
+        assert result.report.mode == "ground-pool"
+        specs = camp.specs()
+        assert [
+            (q.index, q.fingerprint, q.attempts) for q in result.quarantined
+        ] == [(i, specs[i].fingerprint, 2) for i in range(4)]
+        assert all("poisoned group" in q.error for q in result.quarantined)
+        assert result.values == [None] * 4 and result.executed == 0
 
     def test_supervised_poison_group_quarantined_under_every_lane(
         self, tmp_path
@@ -301,11 +318,11 @@ class TestLockstepGroups:
 
         camp = _keyed_campaign()
         plain = execute(
-            camp, batch_fn=_keyed_tick_batch_fn, store=tmp_path / "plain"
+            replace(camp, batch_fn=_keyed_tick_batch_fn), store=tmp_path / "plain"
         )
         supervised = execute(
-            camp, batch_fn=_poison_low_util, store=tmp_path / "supervised",
-            workers=2, force_pool=True,
+            replace(camp, batch_fn=_poison_low_util),
+            store=tmp_path / "supervised", workers=2, force_pool=True,
             supervision=GroundPolicy(max_attempts=2, backoff_base_seconds=0.0),
         )
         assert supervised.report.mode == "ground-pool"
@@ -359,7 +376,7 @@ class TestExecuteBatched:
             metrics = MetricsRegistry()
             scalar = execute(camp, store=d1, metrics=MetricsRegistry())
             batched = execute(
-                camp, store=d2, metrics=metrics, batch_fn=_tick_batch_fn
+                replace(camp, batch_fn=_tick_batch_fn), store=d2, metrics=metrics
             )
             assert batched.values == scalar.values
             s1, s2 = TrialStore.coerce(d1), TrialStore.coerce(d2)
@@ -375,29 +392,29 @@ class TestExecuteBatched:
     def test_resume_across_backends(self):
         camp = self._campaign()
         with tempfile.TemporaryDirectory() as store:
-            cold = execute(camp, store=store, batch_fn=_tick_batch_fn)
+            batched = replace(camp, batch_fn=_tick_batch_fn)
+            cold = execute(batched, store=store)
             warm = execute(camp, store=store)
             assert warm.executed == 0
             assert warm.store_hits == len(camp.trials)
             assert warm.values == cold.values
-            rewarm = execute(camp, store=store, batch_fn=_tick_batch_fn)
+            rewarm = execute(batched, store=store)
             assert rewarm.executed == 0 and rewarm.values == cold.values
 
     def test_lane_count_mismatch_raises(self):
         camp = self._campaign()
         with pytest.raises(ConfigurationError):
-            execute(camp, batch_fn=lambda items, rngs: [])
+            execute(replace(camp, batch_fn=lambda items, rngs: []))
 
     def test_corrupt_entry_is_counted_and_rerun(self, tmp_path):
         camp = self._campaign()
-        cold = execute(camp, store=tmp_path, batch_fn=_tick_batch_fn)
+        batched = replace(camp, batch_fn=_tick_batch_fn)
+        cold = execute(batched, store=tmp_path)
         fp = camp.specs()[2].fingerprint
         (tmp_path / fp[:2] / f"{fp}.json").write_text("{garbage")
         metrics = MetricsRegistry()
         with pytest.warns(RuntimeWarning, match="corrupt entry"):
-            warm = execute(
-                camp, store=tmp_path, metrics=metrics, batch_fn=_tick_batch_fn
-            )
+            warm = execute(batched, store=tmp_path, metrics=metrics)
         counters = metrics.snapshot()["counters"]
         assert counters["campaign.store.corrupt"] == 1
         assert warm.executed == 1 and warm.store_hits == 3

@@ -33,7 +33,7 @@ class TestReferences:
     def test_stale_reference_fails_the_run(self, check_docs, tmp_path, capsys):
         page = tmp_path / "page.md"
         page.write_text(
-            "Run `repro.campaign.execute(..., batch_fn=)`.\n"
+            "Run `repro.campaign.execute(..., store=)`.\n"
             "Render it with `repro.obs.summarize_trace`.\n"
         )
         assert check_docs.check_references(page) == [

@@ -190,7 +190,6 @@ SURFACE = {
     },
     "hmr modes": {},
     "hmr sweep": {
-        "--batched": (False, False, None, None),
         "--json": (False, False, None, None),
         "--out": (None, False, None, None),
         "--scale": (1, False, None, "int"),

@@ -401,12 +401,15 @@ class TestFleetDeterminism:
         assert report_json(rerun.report) == report_json(cold_result.report)
 
     def test_batch_fn_without_its_key_rejects_a_mixed_band_group(self):
+        assert fleet_campaign(tiny_spec(), calibration={}).batch_fn is _fleet_batch_fn
         # A wrapper that drops ``lockstep_key`` makes the round keyless,
         # so the whole mixed-band grid arrives as one group.
         with pytest.raises(ConfigurationError, match="more than one lockstep key"):
             execute(
-                fleet_campaign(tiny_spec(), calibration={}),
-                batch_fn=functools.partial(_fleet_batch_fn),
+                dataclasses.replace(
+                    fleet_campaign(tiny_spec(), calibration={}),
+                    batch_fn=functools.partial(_fleet_batch_fn),
+                ),
                 workers=1,
             )
 

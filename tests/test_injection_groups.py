@@ -318,13 +318,17 @@ class TestGroupedCampaigns:
         execute(campaign)
         assert len(groups) == 3
 
-    def test_a_copy_with_another_trial_fn_runs_it(self):
+    def test_a_copy_with_another_trial_fn_and_no_batch_fn_runs_it(self):
+        calls = []
+
         def other(task, rng, tracer=None):
+            calls.append(task)
             return run_campaign_trial(task, rng, tracer)
 
-        campaign = replace(_campaign("none", runs=2), trial_fn=other)
+        campaign = _campaign("none", runs=2)
         metrics = MetricsRegistry()
-        execute(campaign, metrics=metrics)
+        execute(replace(campaign, trial_fn=other, batch_fn=None), metrics=metrics)
+        assert calls == [trial.item for trial in campaign.trials]
         assert "campaign.batch.lanes" not in metrics.snapshot()["counters"]
 
 

@@ -179,3 +179,41 @@ class TestCensusWeights:
         assert weights[SeuTarget.L1_CACHE] > weights[SeuTarget.PIPELINE]
         # Valid campaign config as-is.
         CampaignConfig(runs_per_scheme=1, weights=weights)
+
+
+class TestFactoryIdentity:
+    """A machine factory's identity enters every trial fingerprint."""
+
+    @staticmethod
+    def _campaign(factory):
+        return FaultInjectionCampaign(
+            AesWorkload(chunk_bytes=32, chunks=3),
+            CampaignConfig(runs_per_scheme=2),
+            machine_factory=factory,
+            seed=5,
+        ).campaign(("none",))
+
+    def test_named_factory_keeps_its_id(self):
+        from repro.radiation.injector import _factory_id
+
+        assert _factory_id(Machine.rpi_zero2w) == "repro.sim.machine.Machine.rpi_zero2w"
+
+    def test_partial_factories_fingerprint_apart(self, tmp_path):
+        import functools
+
+        from repro.campaign import TrialStore, execute
+
+        pi = self._campaign(functools.partial(Machine.rpi_zero2w, seed=1))
+        snapdragon = self._campaign(functools.partial(Machine.snapdragon801, seed=2))
+        assert not {s.fingerprint for s in pi.specs()} & {
+            s.fingerprint for s in snapdragon.specs()
+        }
+        again = self._campaign(functools.partial(Machine.rpi_zero2w, seed=1))
+        assert again.specs() == pi.specs()
+
+        store = TrialStore(tmp_path)
+        execute(pi, store=store)
+        shared = execute(snapdragon, store=store)
+        assert shared.store_hits == 0
+        assert shared.executed == len(snapdragon.trials)
+        assert execute(again, store=store).store_hits == len(pi.trials)

@@ -360,7 +360,9 @@ def test_pooled_table7_trials_reuse_the_parents_plans(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(runtime, "plan_replication", counting)
-    planning = replace(grid, trial_fn=_planning_trial, encode=None, decode=None)
+    planning = replace(
+        grid, trial_fn=_planning_trial, batch_fn=None, encode=None, decode=None
+    )
     serial = execute(planning, workers=1, store=TrialStore(tmp_path / "serial"))
     pooled = execute(
         planning, workers=2, force_pool=True, store=TrialStore(tmp_path / "pooled")

@@ -15,6 +15,8 @@ The properties that keep streams safe to build on:
   quarantine record.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -307,6 +309,15 @@ def _odd_lanes_diverge(items, rngs):
     ]
 
 
+def _poison_lanes_diverge(items, rngs):
+    """Lockstep stand-in for ``_poison_trial``: the poison lane peels
+    back to the scalar path, which raises."""
+    return [
+        Diverged("poison") if item == "poison" else {"ok": item}
+        for item in items
+    ]
+
+
 class TestQuarantineInterplay:
     def test_quarantined_slot_digests_as_null(self):
         from repro.ground import GroundPolicy
@@ -346,23 +357,15 @@ class TestQuarantineInterplay:
 
         plain = TrialStore(tmp_path / "plain")
         supervised = TrialStore(tmp_path / "supervised")
-        a = execute(_grid(), store=plain, batch_fn=_odd_lanes_diverge)
-        b = execute(
-            _grid(), store=supervised, batch_fn=_odd_lanes_diverge,
-            supervision=GroundPolicy(),
-        )
+        batched = replace(_grid(), batch_fn=_odd_lanes_diverge)
+        a = execute(batched, store=plain)
+        b = execute(batched, store=supervised, supervision=GroundPolicy())
         assert a.values == b.values == execute(_grid()).values
         assert _store_bytes(plain) == _store_bytes(supervised)
-        assert len(b.report.timings) == 2  # only the diverged lanes
+        assert len(b.report.timings) == 3  # the group, then two diverged lanes
 
     def test_poison_diverged_lane_quarantined_under_grid_index(self):
         from repro.ground import GroundPolicy
-
-        def batch_fn(items, rngs):
-            return [
-                Diverged("poison") if item == "poison" else {"ok": item}
-                for item in items
-            ]
 
         camp = Campaign(
             name="poison-batch",
@@ -372,25 +375,42 @@ class TestQuarantineInterplay:
                 for i, item in enumerate(["a", "b", "poison", "c"])
             ],
             seed=3,
+            batch_fn=_poison_lanes_diverge,
         )
-        result = execute(
-            camp, batch_fn=batch_fn,
-            supervision=GroundPolicy(max_attempts=1),
-        )
+        result = execute(camp, supervision=GroundPolicy(max_attempts=1))
         assert [q.index for q in result.quarantined] == [2]
         assert result.quarantined[0].params == {"i": 2}
         assert result.values == [{"ok": "a"}, {"ok": "b"}, None, {"ok": "c"}]
         assert result.executed == 3
 
-    def test_batch_fn_excludes_trace(self, tmp_path):
-        def batch_fn(items, rngs):
-            return [{"ok": i} for i in items]
+    def test_traced_run_calls_trial_fn_per_trial(self, tmp_path):
+        calls = []
 
-        with pytest.raises(ConfigurationError, match="batch_fn"):
-            execute_stream(
-                GridSource(_grid()), batch_fn=batch_fn,
-                trace_path=str(tmp_path / "t.jsonl"),
-            )
+        def counted(item, rng, tracer=None):
+            calls.append(item)
+            if tracer is not None:
+                tracer.span("trial", t=0.0, dur=1.0, item=item)
+            return _seeded_trial(item, rng, tracer)
+
+        def batch_fn(items, rngs):
+            raise AssertionError("a traced round ran the batch function")
+
+        camp = replace(_grid(), trial_fn=counted, batch_fn=batch_fn)
+        declared = TrialStore(tmp_path / "declared")
+        traced = execute(
+            camp, store=declared, trace_path=str(tmp_path / "declared.jsonl")
+        )
+        assert calls == [0, 1, 2, 3]
+        scalar = TrialStore(tmp_path / "scalar")
+        reference = execute(
+            replace(camp, batch_fn=None), store=scalar,
+            trace_path=str(tmp_path / "scalar.jsonl"),
+        )
+        assert traced.values == reference.values
+        assert _store_bytes(declared) == _store_bytes(scalar)
+        assert (tmp_path / "declared.jsonl").read_bytes() == (
+            tmp_path / "scalar.jsonl"
+        ).read_bytes()
 
 
 class TestTraceThroughStream:
