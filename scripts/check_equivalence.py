@@ -4,8 +4,9 @@ path, one digest per cell.
 Rows are the subjects: each entry of ``repro.experiments.CAMPAIGNS``
 (run by ``run_experiment``, as every entry point runs it), the
 ``smoke`` fleet, the adaptive ``smoke`` stream, the chaos matrix
-and the host-fault matrix (whose scenarios are the ground tier's
-host-fault modifiers of the supervised path). Columns are the paths:
+and the host-fault row (one supervised six-trial campaign whose trials
+crash a worker, fail transiently or fail every attempt; it must
+quarantine the poison trial alone). Columns are the paths:
 
 ``serial``      ``workers=1`` into a fresh store: the reference.
 ``pool``        2 workers, ``force_pool`` where the entry point takes it.
@@ -180,25 +181,67 @@ def fleet_row() -> Row:
     return Row("fleet", run, ("fleet", "run", "--spec", "smoke"), check=check)
 
 
-def host_fault_row() -> Row:
-    from repro.ground import run_host_chaos
+#: The host-fault row's lanes: trial index -> (fault, failed attempts).
+#: A crash and a transient error are retried to success; the poison
+#: trial fails every attempt and is quarantined.
+HOST_FAULTS = {1: ("crash", 1), 3: ("error", 2), 5: ("error", 99)}
+HOST_TRIALS = 6
+HOST_POLICY = GroundPolicy(backoff_base_seconds=0.01, backoff_max_seconds=0.05)
 
-    def run(*, store, workers=1, **_):
-        reports, _ = run_host_chaos(workers=workers)
-        return Outcome([r.to_dict() for r in reports], reports, len(reports))
+
+def _host_trial(item, rng, tracer=None):
+    """Fire the item's fault for its first attempts (counted in a
+    marker file: a crashed worker keeps no memory), then draw. The
+    fault fires before the RNG is touched, so a retried success draws
+    what a first try would."""
+    if item["fault"] is not None:
+        kind, fail = item["fault"]
+        marker = Path(item["marker_dir"]) / f"{item['i']}.attempts"
+        attempt = int(marker.read_text()) + 1 if marker.exists() else 1
+        marker.write_text(str(attempt))
+        if attempt <= fail:
+            if kind == "crash":
+                os._exit(9)
+            raise RuntimeError(f"injected fault, attempt {attempt}")
+    return int(rng.integers(0, 2**32))
+
+
+def host_fault_row() -> Row:
+    """One supervised campaign with a crash, a transient and a poison
+    lane. It runs without a store, so the cell digest covers its values
+    and its quarantine manifest."""
+    import tempfile
+
+    from repro.campaign import Campaign, Trial, execute
+    from repro.ground import quarantine_manifest
+
+    def run(*, workers=1, metrics=None, **_):
+        with tempfile.TemporaryDirectory(prefix="host-fault-") as markers:
+            trials = [
+                Trial(params={"i": i}, item={
+                    "i": i, "fault": HOST_FAULTS.get(i), "marker_dir": markers,
+                })
+                for i in range(HOST_TRIALS)
+            ]
+            result = execute(
+                Campaign(name="host-fault", trial_fn=_host_trial, trials=trials, seed=0),
+                workers=workers, metrics=metrics, supervision=HOST_POLICY,
+            )
+        canonical = {"values": result.values, "manifest": quarantine_manifest(result)}
+        return Outcome(canonical, result, HOST_TRIALS)
 
     def check(outcome, artifacts):
-        problems = [f"{r.scenario}: {v}" for r in outcome.values for v in r.violations]
-        return problems + quarantine_drill(artifacts / "quarantine-manifest.json")
+        return quarantine_drill(outcome.values, artifacts / "quarantine-manifest.json")
 
-    no_store = "the row keeps no store: each scenario builds and rots its own"
+    no_store = "the row keeps no store"
     return Row(
         "host-fault",
         run,
         na={
-            "supervised": "every scenario runs under its own GroundPolicy",
+            "supervised": "the row always runs under its own GroundPolicy",
             "batched": NO_BATCH_FN,
-            "replay": no_store,
+            "replay": f"{no_store}; a quarantined trial is never stored, "
+                      "so a replay would re-run it",
             "sigkill": no_store,
             "rot": no_store,
         },
@@ -206,45 +249,28 @@ def host_fault_row() -> Row:
     )
 
 
-def quarantine_drill(manifest_path: Path) -> "list[str]":
-    """Run the poison-trial campaign supervised; it must complete with
-    the poison trial, and only it, in the manifest written to
-    ``manifest_path``."""
-    import tempfile
+def quarantine_drill(result, manifest_path: Path) -> "list[str]":
+    """The host-fault run must complete with the poison trial, and only
+    it, in its manifest, which is written to ``manifest_path``."""
+    from repro.ground import quarantine_manifest
 
-    from repro.campaign import execute
-    from repro.ground import default_host_scenarios, quarantine_manifest
-    from repro.ground.chaos import _host_campaign
-
-    scenario = next(s for s in default_host_scenarios() if s.name == "poison-trial")
-    with tempfile.TemporaryDirectory(prefix="quarantine-drill-") as tmp:
-        markers = Path(tmp) / "markers"
-        markers.mkdir()
-        fault = {
-            "kind": scenario.kind,
-            "trials": list(scenario.fault_trials),
-            "fail_attempts": scenario.fail_attempts,
-            "marker_dir": str(markers),
-        }
-        result = execute(
-            _host_campaign(scenario, fault), workers=WORKERS,
-            store=TrialStore(Path(tmp) / "store"), supervision=scenario.policy(),
-        )
     manifest = quarantine_manifest(result)
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     quarantined = [q["index"] for q in manifest["quarantined"]]
+    attempts = HOST_POLICY.max_attempts
+    poison = [i for i, (_, fail) in HOST_FAULTS.items() if fail >= attempts]
+    retries = sum(min(fail, attempts - 1) for _, fail in HOST_FAULTS.values())
     problems = []
-    if quarantined != list(scenario.expect_quarantined):
-        problems.append(
-            f"quarantine manifest names {quarantined}, expected "
-            f"{list(scenario.expect_quarantined)}"
-        )
+    if result.report.retries != retries:
+        problems.append(f"{result.report.retries} retries recorded, expected {retries}")
+    if quarantined != poison:
+        problems.append(f"quarantine manifest names {quarantined}, expected {poison}")
     if not all(q["fingerprint"] and q["error"] for q in manifest["quarantined"]):
         problems.append("a quarantined trial lacks its fingerprint or error")
     healthy = sum(v is not None for v in result.values)
-    if healthy != scenario.trials - len(quarantined):
-        problems.append(f"the poison-trial campaign lost healthy trials ({healthy} left)")
+    if healthy != HOST_TRIALS - len(quarantined):
+        problems.append(f"the host-fault campaign lost healthy trials ({healthy} left)")
     return problems
 
 

@@ -23,8 +23,6 @@ Usage::
     python -m repro store verify --store dir/
     python -m repro store scrub --store dir/
     python -m repro store stats --store dir/
-    python -m repro ground list
-    python -m repro ground run [--workers 2] [--scenario NAME]
     python -m repro hmr modes
     python -m repro hmr sweep [--verify] [--json] [--out frontier.json]
     python -m repro faults census [--json] [--warm] [--seed 0]
@@ -732,28 +730,6 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ground_list(args: argparse.Namespace) -> int:
-    from .ground import default_host_scenarios
-
-    for scenario in default_host_scenarios():
-        print(
-            f"{scenario.name:<18} kind={scenario.kind:<14} "
-            f"seed={scenario.seed:<4} trials={scenario.trials} "
-            f"fail_attempts={scenario.fail_attempts}"
-        )
-    return 0
-
-
-def _cmd_ground_run(args: argparse.Namespace) -> int:
-    from .ground import default_host_scenarios, render_host_reports, run_host_chaos
-
-    reports, _ = run_host_chaos(
-        _scenarios(default_host_scenarios(), args), workers=args.workers
-    )
-    print(render_host_reports(reports))
-    return 0 if not any(r.violations for r in reports) else 2
-
-
 def _cmd_hmr_modes(args: argparse.Namespace) -> int:
     from .hmr import MODES
 
@@ -908,13 +884,6 @@ COMMANDS = (
     ("store stats", _cmd_store_stats,
      "occupancy, per-campaign counts, integrity counters",
      (STORE_AUDITED,)),
-    ("ground", None,
-     "host-fault chaos tier: break the ground segment, assert it holds", ()),
-    ("ground list", _cmd_ground_list,
-     "list the standing host-fault scenarios", ()),
-    ("ground run", _cmd_ground_run,
-     "run the host-fault matrix and check invariants",
-     ("--scenario", ("--workers", {"default": 2}))),
     ("hmr", None, "hybrid modular redundancy: the mode lattice", ()),
     ("hmr modes", _cmd_hmr_modes, "list the redundancy-mode lattice", ()),
     ("hmr sweep", _cmd_hmr_sweep,

@@ -242,8 +242,10 @@ class TrialStore:
         """Atomic write: tmp file → rename; :meth:`barrier` makes it
         durable.
 
-        Separated out so the host-fault chaos tier can inject
-        fill-disk-style failures at exactly this seam.
+        Separated out so tests can substitute a failing write at
+        exactly this seam: ``test_enospc_becomes_store_write_error``,
+        ``test_other_oserrors_pass_through`` and the store machine
+        (``tests/test_store_machine.py``).
         """
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(

@@ -183,11 +183,6 @@ SURFACE = {
         "--spec": (None, True, None, None),
         "--store": (None, True, None, None),
     },
-    "ground list": {},
-    "ground run": {
-        "--scenario": (None, False, None, None),
-        "--workers": (2, False, None, "_worker_count"),
-    },
     "hmr modes": {},
     "hmr sweep": {
         "--json": (False, False, None, None),

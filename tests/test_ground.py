@@ -1,4 +1,4 @@
-"""Ground-segment hardening: supervision, store integrity, host chaos.
+"""Ground-segment hardening: supervision, store integrity, host faults.
 
 Three claims under test (``docs/ground.md``):
 
@@ -11,7 +11,12 @@ Three claims under test (``docs/ground.md``):
    quarantined, and re-run, and writes are atomic under concurrency
    and loud (:class:`~repro.errors.StoreWriteError`) on terminal disk
    faults;
-3. the host-fault chaos scenarios pass end to end.
+3. a supervised campaign survives each host worker fault (a crashed
+   worker, a hung worker, a transient error, a poison trial, a lost
+   pool) with the fault-free run's values and store bytes, and every
+   fault shows in its exact ``ground.*`` counters. The store's host
+   faults (rot, power cuts, a full disk) are the rules of
+   ``tests/test_store_machine.py``.
 """
 
 import errno
@@ -24,6 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from perfbench.workloads import store_listing
 from repro.campaign import (
     STORE_SCHEMA,
     Campaign,
@@ -96,11 +102,12 @@ def _items(n, tmp_path, *, seed=0, bad=-1, fail=0, kind="error"):
     ]
 
 
-def _faulty_campaign(items):
-    """``_faulty`` over ``items`` as a campaign, one trial per item."""
+def _faulty_campaign(items, trial_fn=_faulty):
+    """``_faulty`` (or ``trial_fn``) over ``items`` as a campaign, one
+    trial per item."""
     return Campaign(
         name="ground-trace",
-        trial_fn=_faulty,
+        trial_fn=trial_fn,
         trials=[Trial(params={"i": item["i"]}, item=item) for item in items],
         seed=2,
     )
@@ -231,7 +238,80 @@ class TestSupervisedPmap:
         assert [r.name for r in recorded[:2]] == names
 
 
+#: The host worker faults a supervised campaign must survive, each
+#: fired at trial 2 of six: the fault, how many attempts it fails, the
+#: policy's knobs, the quarantined indices, whether the pool degrades
+#: to serial, and the nonzero ``ground.*`` counters the run records.
+WORKER_FAULTS = [
+    pytest.param(
+        "crash", 1, {}, [], False,
+        {"retries": 1, "worker_crashes": 1, "worker_losses": 1},
+        id="worker-crash",
+    ),
+    pytest.param(
+        "hang", 1, {"timeout_seconds": 0.75}, [], False,
+        {"retries": 1, "timeouts": 1, "worker_losses": 1},
+        id="worker-hang",
+    ),
+    pytest.param(
+        "error", 2, {}, [], False,
+        {"retries": 2, "trial_errors": 2},
+        id="transient-error",
+    ),
+    pytest.param(
+        "error", 99, {}, [2], False,
+        {"quarantined": 1, "retries": 2, "trial_errors": 3},
+        id="poison-trial",
+    ),
+    # Three crashes against a loss budget of two: the serial drain
+    # completes attempt 4 in-process.
+    pytest.param(
+        "crash", 3, {"max_attempts": 6, "max_worker_losses": 2}, [], True,
+        {"retries": 3, "serial_fallback": 1, "worker_crashes": 3,
+         "worker_losses": 3},
+        id="pool-loss",
+    ),
+]
+
+
 class TestSupervisedCampaign:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "kind, fail, knobs, quarantined, fallback, counters", WORKER_FAULTS
+    )
+    def test_survives_host_worker_fault(
+        self, tmp_path, workers, kind, fail, knobs, quarantined, fallback,
+        counters,
+    ):
+        items = _items(6, tmp_path, bad=2, fail=fail, kind=kind)
+        clean = TrialStore(tmp_path / "clean")
+        baseline = execute(_faulty_campaign(items, _draw), store=clean)
+        store = TrialStore(tmp_path / "faulted")
+        metrics = MetricsRegistry()
+        policy = GroundPolicy(**{"timeout_seconds": 10.0, **knobs}, **FAST)
+        result = execute(
+            _faulty_campaign(items), workers=workers, store=store,
+            supervision=policy, metrics=metrics,
+        )
+        # The survivors' values and store bytes are the fault-free
+        # run's; a quarantined trial is None and never stored.
+        assert result.values == [
+            None if i in quarantined else value
+            for i, value in enumerate(baseline.values)
+        ]
+        lost = {f"{baseline.specs[i].fingerprint}.json" for i in quarantined}
+        assert store_listing(store.root) == [
+            entry for entry in store_listing(clean.root) if entry[0] not in lost
+        ]
+        assert [q.index for q in result.quarantined] == quarantined
+        assert result.report.serial_fallback is fallback
+        recorded = {
+            name.removeprefix("ground."): int(value)
+            for name, value in metrics.snapshot()["counters"].items()
+            if name.startswith("ground.") and name != "ground.tasks" and value
+        }
+        assert recorded == counters
+
     def _baseline(self, tmp_path):
         camp = Campaign(
             name="ground-exec",
@@ -472,30 +552,8 @@ def _concurrent_put(args):
 
 
 # ----------------------------------------------------------------------
-# host chaos + observability
+# observability
 # ----------------------------------------------------------------------
-class TestHostChaos:
-    def test_single_scenario_fast(self):
-        from repro.ground import default_host_scenarios, run_host_scenario
-
-        scenario = next(
-            s for s in default_host_scenarios() if s.name == "worker-crash"
-        )
-        report = run_host_scenario(scenario, workers=2)
-        assert report.ok, report.violations
-        assert report.counters.get("ground.worker_crashes") == 1
-
-    @pytest.mark.slow
-    def test_full_matrix_digest_stable_across_worker_counts(self):
-        from repro.ground import run_host_chaos
-
-        serial_reports, serial_digest = run_host_chaos(workers=1)
-        pooled_reports, pooled_digest = run_host_chaos(workers=3)
-        for report in (*serial_reports, *pooled_reports):
-            assert report.ok, (report.scenario, report.violations)
-        assert serial_digest == pooled_digest
-
-
 class TestGroundObservability:
     def test_ground_events_open_an_incident_chain(self, tmp_path):
         items = _items(3, tmp_path, bad=1, fail=1, kind="error")
